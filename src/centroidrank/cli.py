@@ -153,10 +153,9 @@ def cmd_query(args: argparse.Namespace) -> int:
             question_idf=question_idf,
             candidate_docs=candidate_docs,
         )
+    texts = {p.passage_id: p.text for p in index.passages}
     for position, (passage_id, score) in enumerate(ranking.items, start=1):
-        passage = index.get(passage_id)
-        text = passage.text if passage is not None else ""
-        print(f"{position}\t{passage_id}\t{score:.6f}\t{text}")
+        print(f"{position}\t{passage_id}\t{score:.6f}\t{texts[passage_id]}")
     return 0
 
 

@@ -104,12 +104,10 @@ def build_judgments(
     relevant: set[str] = set()
     snippet_docs = {doc for doc, _text in question.gold_snippets}
     for doc_id in snippet_docs:
-        for passage_id in index.doc_index.get(doc_id, []):
-            passage = index.get(passage_id)
-            if passage is not None and judge_relevance(
-                passage, question.gold_snippets, overlap_threshold
-            ):
-                relevant.add(passage_id)
+        for row in index.doc_index.get(doc_id, ()):
+            passage = index.passages[row]
+            if judge_relevance(passage, question.gold_snippets, overlap_threshold):
+                relevant.add(passage.passage_id)
     return RelevanceJudgments(question_id=question.id, relevant_passage_ids=relevant)
 
 

@@ -1,9 +1,10 @@
 """Sentence-level passage indexing and centroid-distance ranking.
 
-Each document is split into sentences; each sentence becomes a passage
-carrying two precomputed centroids (uniform and document-idf weighted).
-Ranking compares the question centroid against the matching passage
-centroid under one of three schemes:
+Each document is split into sentences; each sentence becomes a passage,
+one row of two centroid matrices (uniform and document-idf weighted).
+Ranking compares the question centroid against every candidate row of
+the matching matrix in one matrix-vector product, under one of three
+schemes:
 
 * ``cd``      uniform question centroid vs uniform passage centroid
 * ``cd-idf``  document-idf question centroid vs idf passage centroid
@@ -16,15 +17,17 @@ distance, ties broken by ascending passage id.
 from __future__ import annotations
 
 import random
+import re
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
 from .idf import IdfTable
-from .semantic import SemanticVector, centroid, cosine_distance
+from .semantic import centroid
 from .text import split_sentences, tokenize
 
 
@@ -35,30 +38,54 @@ class Method(str, Enum):
     RND = "rnd"
 
 
-@dataclass
-class Passage:
-    """One indexed sentence with its precomputed centroids."""
+class Passage(NamedTuple):
+    """One indexed sentence; its centroids are its row in the index matrices."""
 
     passage_id: str
     doc_id: str
     text: str
-    uniform_centroid: SemanticVector
-    idf_centroid: SemanticVector
 
 
-@dataclass
+def _frozen(matrix: np.ndarray) -> np.ndarray:
+    matrix.flags.writeable = False
+    return matrix
+
+
 class PassageIndex:
-    """Immutable sentence index; passages are kept sorted by passage id."""
+    """Immutable sentence index.
 
-    dim: int
-    passages: list[Passage] = field(default_factory=list)
-    doc_index: dict[str, list[str]] = field(default_factory=dict)
+    ``passages`` are sorted by passage id, and row ``i`` of ``uniform`` and
+    ``idf`` (C-contiguous float64, shape ``(n, dim)``) holds the raw
+    centroids of ``passages[i]``. ``doc_index`` maps each document to the
+    ascending row indices of its passages; the rows of one document need
+    not be contiguous (``d#1`` sorts between ``d`` and ``d``'s later rows
+    when ``d#1`` is itself a document id).
+    """
 
-    def __post_init__(self) -> None:
-        self._by_id = {p.passage_id: p for p in self.passages}
-
-    def get(self, passage_id: str) -> Passage | None:
-        return self._by_id.get(passage_id)
+    def __init__(
+        self,
+        dim: int,
+        passages: list[Passage],
+        uniform: np.ndarray,
+        idf: np.ndarray,
+    ) -> None:
+        order = sorted(range(len(passages)), key=lambda row: passages[row].passage_id)
+        if order != list(range(len(passages))):
+            passages = [passages[row] for row in order]
+            uniform, idf = uniform[order], idf[order]
+        self.dim = dim
+        self.passages = passages
+        self.uniform = _frozen(np.ascontiguousarray(uniform, dtype=np.float64))
+        self.idf = _frozen(np.ascontiguousarray(idf, dtype=np.float64))
+        self.uniform_norms = _frozen(np.linalg.norm(self.uniform, axis=1))
+        self.idf_norms = _frozen(np.linalg.norm(self.idf, axis=1))
+        rows: dict[str, list[int]] = {}
+        for row, passage in enumerate(passages):
+            rows.setdefault(passage.doc_id, []).append(row)
+        self.doc_index = {
+            doc_id: _frozen(np.array(doc_rows, dtype=np.intp))
+            for doc_id, doc_rows in rows.items()
+        }
 
     def __len__(self) -> int:
         return len(self.passages)
@@ -84,35 +111,35 @@ def build_index(
     raise ValueError.
     """
     passages: list[Passage] = []
-    doc_index: dict[str, list[str]] = {}
+    seen: set[str] = set()
     for doc_id, text in documents:
-        if doc_id in doc_index:
+        if doc_id in seen:
             raise ValueError(f"duplicate doc_id {doc_id!r}")
-        doc_index[doc_id] = []
+        seen.add(doc_id)
         for ordinal, (sentence, _offset) in enumerate(split_sentences(text)):
-            tokens = tokenize(sentence)
-            passage = Passage(
-                passage_id=f"{doc_id}#{ordinal}",
-                doc_id=doc_id,
-                text=sentence,
-                uniform_centroid=centroid(tokens, embeddings),
-                idf_centroid=centroid(tokens, embeddings, doc_idf),
-            )
-            passages.append(passage)
-            doc_index[doc_id].append(passage.passage_id)
+            passages.append(Passage(f"{doc_id}#{ordinal}", doc_id, sentence))
     passages.sort(key=lambda p: p.passage_id)
-    return PassageIndex(dim=embeddings.dim, passages=passages, doc_index=doc_index)
+    uniform = np.empty((len(passages), embeddings.dim), dtype=np.float64)
+    idf = np.empty_like(uniform)
+    for row, passage in enumerate(passages):
+        tokens = tokenize(passage.text)
+        uniform[row] = centroid(tokens, embeddings).components
+        idf[row] = centroid(tokens, embeddings, doc_idf).components
+    return PassageIndex(embeddings.dim, passages, uniform, idf)
 
 
-def _candidate_passages(
+def _candidate_rows(
     index: PassageIndex, candidate_docs: set[str] | None
-) -> list[Passage]:
+) -> np.ndarray | None:
+    """Ascending rows of the candidate documents; None means every row."""
     if candidate_docs is None:
-        return index.passages
+        return None
     unknown = sorted(d for d in candidate_docs if d not in index.doc_index)
     if unknown:
         raise ValueError(f"unknown doc_id(s) in candidate set: {', '.join(unknown)}")
-    return [p for p in index.passages if p.doc_id in candidate_docs]
+    if not candidate_docs:
+        return np.empty(0, dtype=np.intp)
+    return np.sort(np.concatenate([index.doc_index[d] for d in candidate_docs]))
 
 
 def rank(
@@ -130,13 +157,18 @@ def rank(
 
     The question centroid follows the method (uniform for ``cd``, document
     idf for ``cd-idf``, question idf for ``cd-q``); the passage side uses
-    the uniform centroid for ``cd`` and the idf centroid otherwise. When
+    the uniform centroids for ``cd`` and the idf centroids otherwise. When
     ``candidate_docs`` is given, only passages from those documents are
-    scored; unknown ids raise ValueError.
+    scored; unknown ids raise ValueError, as does an embedding table whose
+    dimension differs from the index's.
     """
     method = Method(method)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if embeddings.dim != index.dim:
+        raise ValueError(
+            f"dimension mismatch: index dim {index.dim}, embeddings dim {embeddings.dim}"
+        )
     if method is Method.CD:
         question_vec = centroid(question, embeddings)
     elif method is Method.CD_IDF:
@@ -150,17 +182,39 @@ def rank(
     else:
         raise ValueError("rnd has no distance ranking; use random_baseline()")
 
-    use_uniform = method is Method.CD
-    scored = []
-    for passage in _candidate_passages(index, candidate_docs):
-        passage_vec = passage.uniform_centroid if use_uniform else passage.idf_centroid
-        distance = cosine_distance(question_vec, passage_vec)
-        scored.append((distance, passage.passage_id))
-    scored.sort()
+    if method is Method.CD:
+        matrix, norms = index.uniform, index.uniform_norms
+    else:
+        matrix, norms = index.idf, index.idf_norms
+    rows = _candidate_rows(index, candidate_docs)
+    if rows is not None:
+        matrix, norms = matrix[rows], norms[rows]
+    q = question_vec.components
+    # einsum reduces each row with the same instruction sequence wherever
+    # the row sits, so identical passages get bit-identical scores and tie
+    # exactly; a BLAS mat-vec may round a row differently by position.
+    dots = np.einsum("ij,j->i", matrix, q)
+    denominators = norms * float(np.linalg.norm(q))
+    # A zero row or a zero question keeps similarity 0: the neutral 1.0.
+    similarity = np.divide(
+        dots, denominators, out=np.zeros_like(dots), where=denominators > 0.0
+    )
+    distances = 1.0 - np.clip(similarity, -1.0, 1.0)
+    pool = np.arange(len(distances))
+    if k < len(distances):
+        # Only rows that beat or tie the k-th smallest distance can make the
+        # top k; flatnonzero keeps them in row order.
+        pool = np.flatnonzero(distances <= np.partition(distances, k - 1)[k - 1])
+    # Rows are in passage-id order, so a stable sort breaks ties by id.
+    top = pool[np.argsort(distances[pool], kind="stable")[:k]]
+    top_rows = top if rows is None else rows[top]
     return RankedList(
         question_id=question_id,
         method=method,
-        items=[(pid, dist) for dist, pid in scored[:k]],
+        items=[
+            (index.passages[row].passage_id, distance)
+            for row, distance in zip(top_rows.tolist(), distances[top].tolist())
+        ],
     )
 
 
@@ -179,11 +233,15 @@ def random_baseline(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    candidates = _candidate_passages(index, candidate_docs)
+    rows = _candidate_rows(index, candidate_docs)
+    if rows is None:
+        candidates = [p.passage_id for p in index.passages]
+    else:
+        candidates = [index.passages[row].passage_id for row in rows.tolist()]
     if not candidates:
         raise ValueError("empty candidate set")
     rng = random.Random(seed)
-    chosen = rng.sample([p.passage_id for p in candidates], min(k, len(candidates)))
+    chosen = rng.sample(candidates, min(k, len(candidates)))
     return RankedList(
         question_id=question_id,
         method=Method.RND,
@@ -200,31 +258,13 @@ def _escape(text: str) -> str:
     return text
 
 
+_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n"}
+_ESCAPED_RE = re.compile(r"\\(.)", re.DOTALL)
+
+
 def _unescape(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt == "\\":
-                out.append("\\")
-            elif nxt == "t":
-                out.append("\t")
-            elif nxt == "n":
-                out.append("\n")
-            else:
-                out.append(ch)
-                out.append(nxt)
-            i += 2
-            continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
-
-
-def _format_components(vec: SemanticVector) -> str:
-    return ",".join(repr(float(c)) for c in vec.components)
+    # An unknown escape, or a trailing lone backslash, is kept as written.
+    return _ESCAPED_RE.sub(lambda m: _UNESCAPES.get(m.group(1), m.group(0)), text)
 
 
 def save_index(index: PassageIndex, sink) -> None:
@@ -238,50 +278,45 @@ def save_index(index: PassageIndex, sink) -> None:
 
 def _write_index(index: PassageIndex, handle: IO[str]) -> None:
     handle.write(f"#dim {index.dim}\n")
-    for p in index.passages:
+    for p, uniform, idf in zip(index.passages, index.uniform, index.idf):
         handle.write(
             "\t".join(
                 (
                     p.passage_id,
                     p.doc_id,
                     _escape(p.text),
-                    _format_components(p.uniform_centroid),
-                    _format_components(p.idf_centroid),
+                    ",".join(map(repr, uniform.tolist())),
+                    ",".join(map(repr, idf.tolist())),
                 )
             )
             + "\n"
         )
 
 
-def _parse_components(text: str, dim: int, line_no: int) -> np.ndarray:
+def _parse_components(text: str, dim: int, line_no: int, out: array) -> None:
+    """Append the ``dim`` comma-separated floats in ``text`` to ``out``."""
+    values = text.split(",")
+    if len(values) != dim:
+        raise ValueError(f"line {line_no}: expected {dim} components, got {len(values)}")
     try:
-        values = np.array([float(v) for v in text.split(",")], dtype=np.float64)
+        out.extend(map(float, values))
     except ValueError:
         raise ValueError(f"line {line_no}: malformed centroid components") from None
-    if values.shape != (dim,):
-        raise ValueError(f"line {line_no}: expected {dim} components, got {len(values)}")
-    values.flags.writeable = False
-    return values
-
-
-def _restore_centroid(components: np.ndarray, text: str) -> SemanticVector:
-    # Coverage counts are not persisted; a reloaded centroid only records
-    # whether anything was covered at all.
-    total = len(tokenize(text))
-    covered = 0 if not np.any(components) else total
-    return SemanticVector(components=components, covered_tokens=covered, total_tokens=total)
 
 
 def load_index(source) -> PassageIndex:
     """Parse an index written by :func:`save_index`."""
     if hasattr(source, "read"):
-        lines = list(source)
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            lines = list(handle)
-    if not lines:
+        return _read_index(source)
+    with open(source, "r", encoding="utf-8") as handle:
+        return _read_index(handle)
+
+
+def _read_index(handle: IO[str]) -> PassageIndex:
+    header = handle.readline()
+    if not header:
         raise ValueError("empty index stream")
-    header = lines[0].rstrip("\n")
+    header = header.rstrip("\n")
     parts = header.split(" ")
     if len(parts) != 2 or parts[0] != "#dim":
         raise ValueError(f"line 1: expected '#dim <d>', got {header!r}")
@@ -291,8 +326,8 @@ def load_index(source) -> PassageIndex:
         raise ValueError(f"line 1: malformed dimension {parts[1]!r}") from None
 
     passages: list[Passage] = []
-    doc_index: dict[str, list[str]] = {}
-    for line_no, raw_line in enumerate(lines[1:], start=2):
+    uniform, idf = array("d"), array("d")
+    for line_no, raw_line in enumerate(handle, start=2):
         line = raw_line.rstrip("\n")
         if not line:
             continue
@@ -300,19 +335,13 @@ def load_index(source) -> PassageIndex:
         if len(fields) != 5:
             raise ValueError(f"line {line_no}: expected 5 tab-separated fields")
         passage_id, doc_id, escaped_text, uniform_text, idf_text = fields
-        text = _unescape(escaped_text)
-        passage = Passage(
-            passage_id=passage_id,
-            doc_id=doc_id,
-            text=text,
-            uniform_centroid=_restore_centroid(
-                _parse_components(uniform_text, dim, line_no), text
-            ),
-            idf_centroid=_restore_centroid(
-                _parse_components(idf_text, dim, line_no), text
-            ),
-        )
-        passages.append(passage)
-        doc_index.setdefault(doc_id, []).append(passage_id)
-    passages.sort(key=lambda p: p.passage_id)
-    return PassageIndex(dim=dim, passages=passages, doc_index=doc_index)
+        _parse_components(uniform_text, dim, line_no, uniform)
+        _parse_components(idf_text, dim, line_no, idf)
+        passages.append(Passage(passage_id, doc_id, _unescape(escaped_text)))
+    shape = (len(passages), dim)
+    return PassageIndex(
+        dim,
+        passages,
+        np.frombuffer(uniform, dtype=np.float64).reshape(shape),
+        np.frombuffer(idf, dtype=np.float64).reshape(shape),
+    )

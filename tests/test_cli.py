@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -165,6 +166,32 @@ class TestIndexBuild:
     def test_reports_passage_count(self, workspace, capsys):
         _build_artifacts(workspace)
         assert "4 passages" in capsys.readouterr().out
+
+    def test_fixture_index_bytes_pinned(self, tmp_path, capsys):
+        # SHA-256 of the index that the per-passage-centroid implementation
+        # wrote for the checked-in fixture; the matrix-backed index must
+        # keep the file format byte for byte.
+        fixtures = pathlib.Path(__file__).parent / "fixtures"
+        doc_corpus = tmp_path / "doc_corpus.txt"
+        doc_corpus.write_text(
+            "".join(
+                line.split("\t", 1)[1]
+                for line in (fixtures / "docs.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+                if "\t" in line
+            ),
+            encoding="utf-8",
+        )
+        doc_idf = tmp_path / "doc_idf.tsv"
+        index = tmp_path / "index.tsv"
+        assert main(["idf-build", "--corpus", str(doc_corpus), "--unit", "doc",
+                     "--out", str(doc_idf)]) == 0
+        assert main(["index-build", "--docs", str(fixtures / "docs.tsv"),
+                     "--embeddings", str(fixtures / "embeddings.txt"),
+                     "--doc-idf", str(doc_idf), "--out", str(index)]) == 0
+        assert "24 passages" in capsys.readouterr().out
+        assert hashlib.sha256(index.read_bytes()).hexdigest() == (
+            "5297c5205199f15dc48601672a77f731cacf5baf48ee3513ed93e533fe36a6f8"
+        )
 
     def test_empty_docs_file_warns(self, workspace, capsys):
         workspace["docs"].write_text("", encoding="utf-8")

@@ -1,7 +1,6 @@
 import random
 from io import StringIO
 
-import numpy as np
 import pytest
 
 from centroidrank import (
@@ -12,7 +11,6 @@ from centroidrank import (
     RankedList,
     RelevanceJudgments,
     RunResult,
-    SemanticVector,
     aggregate,
     average_precision_at_k,
     build_idf,
@@ -31,16 +29,7 @@ from oracles import oracle_wilcoxon
 
 
 def _passage(doc_id: str, text: str) -> Passage:
-    empty = SemanticVector(
-        components=np.zeros(2), covered_tokens=0, total_tokens=0
-    )
-    return Passage(
-        passage_id=f"{doc_id}#0",
-        doc_id=doc_id,
-        text=text,
-        uniform_centroid=empty,
-        idf_centroid=empty,
-    )
+    return Passage(passage_id=f"{doc_id}#0", doc_id=doc_id, text=text)
 
 
 def _ranking(*passage_ids: str) -> RankedList:

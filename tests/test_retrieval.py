@@ -4,12 +4,16 @@ from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from centroidrank import (
     IdfTable,
     Method,
     build_idf,
     build_index,
+    centroid,
+    cosine_distance,
     load_embeddings,
     load_index,
     random_baseline,
@@ -36,7 +40,7 @@ class TestBuildIndex:
             [("d", "Alpha beta. Gamma delta.")], tiny_embeddings, tiny_doc_idf
         )
         assert [p.passage_id for p in index.passages] == ["d#0", "d#1"]
-        assert index.doc_index == {"d": ["d#0", "d#1"]}
+        assert {d: rows.tolist() for d, rows in index.doc_index.items()} == {"d": [0, 1]}
         assert index.dim == tiny_embeddings.dim
 
     def test_empty_document_list(self, tiny_embeddings, tiny_doc_idf):
@@ -53,10 +57,11 @@ class TestBuildIndex:
             tiny_doc_idf,
         )
         assert len(index) == 2
-        for passage in index.passages:
-            assert passage.uniform_centroid.is_zero
-            assert passage.uniform_centroid.covered_tokens == 0
-            assert passage.idf_centroid.is_zero
+        assert index.uniform.shape == index.idf.shape == (2, tiny_embeddings.dim)
+        assert not index.uniform.any()
+        assert not index.idf.any()
+        assert not index.uniform_norms.any()
+        assert not index.idf_norms.any()
 
     def test_duplicate_doc_id_rejected(self, tiny_embeddings, tiny_doc_idf):
         with pytest.raises(ValueError, match="duplicate"):
@@ -70,14 +75,27 @@ class TestBuildIndex:
         ids = [p.passage_id for p in index.passages]
         assert ids == sorted(ids)
 
-    def test_both_centroids_precomputed(self, small_index, tiny_doc_idf):
-        passage = small_index.get("d1#0")
-        assert passage is not None
-        assert not passage.uniform_centroid.is_zero
-        assert not passage.idf_centroid.is_zero
-        assert not np.allclose(
-            passage.uniform_centroid.components, passage.idf_centroid.components
+    def test_both_centroids_precomputed(
+        self, small_index, tiny_embeddings, tiny_doc_idf
+    ):
+        row = [p.passage_id for p in small_index.passages].index("d1#0")
+        tokens = tokenize(small_index.passages[row].text)
+        uniform, idf = small_index.uniform[row], small_index.idf[row]
+        assert np.array_equal(uniform, centroid(tokens, tiny_embeddings).components)
+        assert np.array_equal(
+            idf, centroid(tokens, tiny_embeddings, tiny_doc_idf).components
         )
+        assert uniform.any() and idf.any()
+        assert not np.allclose(uniform, idf)
+        assert small_index.uniform_norms[row] == pytest.approx(np.linalg.norm(uniform))
+        assert small_index.idf_norms[row] == pytest.approx(np.linalg.norm(idf))
+
+    def test_matrices_are_contiguous_and_read_only(self, small_index):
+        for matrix in (small_index.uniform, small_index.idf):
+            assert matrix.dtype == np.float64
+            assert matrix.flags.c_contiguous
+            assert not matrix.flags.writeable
+            assert matrix.shape == (len(small_index), small_index.dim)
 
 
 class TestRank:
@@ -259,6 +277,213 @@ class TestRank:
                 assert np.allclose(got, want, atol=1e-9)
 
 
+def _ids(ranking):
+    return [pid for pid, _d in ranking.items]
+
+
+class TestRankEdgeCases:
+    @pytest.fixture
+    def interleaved(self, tiny_embeddings, tiny_doc_idf):
+        # Passage-id order is d#0, d#1, d#1#0, d#1#1, d#2: the rows of "d"
+        # are not contiguous because "d#1" is itself a document id.
+        documents = [
+            ("d", "Alpha beta. Gamma delta. Epsilon alpha."),
+            ("d#1", "Beta gamma. Delta epsilon."),
+        ]
+        return build_index(documents, tiny_embeddings, tiny_doc_idf)
+
+    def test_interleaved_doc_rows(self, interleaved):
+        ids = [p.passage_id for p in interleaved.passages]
+        assert ids == ["d#0", "d#1", "d#1#0", "d#1#1", "d#2"]
+        assert interleaved.doc_index["d"].tolist() == [0, 1, 4]
+        assert interleaved.doc_index["d#1"].tolist() == [2, 3]
+
+    def test_interleaved_candidates_rank(
+        self, interleaved, tiny_embeddings, tiny_doc_idf
+    ):
+        for doc_id, text in (
+            ("d", "Alpha beta. Gamma delta. Epsilon alpha."),
+            ("d#1", "Beta gamma. Delta epsilon."),
+        ):
+            alone = build_index([(doc_id, text)], tiny_embeddings, tiny_doc_idf)
+            for method in ("cd", "cd-idf"):
+                restricted = rank(
+                    interleaved, ["alpha", "delta"], method, 10, tiny_embeddings,
+                    doc_idf=tiny_doc_idf, candidate_docs={doc_id},
+                )
+                expected = rank(
+                    alone, ["alpha", "delta"], method, 10, tiny_embeddings,
+                    doc_idf=tiny_doc_idf,
+                )
+                assert restricted.items == expected.items
+
+    def test_interleaved_candidates_random_baseline(
+        self, interleaved, tiny_embeddings, tiny_doc_idf
+    ):
+        alone = build_index(
+            [("d", "Alpha beta. Gamma delta. Epsilon alpha.")],
+            tiny_embeddings,
+            tiny_doc_idf,
+        )
+        for seed in range(30):
+            for k in (1, 2, 5):
+                restricted = random_baseline(interleaved, {"d"}, k, seed=seed)
+                assert restricted.items == random_baseline(alone, None, k, seed=seed).items
+        whole = random_baseline(interleaved, {"d#1"}, 10, seed=0)
+        assert _ids(whole) == ["d#1#0", "d#1#1"]
+
+    def test_empty_candidate_set(self, small_index, tiny_embeddings):
+        assert rank(
+            small_index, ["alpha"], "cd", 5, tiny_embeddings, candidate_docs=set()
+        ).items == []
+        with pytest.raises(ValueError, match="empty candidate set"):
+            random_baseline(small_index, set(), 5, seed=0)
+
+    def test_k_greater_than_candidates(self, small_index, tiny_embeddings):
+        result = rank(
+            small_index, ["beta"], "cd", 100, tiny_embeddings, candidate_docs={"d1"}
+        )
+        assert sorted(_ids(result)) == ["d1#0", "d1#1"]
+        assert len(rank(small_index, ["beta"], "cd", 100, tiny_embeddings).items) == 5
+
+    def test_all_oov_question_scores_exactly_one(
+        self, small_index, tiny_embeddings, tiny_doc_idf, tiny_question_idf
+    ):
+        for method in ("cd", "cd-idf", "cd-q"):
+            result = rank(
+                small_index, ["zzz", "qqq"], method, 10, tiny_embeddings,
+                doc_idf=tiny_doc_idf, question_idf=tiny_question_idf,
+            )
+            assert _ids(result) == [p.passage_id for p in small_index.passages]
+            assert all(d == 1.0 for _pid, d in result.items)
+        cut = rank(small_index, ["zzz"], "cd", 2, tiny_embeddings)
+        assert _ids(cut) == [p.passage_id for p in small_index.passages[:2]]
+
+    def test_all_oov_passages_score_exactly_one(self, tiny_embeddings, tiny_doc_idf):
+        index = build_index(
+            [("a", "Unknown words only. Gamma alpha."), ("b", "Nothing known here.")],
+            tiny_embeddings,
+            tiny_doc_idf,
+        )
+        for method in ("cd", "cd-idf"):
+            result = dict(
+                rank(
+                    index, ["alpha"], method, 10, tiny_embeddings, doc_idf=tiny_doc_idf
+                ).items
+            )
+            assert result["a#0"] == 1.0
+            assert result["b#0"] == 1.0
+            assert result["a#1"] != 1.0
+
+    def test_duplicated_sentences_tie_exactly_by_id(self):
+        # A wider table and many documents put the shared sentence at many
+        # different rows; every copy must get the bit-identical distance.
+        rng = random.Random(5)
+        words = [f"w{i}" for i in range(30)]
+        embeddings = load_embeddings(
+            StringIO(
+                "\n".join(
+                    w + " " + " ".join(repr(rng.uniform(-1, 1)) for _ in range(37))
+                    for w in words
+                )
+            )
+        )
+        shared = "W1 w2 w3 w4 w5 w6 w7."
+        documents = []
+        for d in range(60):
+            sentences = [
+                " ".join([rng.choice(words).capitalize()] + rng.sample(words, 6)) + "."
+                for _ in range(rng.randrange(0, 4))
+            ]
+            sentences.insert(rng.randrange(len(sentences) + 1), shared)
+            documents.append((f"doc{d:02d}", " ".join(sentences)))
+        # Not the documents' own idf: the shared words occur in every
+        # document there and would get weight 0.
+        doc_idf = build_idf([rng.sample(words, 5) for _ in range(40)], "documents")
+        index = build_index(documents, embeddings, doc_idf)
+        copies = [p.passage_id for p in index.passages if p.text == shared]
+        assert len(copies) == 60
+        for method in ("cd", "cd-idf"):
+            items = rank(
+                index, tokenize("w3 w9 w1 w17"), method, len(index), embeddings,
+                doc_idf=doc_idf,
+            ).items
+            tied = [(pos, d) for pos, (pid, d) in enumerate(items) if pid in copies]
+            assert len({d for _pos, d in tied}) == 1
+            assert [pos for pos, _d in tied] == list(range(tied[0][0], tied[0][0] + 60))
+            # Candidate sets of every size move the copies to other rows of
+            # the scored matrix, including the tail rows that blocked BLAS
+            # kernels round differently; k cuts through the tie at its end.
+            for extra in ("w0", "w5"):
+                question = list(tokenize(shared)) + [extra]
+                for m in range(1, 61):
+                    docs = {f"doc{d:02d}" for d in range(m)}
+                    top = rank(
+                        index, question, method, m, embeddings,
+                        doc_idf=doc_idf, candidate_docs=docs,
+                    )
+                    assert _ids(top) == copies[:m]
+                    assert len({d for _pid, d in top.items}) == 1
+
+    def test_dimension_mismatch_named(self, small_index):
+        wider = load_embeddings(StringIO("alpha 1.0 0.0 0.0"))
+        with pytest.raises(
+            ValueError, match="dimension mismatch: index dim 2, embeddings dim 3"
+        ):
+            rank(small_index, ["alpha"], "cd", 5, wider)
+
+
+def _rounding_ties(ranked, centroid_of) -> bool:
+    """True when neighbouring passages have different centroids but
+    distances within 1e-12: mathematically equal values (e.g. the same
+    words in another order) that rounding may order either way."""
+    return any(
+        b_dist - a_dist <= 1e-12
+        and not np.array_equal(centroid_of[a_pid], centroid_of[b_pid])
+        for (a_pid, a_dist), (b_pid, b_dist) in zip(ranked, ranked[1:])
+    )
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_rank_matches_oracle_property(seed):
+    instance = make_instance(random.Random(seed))
+    index = build_index(instance.documents, instance.embeddings, instance.doc_idf)
+    by_id = {p.passage_id: p for p in index.passages}
+    idf_of = {"cd": None, "cd-idf": instance.doc_idf, "cd-q": instance.question_idf}
+    for method, question_idf in idf_of.items():
+        oracle_args = dict(
+            doc_stats=instance.doc_stats(),
+            question_stats=instance.question_stats(),
+            candidate_docs=instance.candidate_docs,
+        )
+        everything = oracle_rank(
+            instance.passages, instance.question, method, instance.vectors,
+            len(instance.passages), **oracle_args,
+        )
+        # Two float computations may order a rounding tie either way;
+        # passages with bit-identical centroids must still tie exactly and
+        # be ordered by passage id.
+        matrix = index.uniform if method == "cd" else index.idf
+        centroid_of = {p.passage_id: row for p, row in zip(index.passages, matrix)}
+        assume(not _rounding_ties(everything, centroid_of))
+        got = rank(
+            index, instance.question, method, instance.k, instance.embeddings,
+            doc_idf=instance.doc_idf, question_idf=instance.question_idf,
+            candidate_docs=instance.candidate_docs,
+        )
+        want = everything[: instance.k]
+        assert _ids(got) == [pid for pid, _d in want]
+        question_vec = centroid(instance.question, instance.embeddings, question_idf)
+        passage_idf = None if method == "cd" else instance.doc_idf
+        for (pid, distance), (_same, oracle_distance) in zip(got.items, want):
+            passage_vec = centroid(
+                tokenize(by_id[pid].text), instance.embeddings, passage_idf
+            )
+            assert abs(distance - cosine_distance(question_vec, passage_vec)) <= 1e-12
+            assert abs(distance - oracle_distance) <= 1e-12
+
+
 class TestRandomBaseline:
     def test_same_seed_same_output(self, small_index):
         first = random_baseline(small_index, None, 3, seed=99)
@@ -353,16 +578,14 @@ class TestIndexSerialization:
         assert [p.passage_id for p in reloaded.passages] == [
             p.passage_id for p in small_index.passages
         ]
-        for original, restored in zip(small_index.passages, reloaded.passages):
-            assert restored.doc_id == original.doc_id
-            assert restored.text == original.text
-            assert np.array_equal(
-                restored.uniform_centroid.components,
-                original.uniform_centroid.components,
-            )
-            assert np.array_equal(
-                restored.idf_centroid.components, original.idf_centroid.components
-            )
+        assert reloaded.passages == small_index.passages
+        assert np.array_equal(reloaded.uniform, small_index.uniform)
+        assert np.array_equal(reloaded.idf, small_index.idf)
+        assert np.array_equal(reloaded.uniform_norms, small_index.uniform_norms)
+        assert np.array_equal(reloaded.idf_norms, small_index.idf_norms)
+        assert reloaded.doc_index.keys() == small_index.doc_index.keys()
+        for doc_id, rows in small_index.doc_index.items():
+            assert np.array_equal(reloaded.doc_index[doc_id], rows)
         before = rank(small_index, ["alpha", "gamma"], "cd", 5, tiny_embeddings)
         after = rank(reloaded, ["alpha", "gamma"], "cd", 5, tiny_embeddings)
         assert before.items == after.items
