@@ -2,9 +2,10 @@
 
 Gold annotations are free-text snippets, while the retrieval unit is a
 single sentence, so relevance matching is token based: a passage counts as
-relevant when it shares the snippet's document and either one text
-contains the other as a contiguous token run, or the two share a
-contiguous run of at least ``OVERLAP_THRESHOLD`` tokens.
+relevant when it shares the snippet's document and the two match by
+containment, or a shared t-gram, t >= 1: one text contains the other as a
+contiguous token run, or both contain the same run of t tokens
+(t = ``OVERLAP_THRESHOLD`` by default).
 
 Metrics (AP, precision, recall) are computed per question at a cutoff and
 averaged arithmetically; F1 is the harmonic mean of the averaged precision
@@ -19,17 +20,17 @@ import math
 import warnings
 import zlib
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Iterable, Iterator, Sequence, Union
 
 from .embeddings import EmbeddingTable
 from .idf import IdfTable
 from .ingest import Question
-from .retrieval import Method, Passage, PassageIndex, RankedList, random_baseline, rank
+from .retrieval import Method, PassageIndex, RankedList, random_baseline, rank
 from .text import tokenize
 
 PathOrIO = Union[str, IO[str]]
 
-#: Minimum shared contiguous token run for snippet/passage relevance.
+#: Minimum shared contiguous token run (t-gram) for snippet/passage relevance.
 OVERLAP_THRESHOLD = 5
 
 DEFAULT_CUTOFF = 10
@@ -49,48 +50,39 @@ class RelevanceJudgments:
         return len(self.relevant_passage_ids)
 
 
-def _contains_run(big: Sequence[str], small: Sequence[str]) -> bool:
-    if not small or len(small) > len(big):
-        return False
-    limit = len(big) - len(small)
-    for start in range(limit + 1):
-        if all(big[start + i] == small[i] for i in range(len(small))):
-            return True
-    return False
+def _check_overlap_threshold(overlap_threshold: int) -> None:
+    if overlap_threshold < 1:
+        raise ValueError(f"overlap threshold must be >= 1, got {overlap_threshold}")
 
 
-def _longest_common_run(a: Sequence[str], b: Sequence[str]) -> int:
-    if not a or not b:
-        return 0
-    best = 0
-    previous = [0] * (len(b) + 1)
-    for x in a:
-        current = [0] * (len(b) + 1)
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                current[j] = previous[j - 1] + 1
-                if current[j] > best:
-                    best = current[j]
-        previous = current
-    return best
+def _ngrams(tokens: Sequence[str], n: int) -> Iterator[tuple[str, ...]]:
+    return zip(*[tokens[i:] for i in range(n)])
 
 
 def judge_relevance(
-    passage: Passage,
-    gold: Iterable[tuple[str, str]],
+    passage_tokens: Sequence[str],
+    snippets: Iterable[Sequence[str]],
     overlap_threshold: int = OVERLAP_THRESHOLD,
 ) -> bool:
-    """True when some gold snippet from the same document matches the passage."""
-    passage_tokens = tuple(tokenize(passage.text))
-    for doc_id, snippet_text in gold:
-        if doc_id != passage.doc_id:
+    """True when some snippet (token tuples from the passage's own document)
+    matches the passage: one contains the other as a contiguous run, or the
+    two share an ``overlap_threshold``-gram.
+
+    Tokens are non-empty and whitespace-free, so run containment is exactly
+    substring containment of the space-padded joins.
+    """
+    _check_overlap_threshold(overlap_threshold)
+    if not passage_tokens:
+        return False
+    padded = f" {' '.join(passage_tokens)} "
+    grams = set(_ngrams(passage_tokens, overlap_threshold))
+    for snippet in snippets:
+        if not snippet:
             continue
-        snippet_tokens = tuple(tokenize(snippet_text))
-        if _contains_run(snippet_tokens, passage_tokens):
+        joined = f" {' '.join(snippet)} "
+        if padded in joined or joined in padded:
             return True
-        if _contains_run(passage_tokens, snippet_tokens):
-            return True
-        if _longest_common_run(passage_tokens, snippet_tokens) >= overlap_threshold:
+        if not grams.isdisjoint(_ngrams(snippet, overlap_threshold)):
             return True
     return False
 
@@ -100,13 +92,19 @@ def build_judgments(
     question: Question,
     overlap_threshold: int = OVERLAP_THRESHOLD,
 ) -> RelevanceJudgments:
-    """Materialize the question's gold snippets against the sentence index."""
+    """Materialize the question's gold snippets against the sentence index.
+
+    Each snippet and each passage of a snippet document is tokenized once.
+    """
+    _check_overlap_threshold(overlap_threshold)
+    snippets_by_doc: dict[str, list[tuple[str, ...]]] = {}
+    for doc_id, snippet_text in question.gold_snippets:
+        snippets_by_doc.setdefault(doc_id, []).append(tokenize(snippet_text).tokens)
     relevant: set[str] = set()
-    snippet_docs = {doc for doc, _text in question.gold_snippets}
-    for doc_id in snippet_docs:
+    for doc_id, snippets in snippets_by_doc.items():
         for row in index.doc_index.get(doc_id, ()):
             passage = index.passages[row]
-            if judge_relevance(passage, question.gold_snippets, overlap_threshold):
+            if judge_relevance(tokenize(passage.text).tokens, snippets, overlap_threshold):
                 relevant.add(passage.passage_id)
     return RelevanceJudgments(question_id=question.id, relevant_passage_ids=relevant)
 
@@ -331,6 +329,7 @@ def evaluate_questions(
     ids = [q.id for q in questions]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate question ids in the question set")
+    _check_overlap_threshold(overlap_threshold)
 
     result = RunResult(method=method.value)
     triples = []

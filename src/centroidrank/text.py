@@ -51,7 +51,7 @@ def tokenize(raw: str) -> TokenSequence:
     Empty fragments are discarded; digit runs are kept as tokens. Empty
     input yields an empty sequence.
     """
-    tokens = tuple(m.group(0).lower() for m in _TOKEN_RE.finditer(raw))
+    tokens = tuple(map(str.lower, _TOKEN_RE.findall(raw)))
     return TokenSequence(tokens=tokens, source_span=(0, len(raw)))
 
 

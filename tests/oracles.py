@@ -126,3 +126,40 @@ def oracle_average_precision(ranked_ids, relevant_ids, k: int) -> float:
             hits += 1
             total += hits / position
     return total / min(n_relevant, k)
+
+
+def oracle_contains_run(big, small) -> bool:
+    """True when ``small`` (non-empty) occurs in ``big`` as a contiguous run."""
+    if not small or len(small) > len(big):
+        return False
+    limit = len(big) - len(small)
+    for start in range(limit + 1):
+        if all(big[start + i] == small[i] for i in range(len(small))):
+            return True
+    return False
+
+
+def oracle_longest_common_run(a, b) -> int:
+    """Length of the longest contiguous run shared by ``a`` and ``b`` (DP)."""
+    if not a or not b:
+        return 0
+    best = 0
+    previous = [0] * (len(b) + 1)
+    for x in a:
+        current = [0] * (len(b) + 1)
+        for j, y in enumerate(b, start=1):
+            if x == y:
+                current[j] = previous[j - 1] + 1
+                if current[j] > best:
+                    best = current[j]
+        previous = current
+    return best
+
+
+def oracle_judge(passage_tokens, snippet_tokens, t: int) -> bool:
+    """Snippet relevance: containment either way, or a shared run of >= t tokens."""
+    return (
+        oracle_contains_run(snippet_tokens, passage_tokens)
+        or oracle_contains_run(passage_tokens, snippet_tokens)
+        or oracle_longest_common_run(passage_tokens, snippet_tokens) >= t
+    )

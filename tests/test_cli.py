@@ -431,6 +431,25 @@ class TestEval:
         assert main(argv_base + ["--overlap-threshold", "1"]) == 0
         assert capsys.readouterr().out.startswith("MAP 1.000")
 
+    @pytest.mark.parametrize("threshold", ["0", "-3"])
+    def test_overlap_threshold_below_one_exits_2(self, workspace, capsys, threshold):
+        _build_artifacts(workspace)
+        capsys.readouterr()
+        code = main(
+            [
+                "eval",
+                "--questions", str(workspace["questions"]),
+                "--index", str(workspace["index"]),
+                "--embeddings", str(workspace["embeddings"]),
+                "--method", "cd",
+                "--overlap-threshold", threshold,
+                "--out", str(workspace["run"]),
+            ]
+        )
+        assert code == 2
+        assert f"overlap threshold must be >= 1, got {threshold}" in capsys.readouterr().err
+        assert not workspace["run"].exists()
+
     def test_question_without_indexed_docs_warns(self, workspace, capsys):
         _build_artifacts(workspace)
         extended = json.loads(json.dumps(QUESTIONS))
@@ -523,45 +542,73 @@ class TestCompare:
             ) == 0
 
 
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def _build_fixture_artifacts(tmp_path):
+    """Both idf tables and the index for the checked-in corpus."""
+    doc_corpus = tmp_path / "doc_corpus.txt"
+    doc_corpus.write_text(
+        "".join(
+            line.split("\t", 1)[1]
+            for line in (FIXTURES / "docs.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+            if "\t" in line
+        ),
+        encoding="utf-8",
+    )
+    doc_idf = tmp_path / "doc_idf.tsv"
+    question_idf = tmp_path / "question_idf.tsv"
+    index = tmp_path / "index.tsv"
+    assert main(["idf-build", "--corpus", str(doc_corpus), "--unit", "doc",
+                 "--out", str(doc_idf)]) == 0
+    assert main(["idf-build", "--corpus", str(FIXTURES / "question_corpus.txt"),
+                 "--unit", "question", "--out", str(question_idf)]) == 0
+    assert main(["index-build", "--docs", str(FIXTURES / "docs.tsv"),
+                 "--embeddings", str(FIXTURES / "embeddings.txt"),
+                 "--doc-idf", str(doc_idf), "--out", str(index)]) == 0
+    return doc_idf, question_idf, index
+
+
 class TestCheckedInFixturePipeline:
     """Drives the full command pipeline over the checked-in corpus."""
 
+    # SHA-256 of the run files that the longest-common-run judging code
+    # wrote for the checked-in fixture (computed before the n-gram judging
+    # replaced it); rankings, judgments and metrics must stay byte for byte.
+    PINNED_RUNS = {
+        "cd": "00dc74c466b262306cfef1de50c9133694f8d71684e10de33f449a5f2c2c0f56",
+        "cd-idf": "2bca8b05da2700fadfc2401afe2da1090411cce2b1bb1cfde4851aa8a028d462",
+        "cd-q": "0fade6d3eb5013c5341caa96fb1635effd69584b3468c971eabb1b7620ed8dae",
+        "rnd": "abcc46f36f53393d77b8cbbdd66bb955f1e68ee29f604cbd73a26809c65e1e06",
+    }
+
+    @pytest.mark.parametrize("method", sorted(PINNED_RUNS))
+    def test_run_file_bytes_pinned(self, tmp_path, method):
+        doc_idf, question_idf, index = _build_fixture_artifacts(tmp_path)
+        run = tmp_path / "run.json"
+        assert main(["eval", "--questions", str(FIXTURES / "questions.json"),
+                     "--index", str(index),
+                     "--embeddings", str(FIXTURES / "embeddings.txt"),
+                     "--doc-idf", str(doc_idf), "--question-idf", str(question_idf),
+                     "--method", method, "--out", str(run)]) == 0
+        assert hashlib.sha256(run.read_bytes()).hexdigest() == self.PINNED_RUNS[method]
+
     def test_cd_q_improvement_is_significant(self, tmp_path, capsys):
-        fixtures = pathlib.Path(__file__).parent / "fixtures"
-        doc_corpus = tmp_path / "doc_corpus.txt"
-        doc_corpus.write_text(
-            "".join(
-                line.split("\t", 1)[1]
-                for line in (fixtures / "docs.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
-                if "\t" in line
-            ),
-            encoding="utf-8",
-        )
-        doc_idf = tmp_path / "doc_idf.tsv"
-        question_idf = tmp_path / "question_idf.tsv"
-        index = tmp_path / "index.tsv"
+        doc_idf, question_idf, index = _build_fixture_artifacts(tmp_path)
         run_cd = tmp_path / "run_cd.json"
         run_cdq = tmp_path / "run_cdq.json"
-
-        assert main(["idf-build", "--corpus", str(doc_corpus), "--unit", "doc",
-                     "--out", str(doc_idf)]) == 0
-        assert main(["idf-build", "--corpus", str(fixtures / "question_corpus.txt"),
-                     "--unit", "question", "--out", str(question_idf)]) == 0
-        assert main(["index-build", "--docs", str(fixtures / "docs.tsv"),
-                     "--embeddings", str(fixtures / "embeddings.txt"),
-                     "--doc-idf", str(doc_idf), "--out", str(index)]) == 0
         capsys.readouterr()
 
-        assert main(["eval", "--questions", str(fixtures / "questions.json"),
+        assert main(["eval", "--questions", str(FIXTURES / "questions.json"),
                      "--index", str(index),
-                     "--embeddings", str(fixtures / "embeddings.txt"),
+                     "--embeddings", str(FIXTURES / "embeddings.txt"),
                      "--doc-idf", str(doc_idf), "--method", "cd",
                      "--out", str(run_cd)]) == 0
         assert capsys.readouterr().out.strip() == "MAP 0.230 P 0.125 R 1.000 F1 0.222"
 
-        assert main(["eval", "--questions", str(fixtures / "questions.json"),
+        assert main(["eval", "--questions", str(FIXTURES / "questions.json"),
                      "--index", str(index),
-                     "--embeddings", str(fixtures / "embeddings.txt"),
+                     "--embeddings", str(FIXTURES / "embeddings.txt"),
                      "--doc-idf", str(doc_idf), "--question-idf", str(question_idf),
                      "--method", "cd-q", "--out", str(run_cdq)]) == 0
         assert capsys.readouterr().out.strip() == "MAP 0.819 P 0.125 R 1.000 F1 0.222"

@@ -2,11 +2,12 @@ import random
 from io import StringIO
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centroidrank import (
     Aggregates,
     Method,
-    Passage,
     QuestionScore,
     RankedList,
     RelevanceJudgments,
@@ -22,14 +23,12 @@ from centroidrank import (
     precision_at_k,
     recall_at_k,
     save_run,
+    tokenize,
     wilcoxon_signed_rank,
 )
+from centroidrank import evaluation
 from centroidrank.ingest import Question
-from oracles import oracle_wilcoxon
-
-
-def _passage(doc_id: str, text: str) -> Passage:
-    return Passage(passage_id=f"{doc_id}#0", doc_id=doc_id, text=text)
+from oracles import oracle_judge, oracle_wilcoxon
 
 
 def _ranking(*passage_ids: str) -> RankedList:
@@ -44,57 +43,86 @@ def _judgments(*relevant: str) -> RelevanceJudgments:
     return RelevanceJudgments(question_id="q", relevant_passage_ids=set(relevant))
 
 
+def _tokens(text: str) -> tuple[str, ...]:
+    return tokenize(text).tokens
+
+
 class TestJudgeRelevance:
     def test_identical_text_same_doc(self):
-        passage = _passage("d1", "Insulin lowers blood glucose.")
-        assert judge_relevance(passage, [("d1", "Insulin lowers blood glucose.")])
-
-    def test_different_doc_never_matches(self):
-        passage = _passage("d1", "Insulin lowers blood glucose.")
-        assert not judge_relevance(passage, [("d2", "Insulin lowers blood glucose.")])
+        passage = _tokens("Insulin lowers blood glucose.")
+        assert judge_relevance(passage, [_tokens("Insulin lowers blood glucose.")])
 
     def test_sentence_within_multi_sentence_snippet(self):
         snippet = (
             "Insulin is released by beta cells. "
             "It lowers blood glucose in the liver and muscle."
         )
-        passage = _passage("d1", "Insulin is released by beta cells.")
-        assert judge_relevance(passage, [("d1", snippet)])
+        passage = _tokens("Insulin is released by beta cells.")
+        assert judge_relevance(passage, [_tokens(snippet)])
 
     def test_snippet_within_passage(self):
-        passage = _passage("d1", "We found that insulin lowers glucose, remarkably.")
-        assert judge_relevance(passage, [("d1", "insulin lowers glucose")])
+        passage = _tokens("We found that insulin lowers glucose, remarkably.")
+        assert judge_relevance(passage, [_tokens("insulin lowers glucose")])
 
     def test_contiguous_run_at_threshold(self):
         # shares exactly 5 contiguous tokens, neither contains the other
-        passage = _passage("d1", "alpha one two three four five zzz")
-        gold = [("d1", "yyy one two three four five omega")]
+        passage = _tokens("alpha one two three four five zzz")
+        gold = [_tokens("yyy one two three four five omega")]
         assert judge_relevance(passage, gold)
 
     def test_contiguous_run_below_threshold(self):
-        passage = _passage("d1", "alpha one two three four zzz")
-        gold = [("d1", "yyy one two three four omega")]
+        passage = _tokens("alpha one two three four zzz")
+        gold = [_tokens("yyy one two three four omega")]
         assert not judge_relevance(passage, gold)
 
     def test_threshold_is_configurable(self):
-        passage = _passage("d1", "alpha one two three zzz")
-        gold = [("d1", "yyy one two three omega")]
+        passage = _tokens("alpha one two three zzz")
+        gold = [_tokens("yyy one two three omega")]
         assert judge_relevance(passage, gold, overlap_threshold=3)
         assert not judge_relevance(passage, gold, overlap_threshold=4)
 
     def test_scattered_overlap_does_not_count(self):
         # five shared tokens but never contiguous
-        passage = _passage("d1", "one x two y three z four w five")
-        gold = [("d1", "one a two b three c four d five")]
+        passage = _tokens("one x two y three z four w five")
+        gold = [_tokens("one a two b three c four d five")]
         assert not judge_relevance(passage, gold)
 
     def test_normalization_bridges_case_and_punctuation(self):
-        passage = _passage("d1", "Insulin lowers blood glucose!")
-        assert judge_relevance(passage, [("d1", "insulin, lowers; blood glucose")])
+        passage = _tokens("Insulin lowers blood glucose!")
+        assert judge_relevance(passage, [_tokens("insulin, lowers; blood glucose")])
 
     def test_tokenless_passage_is_irrelevant(self):
-        passage = _passage("d1", "???")
-        assert not judge_relevance(passage, [("d1", "anything at all")])
+        passage = _tokens("???")
+        assert not judge_relevance(passage, [_tokens("anything at all")])
+
+    def test_containment_respects_token_boundaries(self):
+        # "in" is a substring of "insulin" but not a token of the passage
+        passage = _tokens("insulin lowers glucose")
+        assert not judge_relevance(passage, [_tokens("in")])
+        assert not judge_relevance(_tokens("in"), [passage])
+
+    def test_any_snippet_matches(self):
+        passage = _tokens("Insulin lowers blood glucose.")
+        gold = [_tokens("unrelated words"), (), _tokens("blood glucose")]
+        assert judge_relevance(passage, gold)
+        assert not judge_relevance(passage, gold[:2])
+
+    @pytest.mark.parametrize("threshold", [0, -1])
+    def test_threshold_below_one_rejected(self, threshold):
+        with pytest.raises(ValueError, match=f"overlap threshold must be >= 1, got {threshold}"):
+            judge_relevance(_tokens("a b"), [_tokens("a b")], overlap_threshold=threshold)
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(
+    passage=st.lists(st.sampled_from("abc"), max_size=12).map(tuple),
+    snippet=st.lists(st.sampled_from("abc"), max_size=12).map(tuple),
+    threshold=st.integers(min_value=1, max_value=7),
+)
+def test_judge_relevance_matches_oracle_property(passage, snippet, threshold):
+    assert judge_relevance(passage, [snippet], threshold) == oracle_judge(
+        passage, snippet, threshold
+    )
 
 
 class TestBuildJudgments:
@@ -116,6 +144,45 @@ class TestBuildJudgments:
         judgments = build_judgments(index, question)
         assert judgments.relevant_passage_ids == {"d1#0"}
         assert judgments.n_relevant == 1
+
+    def test_different_doc_never_matches(self, tiny_embeddings, tiny_doc_idf):
+        index = build_index(
+            [
+                ("d1", "Insulin lowers blood glucose."),
+                ("d2", "Something else entirely."),
+            ],
+            tiny_embeddings,
+            tiny_doc_idf,
+        )
+        question = Question(
+            id="q1",
+            body="anything",
+            reference_docs=["d1", "d2"],
+            gold_snippets=[("d2", "Insulin lowers blood glucose.")],
+        )
+        assert build_judgments(index, question).relevant_passage_ids == set()
+
+    def test_snippets_of_one_document_are_all_tried(self, tiny_embeddings, tiny_doc_idf):
+        index = build_index(
+            [("d1", "Alpha beta gamma. Delta epsilon here. Beta alone.")],
+            tiny_embeddings,
+            tiny_doc_idf,
+        )
+        question = Question(
+            id="q1",
+            body="anything",
+            reference_docs=["d1"],
+            gold_snippets=[("d1", "Alpha beta gamma."), ("d1", "epsilon here"), ("ghost", "Beta alone.")],
+        )
+        assert build_judgments(index, question).relevant_passage_ids == {"d1#0", "d1#1"}
+
+    def test_threshold_below_one_rejected(self, tiny_embeddings, tiny_doc_idf):
+        index = build_index([("d1", "Alpha beta.")], tiny_embeddings, tiny_doc_idf)
+        question = Question(
+            id="q1", body="alpha", reference_docs=["d1"], gold_snippets=[("d1", "Gamma.")]
+        )
+        with pytest.raises(ValueError, match="overlap threshold must be >= 1, got 0"):
+            build_judgments(index, question, overlap_threshold=0)
 
 
 class TestPrecisionRecall:
@@ -415,6 +482,27 @@ class TestEvaluateQuestions:
         index, _questions, doc_idf = qa_setup
         with pytest.raises(ValueError, match="empty"):
             evaluate_questions(index, [], "cd", embeddings=tiny_embeddings)
+
+    def test_threshold_below_one_rejected_before_ranking(
+        self, qa_setup, tiny_embeddings, monkeypatch
+    ):
+        index, questions, doc_idf = qa_setup
+
+        def no_rank(*args, **kwargs):
+            raise AssertionError("ranked before validating the threshold")
+
+        monkeypatch.setattr(evaluation, "rank", no_rank)
+        monkeypatch.setattr(evaluation, "random_baseline", no_rank)
+        for method in ("cd", "rnd"):
+            with pytest.raises(ValueError, match="overlap threshold must be >= 1, got -2"):
+                evaluate_questions(
+                    index,
+                    questions,
+                    method,
+                    embeddings=tiny_embeddings,
+                    doc_idf=doc_idf,
+                    overlap_threshold=-2,
+                )
 
     def test_duplicate_question_ids_rejected(self, qa_setup, tiny_embeddings):
         index, questions, doc_idf = qa_setup

@@ -1,7 +1,11 @@
 import random
 import string
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from centroidrank import split_sentences, tokenize
+from centroidrank.text import _TOKEN_RE
 
 
 class TestTokenize:
@@ -57,6 +61,23 @@ class TestTokenize:
             assert token
             assert token == token.lower()
             assert not any(ch.isspace() for ch in token)
+
+
+# dotted capital I lowercases to two code points, sharp s has a capital
+# form, combining marks and "_" are not alphanumeric
+_TRICKY_CHARS = "İıßẞ_09٣²Σςǅ \t\u0301\u0307.-aZé"
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(
+    st.text(
+        alphabet=st.one_of(st.sampled_from(_TRICKY_CHARS), st.characters()),
+        max_size=40,
+    )
+)
+def test_tokenize_matches_finditer_lowering(raw):
+    expected = tuple(m.group(0).lower() for m in _TOKEN_RE.finditer(raw))
+    assert tokenize(raw).tokens == expected
 
 
 class TestSplitSentences:
