@@ -27,7 +27,7 @@ from .evaluation import (
     save_run,
     wilcoxon_signed_rank,
 )
-from .idf import IdfTable, build_idf, idf_weight, load_idf, save_idf
+from .idf import IdfTable, build_idf, load_idf, save_idf
 from .ingest import Question, load_question_set, normalize_doc_id, question_set_to_dict
 from .retrieval import (
     Method,
@@ -40,7 +40,7 @@ from .retrieval import (
     rank,
     save_index,
 )
-from .semantic import SemanticVector, centroid, cosine_distance, weighted_centroid
+from .semantic import centroid, cosine_distance, weighted_centroid
 from .text import ABBREVIATIONS, TokenSequence, split_sentences, tokenize
 
 __version__ = "0.1.0"
@@ -60,7 +60,6 @@ __all__ = [
     "RankedList",
     "RelevanceJudgments",
     "RunResult",
-    "SemanticVector",
     "TokenSequence",
     "WilcoxonResult",
     "aggregate",
@@ -71,7 +70,6 @@ __all__ = [
     "centroid",
     "cosine_distance",
     "evaluate_questions",
-    "idf_weight",
     "judge_relevance",
     "load_embeddings",
     "load_idf",

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .embeddings import EmbeddingTable, load_embeddings
 from .evaluation import (
     DEFAULT_CUTOFF,
     OVERLAP_THRESHOLD,
+    _check_overlap_threshold,
     evaluate_questions,
     load_run,
     save_run,
@@ -42,46 +42,28 @@ from .text import tokenize
 _UNIT_LABELS = {"doc": "documents", "question": "questions"}
 
 
-@dataclass
-class RunConfig:
-    """Validated artifact paths and parameters for query/eval workflows."""
-
-    embeddings_path: str | None
-    doc_idf_path: str | None
-    question_idf_path: str | None
-    index_path: str
-    method: Method
-    k: int = DEFAULT_CUTOFF
-    seed: int = 0
-    overlap_threshold: int = OVERLAP_THRESHOLD
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.method is not Method.RND and self.embeddings_path is None:
-            raise ValueError(f"{self.method.value} requires --embeddings")
-        if self.method is Method.CD_IDF and self.doc_idf_path is None:
-            raise ValueError("cd-idf requires --doc-idf")
-        if self.method is Method.CD_Q and self.question_idf_path is None:
-            raise ValueError("cd-q requires --question-idf")
-
-
 def _load_artifacts(
-    config: RunConfig,
+    args: argparse.Namespace,
 ) -> tuple[PassageIndex, EmbeddingTable | None, IdfTable | None, IdfTable | None]:
-    index = load_index(config.index_path)
-    embeddings = (
-        load_embeddings(config.embeddings_path) if config.embeddings_path else None
-    )
+    """Check the query/eval flags, then load the artifacts they name."""
+    method = Method(args.method)
+    if args.k < 1:
+        raise ValueError(f"k must be >= 1, got {args.k}")
+    if method is not Method.RND and args.embeddings is None:
+        raise ValueError(f"{method.value} requires --embeddings")
+    if method is Method.CD_IDF and args.doc_idf is None:
+        raise ValueError("cd-idf requires --doc-idf")
+    if method is Method.CD_Q and args.question_idf is None:
+        raise ValueError("cd-q requires --question-idf")
+    index = load_index(args.index)
+    embeddings = load_embeddings(args.embeddings) if args.embeddings else None
     if embeddings is not None and embeddings.dim != index.dim:
         raise ValueError(
             f"dimension mismatch: index has dim {index.dim}, "
             f"embeddings have dim {embeddings.dim}"
         )
-    doc_idf = load_idf(config.doc_idf_path) if config.doc_idf_path else None
-    question_idf = (
-        load_idf(config.question_idf_path) if config.question_idf_path else None
-    )
+    doc_idf = load_idf(args.doc_idf) if args.doc_idf else None
+    question_idf = load_idf(args.question_idf) if args.question_idf else None
     return index, embeddings, doc_idf, question_idf
 
 
@@ -127,27 +109,18 @@ def cmd_index_build(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        embeddings_path=args.embeddings,
-        doc_idf_path=args.doc_idf,
-        question_idf_path=args.question_idf,
-        index_path=args.index,
-        method=Method(args.method),
-        k=args.k,
-        seed=args.seed,
-    )
-    index, embeddings, doc_idf, question_idf = _load_artifacts(config)
+    index, embeddings, doc_idf, question_idf = _load_artifacts(args)
     candidate_docs = (
         {d for d in args.docs.split(",") if d} if args.docs is not None else None
     )
-    if config.method is Method.RND:
-        ranking = random_baseline(index, candidate_docs, config.k, seed=config.seed)
+    if args.method == Method.RND:
+        ranking = random_baseline(index, candidate_docs, args.k, seed=args.seed)
     else:
         ranking = rank(
             index,
             tokenize(args.question),
-            config.method,
-            config.k,
+            args.method,
+            args.k,
             embeddings,
             doc_idf=doc_idf,
             question_idf=question_idf,
@@ -160,28 +133,19 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        embeddings_path=args.embeddings,
-        doc_idf_path=args.doc_idf,
-        question_idf_path=args.question_idf,
-        index_path=args.index,
-        method=Method(args.method),
-        k=args.k,
-        seed=args.seed,
-        overlap_threshold=args.overlap_threshold,
-    )
-    index, embeddings, doc_idf, question_idf = _load_artifacts(config)
+    _check_overlap_threshold(args.overlap_threshold)
+    index, embeddings, doc_idf, question_idf = _load_artifacts(args)
     questions = load_question_set(args.questions)
     run = evaluate_questions(
         index,
         questions,
-        config.method,
+        args.method,
         embeddings=embeddings,
         doc_idf=doc_idf,
         question_idf=question_idf,
-        k=config.k,
-        seed=config.seed,
-        overlap_threshold=config.overlap_threshold,
+        k=args.k,
+        seed=args.seed,
+        overlap_threshold=args.overlap_threshold,
     )
     save_run(run, args.out)
     agg = run.aggregates

@@ -8,13 +8,11 @@ word. Tables are immutable after loading.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Union
 
 import numpy as np
 
-PathOrIO = Union[str, os.PathLike, IO[str]]
+from .text import PathOrIO, open_text
 
 
 @dataclass
@@ -44,14 +42,6 @@ class EmbeddingTable:
         )
 
 
-def _iter_lines(source: PathOrIO) -> Iterable[str]:
-    if hasattr(source, "read"):
-        yield from source  # type: ignore[misc]
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            yield from handle
-
-
 def load_embeddings(source: PathOrIO) -> EmbeddingTable:
     """Parse an embedding table from a path or text stream.
 
@@ -64,42 +54,43 @@ def load_embeddings(source: PathOrIO) -> EmbeddingTable:
     entries: dict[str, np.ndarray] = {}
     first_content = True
 
-    for line_no, raw_line in enumerate(_iter_lines(source), start=1):
-        line = raw_line.rstrip("\n")
-        if not line.strip():
-            continue
-        fields = line.split()
-        if first_content and len(fields) == 2:
-            first_content = False
-            try:
-                int(fields[0]), int(fields[1])
-            except ValueError:
-                pass
-            else:
-                dim = int(fields[1])
-                if dim < 1:
-                    raise ValueError(
-                        f"line {line_no}: header dimension must be >= 1, got {dim}"
-                    )
+    with open_text(source) as handle:
+        for line_no, raw_line in enumerate(handle, start=1):
+            line = raw_line.rstrip("\n")
+            if not line.strip():
                 continue
-        first_content = False
-        token, values = fields[0], fields[1:]
-        if not token or not values:
-            raise ValueError(f"line {line_no}: expected '<token> <v1> ...', got {line!r}")
-        if dim is None:
-            dim = len(values)
-        elif len(values) != dim:
-            raise ValueError(
-                f"line {line_no}: expected {dim} components, got {len(values)}"
-            )
-        try:
-            vector = np.array([float(v) for v in values], dtype=np.float64)
-        except ValueError as exc:
-            raise ValueError(f"line {line_no}: malformed float ({exc})") from None
-        if not all(math.isfinite(v) for v in vector):
-            raise ValueError(f"line {line_no}: non-finite component")
-        vector.flags.writeable = False
-        entries[token] = vector
+            fields = line.split()
+            if first_content and len(fields) == 2:
+                first_content = False
+                try:
+                    int(fields[0]), int(fields[1])
+                except ValueError:
+                    pass
+                else:
+                    dim = int(fields[1])
+                    if dim < 1:
+                        raise ValueError(
+                            f"line {line_no}: header dimension must be >= 1, got {dim}"
+                        )
+                    continue
+            first_content = False
+            token, values = fields[0], fields[1:]
+            if not token or not values:
+                raise ValueError(f"line {line_no}: expected '<token> <v1> ...', got {line!r}")
+            if dim is None:
+                dim = len(values)
+            elif len(values) != dim:
+                raise ValueError(
+                    f"line {line_no}: expected {dim} components, got {len(values)}"
+                )
+            try:
+                vector = np.array([float(v) for v in values], dtype=np.float64)
+            except ValueError as exc:
+                raise ValueError(f"line {line_no}: malformed float ({exc})") from None
+            if not all(math.isfinite(v) for v in vector):
+                raise ValueError(f"line {line_no}: non-finite component")
+            vector.flags.writeable = False
+            entries[token] = vector
 
     if dim is None:
         raise ValueError("empty embedding stream")
@@ -108,15 +99,8 @@ def load_embeddings(source: PathOrIO) -> EmbeddingTable:
 
 def save_embeddings(table: EmbeddingTable, sink: PathOrIO) -> None:
     """Write ``table`` with a header line; tokens are sorted for stable output."""
-    if hasattr(sink, "write"):
-        _write_embeddings(table, sink)  # type: ignore[arg-type]
-    else:
-        with open(sink, "w", encoding="utf-8") as handle:
-            _write_embeddings(table, handle)
-
-
-def _write_embeddings(table: EmbeddingTable, handle: IO[str]) -> None:
-    handle.write(f"{len(table.entries)} {table.dim}\n")
-    for token in sorted(table.entries):
-        components = " ".join(repr(float(v)) for v in table.entries[token])
-        handle.write(f"{token} {components}\n")
+    with open_text(sink, "w") as handle:
+        handle.write(f"{len(table.entries)} {table.dim}\n")
+        for token in sorted(table.entries):
+            components = " ".join(repr(float(v)) for v in table.entries[token])
+            handle.write(f"{token} {components}\n")

@@ -20,15 +20,13 @@ import math
 import warnings
 import zlib
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 from .embeddings import EmbeddingTable
 from .idf import IdfTable
 from .ingest import Question
 from .retrieval import Method, PassageIndex, RankedList, random_baseline, rank
-from .text import tokenize
-
-PathOrIO = Union[str, IO[str]]
+from .text import PathOrIO, open_text, tokenize
 
 #: Minimum shared contiguous token run (t-gram) for snippet/passage relevance.
 OVERLAP_THRESHOLD = 5
@@ -400,22 +398,15 @@ def save_run(run: RunResult, sink: PathOrIO) -> None:
             "f1": run.aggregates.f1,
         },
     }
-    if hasattr(sink, "write"):
-        json.dump(payload, sink, indent=2)
-        sink.write("\n")  # type: ignore[union-attr]
-    else:
-        with open(sink, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+    with open_text(sink, "w") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
 
 
 def load_run(source: PathOrIO) -> RunResult:
     """Parse a run file written by :func:`save_run`."""
-    if hasattr(source, "read"):
-        data = json.load(source)  # type: ignore[arg-type]
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+    with open_text(source) as handle:
+        data = json.load(handle)
     try:
         method = data["method"]
         run = RunResult(method=method)

@@ -12,11 +12,10 @@ non-negative for every token, including unseen ones (df = 0).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
-PathOrIO = Union[str, os.PathLike, IO[str]]
+from .text import PathOrIO, open_text
 
 
 @dataclass
@@ -58,69 +57,56 @@ def build_idf(corpus: Iterable[Sequence[str]], label: str = "") -> IdfTable:
     return IdfTable(n_docs=n_docs, df=df, corpus_label=label)
 
 
-def idf_weight(table: IdfTable, token: str) -> float:
-    return table.weight(token)
-
-
 def save_idf(table: IdfTable, sink: PathOrIO) -> None:
     """Write a table as '#n_docs <N> <label>' plus token<TAB>df lines."""
-    if hasattr(sink, "write"):
-        _write_idf(table, sink)  # type: ignore[arg-type]
-    else:
-        with open(sink, "w", encoding="utf-8") as handle:
-            _write_idf(table, handle)
-
-
-def _write_idf(table: IdfTable, handle: IO[str]) -> None:
     label = table.corpus_label
     if "\t" in label or "\n" in label:
         raise ValueError("corpus_label must not contain tabs or newlines")
-    handle.write(f"#n_docs {table.n_docs} {label}\n")
-    for token in sorted(table.df):
-        if "\t" in token or "\n" in token:
-            raise ValueError(f"token {token!r} contains tab or newline")
-        handle.write(f"{token}\t{table.df[token]}\n")
+    with open_text(sink, "w") as handle:
+        handle.write(f"#n_docs {table.n_docs} {label}\n")
+        for token in sorted(table.df):
+            if "\t" in token or "\n" in token:
+                raise ValueError(f"token {token!r} contains tab or newline")
+            handle.write(f"{token}\t{table.df[token]}\n")
 
 
 def load_idf(source: PathOrIO) -> IdfTable:
     """Parse a table written by :func:`save_idf`.
 
-    Raises ValueError naming the line for malformed rows or counts that
-    violate 1 <= df <= n_docs.
+    Raises ValueError naming the line for malformed rows, counts that
+    violate 1 <= df <= n_docs, or a token listed on an earlier line.
     """
-    if hasattr(source, "read"):
-        lines = list(source)  # type: ignore[arg-type]
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            lines = list(handle)
-
-    if not lines:
-        raise ValueError("empty idf stream")
-    header = lines[0].rstrip("\n")
-    parts = header.split(" ", 2)
-    if len(parts) < 2 or parts[0] != "#n_docs":
-        raise ValueError(f"line 1: expected '#n_docs <N> <label>', got {header!r}")
-    try:
-        n_docs = int(parts[1])
-    except ValueError:
-        raise ValueError(f"line 1: malformed document count {parts[1]!r}") from None
-    label = parts[2] if len(parts) == 3 else ""
-
-    df: dict[str, int] = {}
-    for line_no, raw_line in enumerate(lines[1:], start=2):
-        line = raw_line.rstrip("\n")
-        if not line:
-            continue
-        token, sep, count_text = line.partition("\t")
-        if not sep or not token:
-            raise ValueError(f"line {line_no}: expected '<token>\\t<df>', got {line!r}")
+    with open_text(source) as handle:
+        header = handle.readline()
+        if not header:
+            raise ValueError("empty idf stream")
+        header = header.rstrip("\n")
+        parts = header.split(" ", 2)
+        if len(parts) < 2 or parts[0] != "#n_docs":
+            raise ValueError(f"line 1: expected '#n_docs <N> <label>', got {header!r}")
         try:
-            count = int(count_text)
+            n_docs = int(parts[1])
         except ValueError:
-            raise ValueError(f"line {line_no}: malformed df {count_text!r}") from None
-        if not 1 <= count <= n_docs:
-            raise ValueError(
-                f"line {line_no}: df {count} outside [1, {n_docs}] for {token!r}"
-            )
-        df[token] = count
+            raise ValueError(f"line 1: malformed document count {parts[1]!r}") from None
+        label = parts[2] if len(parts) == 3 else ""
+
+        df: dict[str, int] = {}
+        for line_no, raw_line in enumerate(handle, start=2):
+            line = raw_line.rstrip("\n")
+            if not line:
+                continue
+            token, sep, count_text = line.partition("\t")
+            if not sep or not token:
+                raise ValueError(f"line {line_no}: expected '<token>\\t<df>', got {line!r}")
+            try:
+                count = int(count_text)
+            except ValueError:
+                raise ValueError(f"line {line_no}: malformed df {count_text!r}") from None
+            if not 1 <= count <= n_docs:
+                raise ValueError(
+                    f"line {line_no}: df {count} outside [1, {n_docs}] for {token!r}"
+                )
+            if token in df:
+                raise ValueError(f"line {line_no}: duplicate token {token!r}")
+            df[token] = count
     return IdfTable(n_docs=n_docs, df=df, corpus_label=label)

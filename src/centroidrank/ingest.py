@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from typing import IO, Union
 
-PathOrIO = Union[str, IO[str]]
+from .text import PathOrIO, open_text
 
 
 @dataclass
@@ -39,12 +38,8 @@ def load_question_set(source: PathOrIO) -> list[Question]:
     offending entry. A snippet whose document is not among the entry's
     reference documents is reported as a warning but kept.
     """
-    if hasattr(source, "read"):
-        data = json.load(source)  # type: ignore[arg-type]
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-
+    with open_text(source) as handle:
+        data = json.load(handle)
     if not isinstance(data, dict) or "questions" not in data:
         raise ValueError("question set is missing the top-level 'questions' array")
     raw_questions = data["questions"]

@@ -21,14 +21,14 @@ import re
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
 from .idf import IdfTable
 from .semantic import centroid
-from .text import split_sentences, tokenize
+from .text import PathOrIO, open_text, split_sentences, tokenize
 
 
 class Method(str, Enum):
@@ -123,8 +123,8 @@ def build_index(
     idf = np.empty_like(uniform)
     for row, passage in enumerate(passages):
         tokens = tokenize(passage.text)
-        uniform[row] = centroid(tokens, embeddings).components
-        idf[row] = centroid(tokens, embeddings, doc_idf).components
+        uniform[row] = centroid(tokens, embeddings)
+        idf[row] = centroid(tokens, embeddings, doc_idf)
     return PassageIndex(embeddings.dim, passages, uniform, idf)
 
 
@@ -170,15 +170,15 @@ def rank(
             f"dimension mismatch: index dim {index.dim}, embeddings dim {embeddings.dim}"
         )
     if method is Method.CD:
-        question_vec = centroid(question, embeddings)
+        q = centroid(question, embeddings)
     elif method is Method.CD_IDF:
         if doc_idf is None:
             raise ValueError("cd-idf requires a document idf table")
-        question_vec = centroid(question, embeddings, doc_idf)
+        q = centroid(question, embeddings, doc_idf)
     elif method is Method.CD_Q:
         if question_idf is None:
             raise ValueError("cd-q requires a question idf table")
-        question_vec = centroid(question, embeddings, question_idf)
+        q = centroid(question, embeddings, question_idf)
     else:
         raise ValueError("rnd has no distance ranking; use random_baseline()")
 
@@ -189,7 +189,6 @@ def rank(
     rows = _candidate_rows(index, candidate_docs)
     if rows is not None:
         matrix, norms = matrix[rows], norms[rows]
-    q = question_vec.components
     # einsum reduces each row with the same instruction sequence wherever
     # the row sits, so identical passages get bit-identical scores and tie
     # exactly; a BLAS mat-vec may round a row differently by position.
@@ -267,30 +266,23 @@ def _unescape(text: str) -> str:
     return _ESCAPED_RE.sub(lambda m: _UNESCAPES.get(m.group(1), m.group(0)), text)
 
 
-def save_index(index: PassageIndex, sink) -> None:
+def save_index(index: PassageIndex, sink: PathOrIO) -> None:
     """Write '#dim <d>' then one tab-separated line per passage."""
-    if hasattr(sink, "write"):
-        _write_index(index, sink)
-    else:
-        with open(sink, "w", encoding="utf-8") as handle:
-            _write_index(index, handle)
-
-
-def _write_index(index: PassageIndex, handle: IO[str]) -> None:
-    handle.write(f"#dim {index.dim}\n")
-    for p, uniform, idf in zip(index.passages, index.uniform, index.idf):
-        handle.write(
-            "\t".join(
-                (
-                    p.passage_id,
-                    p.doc_id,
-                    _escape(p.text),
-                    ",".join(map(repr, uniform.tolist())),
-                    ",".join(map(repr, idf.tolist())),
+    with open_text(sink, "w") as handle:
+        handle.write(f"#dim {index.dim}\n")
+        for p, uniform, idf in zip(index.passages, index.uniform, index.idf):
+            handle.write(
+                "\t".join(
+                    (
+                        p.passage_id,
+                        p.doc_id,
+                        _escape(p.text),
+                        ",".join(map(repr, uniform.tolist())),
+                        ",".join(map(repr, idf.tolist())),
+                    )
                 )
+                + "\n"
             )
-            + "\n"
-        )
 
 
 def _parse_components(text: str, dim: int, line_no: int, out: array) -> None:
@@ -304,40 +296,42 @@ def _parse_components(text: str, dim: int, line_no: int, out: array) -> None:
         raise ValueError(f"line {line_no}: malformed centroid components") from None
 
 
-def load_index(source) -> PassageIndex:
-    """Parse an index written by :func:`save_index`."""
-    if hasattr(source, "read"):
-        return _read_index(source)
-    with open(source, "r", encoding="utf-8") as handle:
-        return _read_index(handle)
+def load_index(source: PathOrIO) -> PassageIndex:
+    """Parse an index written by :func:`save_index`.
 
+    Raises ValueError naming the line for a malformed row or a passage id
+    seen on an earlier line.
+    """
+    with open_text(source) as handle:
+        header = handle.readline()
+        if not header:
+            raise ValueError("empty index stream")
+        header = header.rstrip("\n")
+        parts = header.split(" ")
+        if len(parts) != 2 or parts[0] != "#dim":
+            raise ValueError(f"line 1: expected '#dim <d>', got {header!r}")
+        try:
+            dim = int(parts[1])
+        except ValueError:
+            raise ValueError(f"line 1: malformed dimension {parts[1]!r}") from None
 
-def _read_index(handle: IO[str]) -> PassageIndex:
-    header = handle.readline()
-    if not header:
-        raise ValueError("empty index stream")
-    header = header.rstrip("\n")
-    parts = header.split(" ")
-    if len(parts) != 2 or parts[0] != "#dim":
-        raise ValueError(f"line 1: expected '#dim <d>', got {header!r}")
-    try:
-        dim = int(parts[1])
-    except ValueError:
-        raise ValueError(f"line 1: malformed dimension {parts[1]!r}") from None
-
-    passages: list[Passage] = []
-    uniform, idf = array("d"), array("d")
-    for line_no, raw_line in enumerate(handle, start=2):
-        line = raw_line.rstrip("\n")
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 5:
-            raise ValueError(f"line {line_no}: expected 5 tab-separated fields")
-        passage_id, doc_id, escaped_text, uniform_text, idf_text = fields
-        _parse_components(uniform_text, dim, line_no, uniform)
-        _parse_components(idf_text, dim, line_no, idf)
-        passages.append(Passage(passage_id, doc_id, _unescape(escaped_text)))
+        passages: list[Passage] = []
+        seen: set[str] = set()
+        uniform, idf = array("d"), array("d")
+        for line_no, raw_line in enumerate(handle, start=2):
+            line = raw_line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 5:
+                raise ValueError(f"line {line_no}: expected 5 tab-separated fields")
+            passage_id, doc_id, escaped_text, uniform_text, idf_text = fields
+            if passage_id in seen:
+                raise ValueError(f"line {line_no}: duplicate passage id {passage_id!r}")
+            seen.add(passage_id)
+            _parse_components(uniform_text, dim, line_no, uniform)
+            _parse_components(idf_text, dim, line_no, idf)
+            passages.append(Passage(passage_id, doc_id, _unescape(escaped_text)))
     shape = (len(passages), dim)
     return PassageIndex(
         dim,

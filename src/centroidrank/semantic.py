@@ -1,14 +1,14 @@
 """Weighted centroid vectors and cosine distance.
 
 A token sequence is represented by the weighted average of its word
-vectors. Tokens without an embedding contribute nothing, to either the
-numerator or the weight normalizer, so out-of-vocabulary noise does not
-dilute the covered content. All arithmetic is 64-bit.
+vectors, a read-only float64 array. Tokens without an embedding
+contribute nothing, to either the numerator or the weight normalizer, so
+out-of-vocabulary noise does not dilute the covered content. All
+arithmetic is 64-bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -16,64 +16,39 @@ import numpy as np
 from .embeddings import EmbeddingTable
 
 
-@dataclass(frozen=True, eq=False)
-class SemanticVector:
-    """A centroid plus bookkeeping about how much input it actually covers.
-
-    ``components`` is the zero vector when no token had an embedding or
-    every covered token carried zero weight; ``covered_tokens`` records how
-    many input tokens had embeddings regardless.
-    """
-
-    components: np.ndarray
-    covered_tokens: int
-    total_tokens: int
-
-    @property
-    def is_zero(self) -> bool:
-        return not np.any(self.components)
-
-
-def _zero(dim: int, covered: int, total: int) -> SemanticVector:
-    components = np.zeros(dim, dtype=np.float64)
-    components.flags.writeable = False
-    return SemanticVector(components=components, covered_tokens=covered, total_tokens=total)
-
-
 def weighted_centroid(
     tokens: Sequence[str],
     embeddings: EmbeddingTable,
     weight: Callable[[str], float],
-) -> SemanticVector:
+) -> np.ndarray:
     """Sum of weight(t) * vector(t) over covered tokens, divided by the
-    weight sum. Degenerate inputs (nothing covered, all weights zero)
-    yield a flagged zero vector rather than an error."""
-    total = len(tokens)
+    weight sum. Degenerate inputs (nothing covered, weights summing to
+    zero) yield the zero vector rather than an error."""
     acc = np.zeros(embeddings.dim, dtype=np.float64)
     weight_sum = 0.0
-    covered = 0
     for token in tokens:
         vector = embeddings.lookup(token)
         if vector is None:
             continue
-        covered += 1
         w = float(weight(token))
         if w == 0.0:
             continue
         acc += w * vector
         weight_sum += w
-    if covered == 0 or weight_sum == 0.0:
-        return _zero(embeddings.dim, covered, total)
-    components = acc / weight_sum
-    components.flags.writeable = False
-    return SemanticVector(components=components, covered_tokens=covered, total_tokens=total)
+    if weight_sum == 0.0:
+        # Weights of either sign can cancel, leaving acc nonzero.
+        acc.fill(0.0)
+    else:
+        acc /= weight_sum
+    acc.flags.writeable = False
+    return acc
 
 
 def centroid(
     tokens: Sequence[str],
     embeddings: EmbeddingTable,
     idf=None,
-) -> SemanticVector:
+) -> np.ndarray:
     """Uniform centroid when ``idf`` is None, idf-weighted otherwise.
 
     ``idf`` is anything with a ``weight(token) -> float`` method (normally
@@ -84,21 +59,15 @@ def centroid(
     return weighted_centroid(tokens, embeddings, idf.weight)
 
 
-def _as_array(v) -> np.ndarray:
-    if isinstance(v, SemanticVector):
-        return v.components
-    return np.asarray(v, dtype=np.float64)
-
-
 def cosine_distance(u, v) -> float:
-    """1 - cos(angle) between two vectors, in [0, 2].
+    """1 - cos(angle) between two array-likes, in [0, 2].
 
-    Accepts arrays or SemanticVectors. A zero-norm operand gives the
-    neutral distance 1.0, so all-OOV passages stay rankable without ever
-    outranking a positively matching one.
+    A zero-norm operand gives the neutral distance 1.0, so all-OOV
+    passages stay rankable without ever outranking a positively matching
+    one.
     """
-    a = _as_array(u)
-    b = _as_array(v)
+    a = np.asarray(u, dtype=np.float64)
+    b = np.asarray(v, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     norm_a = float(np.linalg.norm(a))

@@ -2,13 +2,20 @@
 
 Sentences are the retrieval unit of this library, so the splitter is
 deliberately deterministic: no learned models, no locale tables, just
-terminator punctuation plus a short abbreviation list.
+terminator punctuation plus a short abbreviation list. The module also
+holds :func:`open_text`, the one path-or-stream opener every file reader
+and writer in the package goes through.
 """
 
 from __future__ import annotations
 
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import IO, Iterator, Union
+
+PathOrIO = Union[str, os.PathLike, IO[str]]
 
 # Maximal runs of alphanumeric characters (underscore excluded).
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -23,17 +30,22 @@ _TERMINATORS = frozenset(".!?")
 ABBREVIATIONS = frozenset({"fig", "al", "e.g", "i.e", "dr", "vs", "etc"})
 
 
+@contextmanager
+def open_text(source: PathOrIO, mode: str = "r") -> Iterator[IO[str]]:
+    """Yield a caller's text stream as-is, left open; given a path, yield
+    the file opened as UTF-8 in ``mode`` and close it on exit."""
+    if hasattr(source, "write" if "w" in mode else "read"):
+        yield source  # type: ignore[misc]
+    else:
+        with open(source, mode, encoding="utf-8") as handle:
+            yield handle
+
+
 @dataclass(frozen=True)
 class TokenSequence:
-    """Normalized tokens of a text span.
-
-    ``tokens`` are lowercase, non-empty, and contain no whitespace;
-    ``source_span`` is the (start, end) character range of the original
-    text they were drawn from.
-    """
+    """Normalized tokens of a text: lowercase, non-empty, no whitespace."""
 
     tokens: tuple[str, ...]
-    source_span: tuple[int, int]
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -51,8 +63,7 @@ def tokenize(raw: str) -> TokenSequence:
     Empty fragments are discarded; digit runs are kept as tokens. Empty
     input yields an empty sequence.
     """
-    tokens = tuple(map(str.lower, _TOKEN_RE.findall(raw)))
-    return TokenSequence(tokens=tokens, source_span=(0, len(raw)))
+    return TokenSequence(tuple(map(str.lower, _TOKEN_RE.findall(raw))))
 
 
 def _preceding_token(text: str, end: int) -> str:

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from centroidrank import Aggregates, Method, QuestionScore, RankedList, RunResult, save_run
+from centroidrank import cli
 from centroidrank.cli import main
 
 EMBEDDINGS = """5 2
@@ -449,6 +450,33 @@ class TestEval:
         assert code == 2
         assert f"overlap threshold must be >= 1, got {threshold}" in capsys.readouterr().err
         assert not workspace["run"].exists()
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["eval", "--overlap-threshold", "0"], "overlap threshold must be >= 1"),
+            (["eval", "--k", "0"], "k must be >= 1, got 0"),
+            (["query", "--k", "0", "--question", "alpha"], "k must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_flags_refused_before_loading(
+        self, workspace, capsys, monkeypatch, argv, message
+    ):
+        _build_artifacts(workspace)
+        capsys.readouterr()
+
+        def must_not_load(*_args, **_kwargs):
+            pytest.fail("an artifact was loaded before the flags were checked")
+
+        monkeypatch.setattr(cli, "load_index", must_not_load)
+        monkeypatch.setattr(cli, "load_embeddings", must_not_load)
+        argv = argv + ["--index", str(workspace["index"])]
+        argv += ["--embeddings", str(workspace["embeddings"])]
+        if argv[0] == "eval":
+            argv += ["--questions", str(workspace["questions"])]
+            argv += ["--out", str(workspace["run"])]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
     def test_question_without_indexed_docs_warns(self, workspace, capsys):
         _build_artifacts(workspace)

@@ -4,7 +4,7 @@ from io import StringIO
 
 import pytest
 
-from centroidrank import IdfTable, build_idf, idf_weight, load_idf, save_idf
+from centroidrank import IdfTable, build_idf, load_idf, save_idf
 
 
 class TestBuild:
@@ -56,10 +56,6 @@ class TestWeight:
         table = IdfTable(n_docs=99, df={"a": 9, "b": 49})
         assert table.weight("a") == pytest.approx(math.log(10.0))
         assert table.weight("b") == pytest.approx(math.log(2.0))
-
-    def test_module_level_helper(self):
-        table = IdfTable(n_docs=9, df={})
-        assert idf_weight(table, "x") == table.weight("x")
 
     def test_non_increasing_in_df(self):
         n = 1000
@@ -143,6 +139,10 @@ class TestSerialization:
             load_idf(StringIO("#n_docs 2 docs\na\t1\nb 2\n"))
         with pytest.raises(ValueError, match="line 2"):
             load_idf(StringIO("#n_docs 2 docs\na\tx\n"))
+
+    def test_duplicate_token_names_line(self):
+        with pytest.raises(ValueError, match="line 3: duplicate token 'a'"):
+            load_idf(StringIO("#n_docs 3 docs\na\t1\na\t3\n"))
 
     def test_rejects_unwritable_tokens(self):
         table = IdfTable(n_docs=1, df={"a\tb": 1})

@@ -81,10 +81,8 @@ class TestBuildIndex:
         row = [p.passage_id for p in small_index.passages].index("d1#0")
         tokens = tokenize(small_index.passages[row].text)
         uniform, idf = small_index.uniform[row], small_index.idf[row]
-        assert np.array_equal(uniform, centroid(tokens, tiny_embeddings).components)
-        assert np.array_equal(
-            idf, centroid(tokens, tiny_embeddings, tiny_doc_idf).components
-        )
+        assert np.array_equal(uniform, centroid(tokens, tiny_embeddings))
+        assert np.array_equal(idf, centroid(tokens, tiny_embeddings, tiny_doc_idf))
         assert uniform.any() and idf.any()
         assert not np.allclose(uniform, idf)
         assert small_index.uniform_norms[row] == pytest.approx(np.linalg.norm(uniform))
@@ -613,3 +611,8 @@ class TestIndexSerialization:
             load_index(StringIO("#dim 2\nonly\tthree\tfields\n"))
         with pytest.raises(ValueError, match="line 2"):
             load_index(StringIO("#dim 2\np#0\td\ttext\t1.0\t1.0,2.0\n"))
+
+    def test_duplicate_passage_id_names_line(self):
+        row = "d#0\td\ttext\t1.0,0.0\t1.0,0.0\n"
+        with pytest.raises(ValueError, match="line 3: duplicate passage id 'd#0'"):
+            load_index(StringIO("#dim 2\n" + row + row))

@@ -1,3 +1,4 @@
+import io
 import random
 import string
 
@@ -5,7 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centroidrank import split_sentences, tokenize
-from centroidrank.text import _TOKEN_RE
+from centroidrank.text import _TOKEN_RE, open_text
+
+
+def test_open_text_leaves_streams_open_and_closes_files(tmp_path):
+    stream = io.StringIO()
+    with open_text(stream, "w") as handle:
+        assert handle is stream
+    assert not stream.closed
+    path = tmp_path / "out.txt"
+    with open_text(path, "w") as handle:
+        handle.write("\u00e9\n")
+    assert handle.closed
+    assert path.read_bytes() == "\u00e9\n".encode("utf-8")
+    with open_text(str(path)) as handle:
+        assert handle.read() == "\u00e9\n"
+    assert handle.closed
 
 
 class TestTokenize:
@@ -41,10 +57,6 @@ class TestTokenize:
 
     def test_underscore_is_a_separator(self):
         assert tokenize("gene_name").tokens == ("gene", "name")
-
-    def test_source_span_covers_input(self):
-        raw = "Two words"
-        assert tokenize(raw).source_span == (0, len(raw))
 
     def test_idempotent_on_own_output(self):
         rng = random.Random(7)
