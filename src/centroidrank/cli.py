@@ -197,11 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--docs", required=True, help="TSV file: <doc_id>\\t<text> per line")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--doc-idf", required=True)
-    p.add_argument("--out", required=True, help="output index path")
+    p.add_argument("--out", required=True, help="output index directory")
     p.set_defaults(func=cmd_index_build)
 
     p = sub.add_parser("query", help="rank passages for one question")
-    p.add_argument("--index", required=True)
+    p.add_argument("--index", required=True, help="index directory from index-build")
     p.add_argument("--embeddings")
     p.add_argument("--doc-idf")
     p.add_argument("--question-idf")
@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a question set and write a run file")
     p.add_argument("--questions", required=True, help="question-set JSON path")
-    p.add_argument("--index", required=True)
+    p.add_argument("--index", required=True, help="index directory from index-build")
     p.add_argument("--embeddings")
     p.add_argument("--doc-idf")
     p.add_argument("--question-idf")

@@ -12,10 +12,14 @@ non-negative for every token, including unseen ones (df = 0).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .text import PathOrIO, open_text
+
+# A tab splits a row; "\n" and "\r" each end a line when the table is read.
+_UNWRITABLE = re.compile("[\t\n\r]")
 
 
 @dataclass
@@ -59,14 +63,13 @@ def build_idf(corpus: Iterable[Sequence[str]], label: str = "") -> IdfTable:
 
 def save_idf(table: IdfTable, sink: PathOrIO) -> None:
     """Write a table as '#n_docs <N> <label>' plus token<TAB>df lines."""
-    label = table.corpus_label
-    if "\t" in label or "\n" in label:
-        raise ValueError("corpus_label must not contain tabs or newlines")
+    # Checked before the sink is opened, so a refused table leaves it as it was.
+    for text in (table.corpus_label, *table.df):
+        if _UNWRITABLE.search(text):
+            raise ValueError(f"idf label or token {text!r} contains a tab or line break")
     with open_text(sink, "w") as handle:
-        handle.write(f"#n_docs {table.n_docs} {label}\n")
+        handle.write(f"#n_docs {table.n_docs} {table.corpus_label}\n")
         for token in sorted(table.df):
-            if "\t" in token or "\n" in token:
-                raise ValueError(f"token {token!r} contains tab or newline")
             handle.write(f"{token}\t{table.df[token]}\n")
 
 

@@ -16,9 +16,9 @@ distance, ties broken by ascending passage id.
 
 from __future__ import annotations
 
+import json
+import os
 import random
-import re
-from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
@@ -28,7 +28,7 @@ import numpy as np
 from .embeddings import EmbeddingTable
 from .idf import IdfTable
 from .semantic import centroid
-from .text import PathOrIO, open_text, split_sentences, tokenize
+from .text import split_sentences, tokenize
 
 
 class Method(str, Enum):
@@ -248,94 +248,71 @@ def random_baseline(
     )
 
 
-_ESCAPES = [("\\", "\\\\"), ("\t", "\\t"), ("\n", "\\n")]
+_UNIFORM, _IDF, _PASSAGES = "uniform.npy", "idf.npy", "passages.jsonl"
 
 
-def _escape(text: str) -> str:
-    for raw, escaped in _ESCAPES:
-        text = text.replace(raw, escaped)
-    return text
+def save_index(index: PassageIndex, directory: str | os.PathLike) -> None:
+    """Write the index as a directory of standard files.
 
-
-_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n"}
-_ESCAPED_RE = re.compile(r"\\(.)", re.DOTALL)
-
-
-def _unescape(text: str) -> str:
-    # An unknown escape, or a trailing lone backslash, is kept as written.
-    return _ESCAPED_RE.sub(lambda m: _UNESCAPES.get(m.group(1), m.group(0)), text)
-
-
-def save_index(index: PassageIndex, sink: PathOrIO) -> None:
-    """Write '#dim <d>' then one tab-separated line per passage."""
-    with open_text(sink, "w") as handle:
-        handle.write(f"#dim {index.dim}\n")
-        for p, uniform, idf in zip(index.passages, index.uniform, index.idf):
-            handle.write(
-                "\t".join(
-                    (
-                        p.passage_id,
-                        p.doc_id,
-                        _escape(p.text),
-                        ",".join(map(repr, uniform.tolist())),
-                        ",".join(map(repr, idf.tolist())),
-                    )
-                )
-                + "\n"
-            )
-
-
-def _parse_components(text: str, dim: int, line_no: int, out: array) -> None:
-    """Append the ``dim`` comma-separated floats in ``text`` to ``out``."""
-    values = text.split(",")
-    if len(values) != dim:
-        raise ValueError(f"line {line_no}: expected {dim} components, got {len(values)}")
-    try:
-        out.extend(map(float, values))
-    except ValueError:
-        raise ValueError(f"line {line_no}: malformed centroid components") from None
-
-
-def load_index(source: PathOrIO) -> PassageIndex:
-    """Parse an index written by :func:`save_index`.
-
-    Raises ValueError naming the line for a malformed row or a passage id
-    seen on an earlier line.
+    ``uniform.npy`` and ``idf.npy`` hold the two centroid matrices
+    (``np.save``); ``passages.jsonl`` holds one ``[passage_id, doc_id,
+    text]`` JSON array per row. The directory is created if needed, and
+    the files of an index already there are replaced.
     """
-    with open_text(source) as handle:
-        header = handle.readline()
-        if not header:
-            raise ValueError("empty index stream")
-        header = header.rstrip("\n")
-        parts = header.split(" ")
-        if len(parts) != 2 or parts[0] != "#dim":
-            raise ValueError(f"line 1: expected '#dim <d>', got {header!r}")
-        try:
-            dim = int(parts[1])
-        except ValueError:
-            raise ValueError(f"line 1: malformed dimension {parts[1]!r}") from None
+    os.makedirs(directory, exist_ok=True)
+    np.save(os.path.join(directory, _UNIFORM), index.uniform)
+    np.save(os.path.join(directory, _IDF), index.idf)
+    with open(os.path.join(directory, _PASSAGES), "w", encoding="utf-8") as handle:
+        for passage in index.passages:
+            handle.write(json.dumps(passage, ensure_ascii=False) + "\n")
 
-        passages: list[Passage] = []
-        seen: set[str] = set()
-        uniform, idf = array("d"), array("d")
-        for line_no, raw_line in enumerate(handle, start=2):
-            line = raw_line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise ValueError(f"line {line_no}: expected 5 tab-separated fields")
-            passage_id, doc_id, escaped_text, uniform_text, idf_text = fields
-            if passage_id in seen:
-                raise ValueError(f"line {line_no}: duplicate passage id {passage_id!r}")
-            seen.add(passage_id)
-            _parse_components(uniform_text, dim, line_no, uniform)
-            _parse_components(idf_text, dim, line_no, idf)
-            passages.append(Passage(passage_id, doc_id, _unescape(escaped_text)))
-    shape = (len(passages), dim)
-    return PassageIndex(
-        dim,
-        passages,
-        np.frombuffer(uniform, dtype=np.float64).reshape(shape),
-        np.frombuffer(idf, dtype=np.float64).reshape(shape),
-    )
+
+def _load_matrix(directory: str | os.PathLike, name: str) -> np.ndarray:
+    matrix = np.load(os.path.join(directory, name), allow_pickle=False)
+    if not isinstance(matrix, np.ndarray) or matrix.ndim != 2 or matrix.dtype != np.float64:
+        raise ValueError(f"{name}: expected a 2-d float64 matrix")
+    return matrix
+
+
+def load_index(directory: str | os.PathLike) -> PassageIndex:
+    """Read an index directory written by :func:`save_index`.
+
+    A missing file raises OSError. Raises ValueError for a matrix that is
+    not 2-d float64, matrices of different shapes, a passage line that is
+    not three strings or repeats a passage id (naming the line), or a
+    passage count that differs from the matrix rows.
+    """
+    uniform = _load_matrix(directory, _UNIFORM)
+    idf = _load_matrix(directory, _IDF)
+    if uniform.shape != idf.shape:
+        raise ValueError(
+            f"{_UNIFORM} shape {uniform.shape} differs from {_IDF} shape {idf.shape}"
+        )
+    passages: list[Passage] = []
+    seen: set[str] = set()
+    with open(os.path.join(directory, _PASSAGES), encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            try:
+                fields = json.loads(line)
+            except json.JSONDecodeError:
+                fields = None
+            if not (
+                isinstance(fields, list)
+                and len(fields) == 3
+                and all(isinstance(f, str) for f in fields)
+            ):
+                raise ValueError(
+                    f"{_PASSAGES} line {line_no}: expected [passage_id, doc_id, text]"
+                )
+            passage = Passage(*fields)
+            if passage.passage_id in seen:
+                raise ValueError(
+                    f"{_PASSAGES} line {line_no}: duplicate passage id {passage.passage_id!r}"
+                )
+            seen.add(passage.passage_id)
+            passages.append(passage)
+    if len(passages) != len(uniform):
+        raise ValueError(
+            f"{_PASSAGES} has {len(passages)} passages, the matrices {len(uniform)} rows"
+        )
+    return PassageIndex(uniform.shape[1], passages, uniform, idf)

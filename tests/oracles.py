@@ -163,3 +163,19 @@ def oracle_judge(passage_tokens, snippet_tokens, t: int) -> bool:
         or oracle_contains_run(passage_tokens, snippet_tokens)
         or oracle_longest_common_run(passage_tokens, snippet_tokens) >= t
     )
+
+
+def oracle_index_tsv(dim: int, passages, uniform_rows, idf_rows) -> str:
+    """The index as the earlier single-file TSV format wrote it.
+
+    ``passages`` are ``(passage_id, doc_id, text)`` triples; the rows are
+    lists of Python floats. A ``#dim`` header, then one tab-separated line
+    per passage, with backslash, tab and newline escaped in the text and
+    each centroid as comma-separated ``repr`` floats.
+    """
+    lines = [f"#dim {dim}\n"]
+    for (passage_id, doc_id, text), uniform, idf in zip(passages, uniform_rows, idf_rows):
+        text = text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
+        fields = (passage_id, doc_id, text, ",".join(map(repr, uniform)), ",".join(map(repr, idf)))
+        lines.append("\t".join(fields) + "\n")
+    return "".join(lines)

@@ -6,9 +6,18 @@ import sys
 
 import pytest
 
-from centroidrank import Aggregates, Method, QuestionScore, RankedList, RunResult, save_run
+from centroidrank import (
+    Aggregates,
+    Method,
+    QuestionScore,
+    RankedList,
+    RunResult,
+    load_index,
+    save_run,
+)
 from centroidrank import cli
 from centroidrank.cli import main
+from oracles import oracle_index_tsv
 
 EMBEDDINGS = """5 2
 alpha 1.0 0.0
@@ -64,7 +73,7 @@ def workspace(tmp_path):
         "questions": tmp_path / "questions.json",
         "doc_idf": tmp_path / "doc_idf.tsv",
         "question_idf": tmp_path / "question_idf.tsv",
-        "index": tmp_path / "index.tsv",
+        "index": tmp_path / "index",
         "run": tmp_path / "run.json",
     }
     paths["embeddings"].write_text(EMBEDDINGS, encoding="utf-8")
@@ -169,9 +178,10 @@ class TestIndexBuild:
         assert "4 passages" in capsys.readouterr().out
 
     def test_fixture_index_bytes_pinned(self, tmp_path, capsys):
-        # SHA-256 of the index that the per-passage-centroid implementation
-        # wrote for the checked-in fixture; the matrix-backed index must
-        # keep the file format byte for byte.
+        # SHA-256 of the single-file TSV index that earlier versions wrote
+        # for the checked-in fixture. Rewriting the saved bundle in that
+        # format must give the same bytes, so passages, ids and every
+        # centroid bit are unchanged.
         fixtures = pathlib.Path(__file__).parent / "fixtures"
         doc_corpus = tmp_path / "doc_corpus.txt"
         doc_corpus.write_text(
@@ -183,14 +193,18 @@ class TestIndexBuild:
             encoding="utf-8",
         )
         doc_idf = tmp_path / "doc_idf.tsv"
-        index = tmp_path / "index.tsv"
+        index = tmp_path / "index"
         assert main(["idf-build", "--corpus", str(doc_corpus), "--unit", "doc",
                      "--out", str(doc_idf)]) == 0
         assert main(["index-build", "--docs", str(fixtures / "docs.tsv"),
                      "--embeddings", str(fixtures / "embeddings.txt"),
                      "--doc-idf", str(doc_idf), "--out", str(index)]) == 0
         assert "24 passages" in capsys.readouterr().out
-        assert hashlib.sha256(index.read_bytes()).hexdigest() == (
+        reloaded = load_index(index)
+        tsv = oracle_index_tsv(
+            reloaded.dim, reloaded.passages, reloaded.uniform.tolist(), reloaded.idf.tolist()
+        )
+        assert hashlib.sha256(tsv.encode("utf-8")).hexdigest() == (
             "5297c5205199f15dc48601672a77f731cacf5baf48ee3513ed93e533fe36a6f8"
         )
 
@@ -230,8 +244,50 @@ class TestIndexBuild:
         assert code == 2
         assert "duplicate" in capsys.readouterr().err
 
+    def _index_build(self, workspace, out):
+        return main(
+            [
+                "index-build",
+                "--docs", str(workspace["docs"]),
+                "--embeddings", str(workspace["embeddings"]),
+                "--doc-idf", str(workspace["doc_idf"]),
+                "--out", str(out),
+            ]
+        )
+
+    def test_rebuild_onto_one_out_gives_the_second_index(self, workspace, capsys):
+        _build_artifacts(workspace)
+        workspace["docs"].write_text("d9\tGamma gamma.\n", encoding="utf-8")
+        assert self._index_build(workspace, workspace["index"]) == 0
+        reloaded = load_index(workspace["index"])
+        assert [tuple(p) for p in reloaded.passages] == [("d9#0", "d9", "Gamma gamma.")]
+        assert reloaded.uniform.shape == reloaded.idf.shape == (1, 2)
+
+    def test_out_onto_a_regular_file_exits_2_and_keeps_it(self, workspace, capsys):
+        _build_artifacts(workspace)
+        occupied = workspace["index"].parent / "occupied"
+        occupied.write_bytes(b"not an index\n")
+        assert self._index_build(workspace, occupied) == 2
+        assert "error:" in capsys.readouterr().err
+        assert occupied.read_bytes() == b"not an index\n"
+
 
 class TestQuery:
+    def test_old_tsv_index_file_exits_2(self, workspace, capsys):
+        _build_artifacts(workspace)
+        old = workspace["index"].parent / "index.tsv"
+        old.write_text("#dim 2\nd1#0\td1\tAlpha.\t1.0,0.0\t1.0,0.0\n", encoding="utf-8")
+        code = main(
+            [
+                "query",
+                "--index", str(old),
+                "--embeddings", str(workspace["embeddings"]),
+                "--question", "alpha",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_identical_question_scores_zero(self, workspace, capsys):
         _build_artifacts(workspace)
         capsys.readouterr()
@@ -586,7 +642,7 @@ def _build_fixture_artifacts(tmp_path):
     )
     doc_idf = tmp_path / "doc_idf.tsv"
     question_idf = tmp_path / "question_idf.tsv"
-    index = tmp_path / "index.tsv"
+    index = tmp_path / "index"
     assert main(["idf-build", "--corpus", str(doc_corpus), "--unit", "doc",
                  "--out", str(doc_idf)]) == 0
     assert main(["idf-build", "--corpus", str(FIXTURES / "question_corpus.txt"),

@@ -145,6 +145,26 @@ class TestSerialization:
             load_idf(StringIO("#n_docs 3 docs\na\t1\na\t3\n"))
 
     def test_rejects_unwritable_tokens(self):
-        table = IdfTable(n_docs=1, df={"a\tb": 1})
-        with pytest.raises(ValueError, match="tab"):
-            save_idf(table, StringIO())
+        # "\r" ends a line on read just as "\n" does.
+        for bad in ["a\tb", "a\nb", "a\rb"]:
+            with pytest.raises(ValueError, match="tab or line break"):
+                save_idf(IdfTable(n_docs=1, df={bad: 1}), StringIO())
+            with pytest.raises(ValueError, match="tab or line break"):
+                save_idf(IdfTable(n_docs=1, df={"x": 1}, corpus_label=bad), StringIO())
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            IdfTable(n_docs=2, df={"a": 1, "b\tc": 1}),
+            IdfTable(n_docs=2, df={"a": 1, "b\rc": 1}),
+            IdfTable(n_docs=2, df={"a": 1}, corpus_label="two\nlines"),
+        ],
+        ids=["tab-token", "cr-token", "newline-label"],
+    )
+    def test_refused_save_leaves_existing_file_untouched(self, tmp_path, table):
+        path = tmp_path / "idf.tsv"
+        save_idf(IdfTable(n_docs=3, df={"z": 3}, corpus_label="old"), str(path))
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            save_idf(table, str(path))
+        assert path.read_bytes() == before

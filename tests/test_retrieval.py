@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from io import StringIO
@@ -567,26 +568,55 @@ class TestConcurrentReads:
                 assert concurrent == sequential
 
 
+UNPICKLED: list[str] = []
+
+
+def _record_unpickling(name):
+    UNPICKLED.append(name)
+
+
+class _RecordsUnpickling:
+    def __reduce__(self):
+        return (_record_unpickling, ("unpickled",))
+
+
+@pytest.fixture
+def bundle(small_index, tmp_path):
+    path = tmp_path / "index"
+    save_index(small_index, path)
+    return path
+
+
+def _assert_bit_equal(reloaded, index):
+    assert reloaded.dim == index.dim
+    assert reloaded.passages == index.passages
+    for name in ("uniform", "idf", "uniform_norms", "idf_norms"):
+        got, want = getattr(reloaded, name), getattr(index, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert reloaded.doc_index.keys() == index.doc_index.keys()
+    for doc_id, rows in index.doc_index.items():
+        assert reloaded.doc_index[doc_id].tolist() == rows.tolist()
+
+
 class TestIndexSerialization:
-    def test_round_trip_preserves_ranking(self, small_index, tiny_embeddings, tmp_path):
-        path = tmp_path / "index.tsv"
-        save_index(small_index, str(path))
-        reloaded = load_index(str(path))
-        assert reloaded.dim == small_index.dim
-        assert [p.passage_id for p in reloaded.passages] == [
-            p.passage_id for p in small_index.passages
-        ]
-        assert reloaded.passages == small_index.passages
-        assert np.array_equal(reloaded.uniform, small_index.uniform)
-        assert np.array_equal(reloaded.idf, small_index.idf)
-        assert np.array_equal(reloaded.uniform_norms, small_index.uniform_norms)
-        assert np.array_equal(reloaded.idf_norms, small_index.idf_norms)
-        assert reloaded.doc_index.keys() == small_index.doc_index.keys()
-        for doc_id, rows in small_index.doc_index.items():
-            assert np.array_equal(reloaded.doc_index[doc_id], rows)
+    def test_round_trip_preserves_ranking(self, small_index, tiny_embeddings, bundle):
+        reloaded = load_index(bundle)
+        _assert_bit_equal(reloaded, small_index)
         before = rank(small_index, ["alpha", "gamma"], "cd", 5, tiny_embeddings)
         after = rank(reloaded, ["alpha", "gamma"], "cd", 5, tiny_embeddings)
         assert before.items == after.items
+
+    def test_bundle_is_two_matrices_and_passage_lines(self, small_index, bundle):
+        assert sorted(p.name for p in bundle.iterdir()) == [
+            "idf.npy", "passages.jsonl", "uniform.npy",
+        ]
+        uniform = np.load(bundle / "uniform.npy", allow_pickle=False)
+        assert uniform.tobytes() == small_index.uniform.tobytes()
+        lines = (bundle / "passages.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line) for line in lines] == [
+            list(p) for p in small_index.passages
+        ]
 
     def test_text_with_tabs_and_newlines_round_trips(
         self, tiny_embeddings, tiny_doc_idf, tmp_path
@@ -594,25 +624,81 @@ class TestIndexSerialization:
         index = build_index(
             [("d", "Alpha\tbeta with \\ backslash")], tiny_embeddings, tiny_doc_idf
         )
-        path = tmp_path / "index.tsv"
-        save_index(index, str(path))
-        reloaded = load_index(str(path))
+        save_index(index, tmp_path / "index")
+        reloaded = load_index(tmp_path / "index")
         assert reloaded.passages[0].text == "Alpha\tbeta with \\ backslash"
 
-    def test_header_written(self, small_index):
-        buffer = StringIO()
-        save_index(small_index, buffer)
-        assert buffer.getvalue().splitlines()[0] == f"#dim {small_index.dim}"
+    def test_awkward_doc_ids_and_text_round_trip(
+        self, tiny_embeddings, tiny_doc_idf, tmp_path
+    ):
+        text = "Alpha \\ beta\tgamma\rdelta\u2028epsilon\x85alpha é ß 字 \\t \\n."
+        documents = [("a\tb", text), ("a\nb", "Beta beta. " + text), ("a\rb", text)]
+        index = build_index(documents, tiny_embeddings, tiny_doc_idf)
+        assert text in [p.text for p in index.passages]
+        save_index(index, tmp_path / "index")
+        _assert_bit_equal(load_index(tmp_path / "index"), index)
 
-    def test_malformed_lines_reported(self):
-        with pytest.raises(ValueError, match="line 1"):
-            load_index(StringIO("dim 2\n"))
-        with pytest.raises(ValueError, match="line 2"):
-            load_index(StringIO("#dim 2\nonly\tthree\tfields\n"))
-        with pytest.raises(ValueError, match="line 2"):
-            load_index(StringIO("#dim 2\np#0\td\ttext\t1.0\t1.0,2.0\n"))
+    def test_empty_index_keeps_its_dimension(self, tiny_embeddings, tiny_doc_idf, tmp_path):
+        save_index(build_index([], tiny_embeddings, tiny_doc_idf), tmp_path / "index")
+        reloaded = load_index(tmp_path / "index")
+        assert (len(reloaded), reloaded.dim) == (0, tiny_embeddings.dim)
 
-    def test_duplicate_passage_id_names_line(self):
-        row = "d#0\td\ttext\t1.0,0.0\t1.0,0.0\n"
-        with pytest.raises(ValueError, match="line 3: duplicate passage id 'd#0'"):
-            load_index(StringIO("#dim 2\n" + row + row))
+    @pytest.mark.parametrize("name", ["uniform.npy", "idf.npy", "passages.jsonl"])
+    def test_missing_file_refused(self, bundle, name):
+        (bundle / name).unlink()
+        with pytest.raises(OSError):
+            load_index(bundle)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.zeros((5, 2), dtype=np.float32), np.zeros(10), np.zeros((5, 2, 1))],
+        ids=["float32", "1-d", "3-d"],
+    )
+    def test_matrix_not_2d_float64_refused(self, bundle, matrix):
+        np.save(bundle / "idf.npy", matrix)
+        with pytest.raises(ValueError, match="idf.npy: expected a 2-d float64 matrix"):
+            load_index(bundle)
+
+    def test_matrix_shapes_must_agree(self, bundle):
+        np.save(bundle / "idf.npy", np.zeros((5, 3)))
+        with pytest.raises(ValueError, match=r"shape \(5, 2\) differs from idf.npy shape \(5, 3\)"):
+            load_index(bundle)
+
+    @pytest.mark.parametrize("rows", [4, 6])
+    def test_row_count_must_match_passage_lines(self, bundle, rows):
+        np.save(bundle / "uniform.npy", np.zeros((rows, 2)))
+        np.save(bundle / "idf.npy", np.zeros((rows, 2)))
+        with pytest.raises(ValueError, match=f"has 5 passages, the matrices {rows} rows"):
+            load_index(bundle)
+
+    def test_object_matrix_refused_without_unpickling(self, bundle):
+        np.save(bundle / "uniform.npy", np.array([[_RecordsUnpickling()]], dtype=object))
+        with pytest.raises(ValueError):
+            load_index(bundle)
+        assert UNPICKLED == []
+
+    def test_malformed_lines_reported(self, bundle):
+        path = bundle / "passages.jsonl"
+        first = path.read_text(encoding="utf-8").splitlines(keepends=True)[0]
+        for bad in [
+            "not json\n",
+            "\n",
+            '["d1#9", "d1"]\n',
+            '["d1#9", "d1", "text", "extra"]\n',
+            '["d1#9", "d1", 3]\n',
+            '{"passage_id": "d1#9", "doc_id": "d1", "text": "t"}\n',
+        ]:
+            path.write_text(first + bad, encoding="utf-8")
+            with pytest.raises(
+                ValueError, match=r"passages.jsonl line 2: expected \[passage_id, doc_id, text\]"
+            ):
+                load_index(bundle)
+
+    def test_duplicate_passage_id_names_line(self, bundle):
+        path = bundle / "passages.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:2] + lines[:1] + lines[3:]), encoding="utf-8")
+        with pytest.raises(
+            ValueError, match="passages.jsonl line 3: duplicate passage id 'd1#0'"
+        ):
+            load_index(bundle)
