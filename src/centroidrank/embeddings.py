@@ -2,20 +2,30 @@
 
 The format is the usual one for pretrained vectors: an optional
 "<count> <dim>" header line, then one "<token> <v1> ... <vdim>" line per
-word. Tables are immutable after loading.
+word. Fields are split on whitespace as ``str.split`` splits it. Values
+are parsed in bulk by NumPy's text reader, which takes what ``float()``
+takes (decimal and exponent forms, ``inf`` and ``nan``, the last two then
+refused as non-finite) except underscores (``1_0``) and non-ASCII digits.
+Tables are immutable after loading: every vector is a read-only row of
+one matrix.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from typing import IO, Iterator
 
 import numpy as np
 
 from .text import PathOrIO, open_text
 
+# Lines parsed per np.loadtxt call. Small chunks keep the text and the
+# parsed block held at once small enough that a load's peak memory is
+# about the finished matrix; larger ones were no faster.
+_CHUNK_ROWS = 256
 
-@dataclass
+
+@dataclass(eq=False)
 class EmbeddingTable:
     """Token -> fixed-length float64 vector."""
 
@@ -32,69 +42,128 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EmbeddingTable):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.entries.keys() == other.entries.keys()
-            and all(np.array_equal(v, other.entries[t]) for t, v in self.entries.items())
-        )
-
 
 def load_embeddings(source: PathOrIO) -> EmbeddingTable:
     """Parse an embedding table from a path or text stream.
 
     The first line is treated as a header when it consists of exactly two
     integers. Duplicate tokens keep the last occurrence. Raises ValueError
-    naming the offending line for malformed floats, non-finite values,
-    inconsistent dimensions, or an empty stream.
+    naming the offending line for malformed floats, non-finite values or
+    inconsistent dimensions, and ValueError for a stream without vectors.
+    """
+    tokens: list[str] = []
+    matrix = np.empty((0, 0))
+    with open_text(source) as handle:
+        for dim, line_nos, chunk_tokens, values in _chunks(handle):
+            block = _parse_chunk(line_nos, values, dim)
+            start = len(tokens)
+            tokens += chunk_tokens
+            # realloc grows the matrix, so no second full-size copy is
+            # made; no view of it exists until it is complete.
+            matrix.resize((len(tokens), dim), refcheck=False)
+            matrix[start:] = block
+    if not tokens:
+        raise ValueError("empty embedding stream")
+    matrix.flags.writeable = False
+    return EmbeddingTable(dim=dim, entries=dict(zip(tokens, matrix)))
+
+
+def _chunks(handle: IO[str]) -> Iterator[tuple[int, list[int], list[str], list[str]]]:
+    """Yield ``(dim, line numbers, tokens, value texts)`` for up to
+    ``_CHUNK_ROWS`` data lines at a time, leaving the values unparsed.
+
+    Skips blank lines and the header. A line without values is refused
+    only after the lines before it are yielded, so that the first bad line
+    of the file is the one named.
     """
     dim: int | None = None
-    entries: dict[str, np.ndarray] = {}
-    first_content = True
-
-    with open_text(source) as handle:
-        for line_no, raw_line in enumerate(handle, start=1):
-            line = raw_line.rstrip("\n")
-            if not line.strip():
+    line_nos: list[int] = []
+    tokens: list[str] = []
+    values: list[str] = []
+    for line_no, line in enumerate(handle, start=1):
+        parts = line.split(None, 1)
+        if not parts:
+            continue
+        if len(parts) == 1:
+            if values:
+                yield dim, line_nos, tokens, values
+            got = line.rstrip("\n")
+            raise ValueError(f"line {line_no}: expected '<token> <v1> ...', got {got!r}")
+        if dim is None:
+            fields = parts[1].split()
+            if len(fields) == 1 and _is_int(parts[0]) and _is_int(fields[0]):
+                dim = int(fields[0])
+                if dim < 1:
+                    raise ValueError(f"line {line_no}: header dimension must be >= 1, got {dim}")
                 continue
-            fields = line.split()
-            if first_content and len(fields) == 2:
-                first_content = False
-                try:
-                    int(fields[0]), int(fields[1])
-                except ValueError:
-                    pass
-                else:
-                    dim = int(fields[1])
-                    if dim < 1:
-                        raise ValueError(
-                            f"line {line_no}: header dimension must be >= 1, got {dim}"
-                        )
-                    continue
-            first_content = False
-            token, values = fields[0], fields[1:]
-            if not token or not values:
-                raise ValueError(f"line {line_no}: expected '<token> <v1> ...', got {line!r}")
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise ValueError(
-                    f"line {line_no}: expected {dim} components, got {len(values)}"
-                )
-            try:
-                vector = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError as exc:
-                raise ValueError(f"line {line_no}: malformed float ({exc})") from None
-            if not all(math.isfinite(v) for v in vector):
-                raise ValueError(f"line {line_no}: non-finite component")
-            vector.flags.writeable = False
-            entries[token] = vector
+            dim = len(fields)
+        line_nos.append(line_no)
+        tokens.append(parts[0])
+        values.append(parts[1])
+        if len(values) == _CHUNK_ROWS:
+            yield dim, line_nos, tokens, values
+            line_nos, tokens, values = [], [], []
+    if values:
+        yield dim, line_nos, tokens, values
 
-    if dim is None:
-        raise ValueError("empty embedding stream")
-    return EmbeddingTable(dim=dim, entries=entries)
+
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _is_float(text: str) -> bool:
+    try:
+        _parse([text])
+    except ValueError:
+        return False
+    return True
+
+
+def _parse(lines: list[str]) -> np.ndarray:
+    """The whitespace-separated floats of ``lines``, one row per line."""
+    return np.loadtxt(
+        lines, dtype=np.float64, comments=None, ndmin=2, max_rows=len(lines)
+    )
+
+
+def _parse_chunk(line_nos: list[int], values: list[str], dim: int) -> np.ndarray:
+    """The ``(len(values), dim)`` components of one chunk of lines.
+
+    The chunk is parsed in one call. When that fails or gives a wrong
+    width or a non-finite value, each line is parsed on its own, so the
+    error names the first bad line.
+    """
+    try:
+        block = _parse(values)
+    except ValueError:
+        pass
+    else:
+        if block.shape == (len(values), dim) and np.isfinite(block).all():
+            return block
+    return np.array([_parse_line(n, text, dim) for n, text in zip(line_nos, values)])
+
+
+def _parse_line(line_no: int, text: str, dim: int) -> np.ndarray:
+    """The ``dim`` components of one line, or the ValueError naming it."""
+    fields = text.split()
+    if len(fields) != dim:
+        raise ValueError(f"line {line_no}: expected {dim} components, got {len(fields)}")
+    try:
+        # One field per parsed line: NumPy refuses a carriage return inside
+        # a line, which str.split takes as whitespace.
+        vector = _parse(fields)[:, 0]
+    except ValueError:
+        bad = next(value for value in fields if not _is_float(value))
+        raise ValueError(
+            f"line {line_no}: malformed float (could not convert string to float: {bad!r})"
+        ) from None
+    if not np.isfinite(vector).all():
+        raise ValueError(f"line {line_no}: non-finite component")
+    return vector
 
 
 def save_embeddings(table: EmbeddingTable, sink: PathOrIO) -> None:

@@ -67,6 +67,8 @@ def save_idf(table: IdfTable, sink: PathOrIO) -> None:
     for text in (table.corpus_label, *table.df):
         if _UNWRITABLE.search(text):
             raise ValueError(f"idf label or token {text!r} contains a tab or line break")
+    if "" in table.df:
+        raise ValueError("empty idf token")
     with open_text(sink, "w") as handle:
         handle.write(f"#n_docs {table.n_docs} {table.corpus_label}\n")
         for token in sorted(table.df):

@@ -268,7 +268,10 @@ def save_index(index: PassageIndex, directory: str | os.PathLike) -> None:
 
 
 def _load_matrix(directory: str | os.PathLike, name: str) -> np.ndarray:
-    matrix = np.load(os.path.join(directory, name), allow_pickle=False)
+    try:
+        matrix = np.load(os.path.join(directory, name), allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise ValueError(f"{name}: not a readable .npy matrix ({exc})") from None
     if not isinstance(matrix, np.ndarray) or matrix.ndim != 2 or matrix.dtype != np.float64:
         raise ValueError(f"{name}: expected a 2-d float64 matrix")
     return matrix
@@ -277,7 +280,8 @@ def _load_matrix(directory: str | os.PathLike, name: str) -> np.ndarray:
 def load_index(directory: str | os.PathLike) -> PassageIndex:
     """Read an index directory written by :func:`save_index`.
 
-    A missing file raises OSError. Raises ValueError for a matrix that is
+    A missing file raises OSError. Raises ValueError naming the file for a
+    matrix file that is empty, truncated or not ``.npy``, a matrix that is
     not 2-d float64, matrices of different shapes, a passage line that is
     not three strings or repeats a passage id (naming the line), or a
     passage count that differs from the matrix rows.

@@ -179,3 +179,56 @@ def oracle_index_tsv(dim: int, passages, uniform_rows, idf_rows) -> str:
         fields = (passage_id, doc_id, text, ",".join(map(repr, uniform)), ",".join(map(repr, idf)))
         lines.append("\t".join(fields) + "\n")
     return "".join(lines)
+
+
+def oracle_load_embeddings(handle):
+    """An embedding table read line by line with ``float()``, as the loader
+    did before it parsed in bulk: ``(dim, {token: list of floats})``.
+
+    ``handle`` is a text stream. The header, blank-line, width, float and
+    finiteness rules and their messages are the earlier loader's; only the
+    container changed (lists of Python floats, not an ``EmbeddingTable``).
+    """
+    dim = None
+    entries = {}
+    first_content = True
+
+    for line_no, raw_line in enumerate(handle, start=1):
+        line = raw_line.rstrip("\n")
+        if not line.strip():
+            continue
+        fields = line.split()
+        if first_content and len(fields) == 2:
+            first_content = False
+            try:
+                int(fields[0]), int(fields[1])
+            except ValueError:
+                pass
+            else:
+                dim = int(fields[1])
+                if dim < 1:
+                    raise ValueError(
+                        f"line {line_no}: header dimension must be >= 1, got {dim}"
+                    )
+                continue
+        first_content = False
+        token, values = fields[0], fields[1:]
+        if not token or not values:
+            raise ValueError(f"line {line_no}: expected '<token> <v1> ...', got {line!r}")
+        if dim is None:
+            dim = len(values)
+        elif len(values) != dim:
+            raise ValueError(
+                f"line {line_no}: expected {dim} components, got {len(values)}"
+            )
+        try:
+            vector = [float(v) for v in values]
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: malformed float ({exc})") from None
+        if not all(math.isfinite(v) for v in vector):
+            raise ValueError(f"line {line_no}: non-finite component")
+        entries[token] = vector
+
+    if dim is None:
+        raise ValueError("empty embedding stream")
+    return dim, entries

@@ -215,6 +215,14 @@ class TestIndexBuild:
         assert "0 passages" in captured.out
         assert "empty" in captured.err
 
+    @pytest.mark.parametrize("value", ["1_0", "\uff11"])
+    def test_embedding_value_numpy_refuses_exits_2_naming_line(self, workspace, capsys, value):
+        _build_artifacts(workspace)
+        workspace["embeddings"].write_text(EMBEDDINGS.replace("0.6", value), encoding="utf-8")
+        capsys.readouterr()
+        assert self._index_build(workspace, workspace["index"]) == 2
+        assert capsys.readouterr().err.startswith("error: line 4: malformed float (")
+
     def test_line_without_tab_exits_2(self, workspace, capsys):
         workspace["docs"].write_text("d1 no tab here\n", encoding="utf-8")
         code = main(
@@ -287,6 +295,28 @@ class TestQuery:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "not-npy"])
+    def test_unreadable_matrix_file_exits_2_naming_it(self, workspace, capsys, damage):
+        _build_artifacts(workspace)
+        matrix = workspace["index"] / "uniform.npy"
+        data = matrix.read_bytes()
+        matrix.write_bytes(
+            {"truncated": data[:-5], "empty": b"", "not-npy": b"#dim 2\n"}[damage]
+        )
+        capsys.readouterr()
+        code = main(
+            [
+                "query",
+                "--index", str(workspace["index"]),
+                "--embeddings", str(workspace["embeddings"]),
+                "--question", "alpha",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: uniform.npy: not a readable .npy matrix ("
+        )
 
     def test_identical_question_scores_zero(self, workspace, capsys):
         _build_artifacts(workspace)

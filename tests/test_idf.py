@@ -158,8 +158,9 @@ class TestSerialization:
             IdfTable(n_docs=2, df={"a": 1, "b\tc": 1}),
             IdfTable(n_docs=2, df={"a": 1, "b\rc": 1}),
             IdfTable(n_docs=2, df={"a": 1}, corpus_label="two\nlines"),
+            IdfTable(n_docs=2, df={"": 1, "a": 1}),
         ],
-        ids=["tab-token", "cr-token", "newline-label"],
+        ids=["tab-token", "cr-token", "newline-label", "empty-token"],
     )
     def test_refused_save_leaves_existing_file_untouched(self, tmp_path, table):
         path = tmp_path / "idf.tsv"
