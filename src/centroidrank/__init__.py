@@ -40,7 +40,7 @@ from .retrieval import (
     rank,
     save_index,
 )
-from .semantic import centroid, cosine_distance, weighted_centroid
+from .semantic import centroid, centroids, cosine_distance, weighted_centroid
 from .text import ABBREVIATIONS, TokenSequence, split_sentences, tokenize
 
 __version__ = "0.1.0"
@@ -68,6 +68,7 @@ __all__ = [
     "build_index",
     "build_judgments",
     "centroid",
+    "centroids",
     "cosine_distance",
     "evaluate_questions",
     "judge_relevance",

@@ -6,12 +6,17 @@ word. Fields are split on whitespace as ``str.split`` splits it. Values
 are parsed in bulk by NumPy's text reader, which takes what ``float()``
 takes (decimal and exponent forms, ``inf`` and ``nan``, the last two then
 refused as non-finite) except underscores (``1_0``) and non-ASCII digits.
-Tables are immutable after loading: every vector is a read-only row of
-one matrix.
+
+A table is a ``vocab`` dict from token to row plus one read-only
+``(V, dim)`` float64 matrix of those rows. When a file's header states a
+word count, the matrix is sized once from it, capped by the rows the file
+can hold; otherwise it grows chunk by chunk. Either way it is trimmed to
+the rows read.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import IO, Iterator
 
@@ -27,20 +32,31 @@ _CHUNK_ROWS = 256
 
 @dataclass(eq=False)
 class EmbeddingTable:
-    """Token -> fixed-length float64 vector."""
+    """Token -> fixed-length float64 vector: ``vocab[token]`` is the row of
+    ``matrix`` (shape ``(V, dim)``) that holds the token's vector.
+
+    Vectors are finite. ``matrix`` may hold rows no token maps to (earlier
+    lines of a duplicated token); ``len`` counts tokens.
+    """
 
     dim: int
-    entries: dict[str, np.ndarray] = field(default_factory=dict)
+    vocab: dict[str, int] = field(default_factory=dict)
+    matrix: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.matrix is None:
+            self.matrix = np.empty((0, self.dim))
 
     def lookup(self, token: str) -> np.ndarray | None:
         """Stored vector for ``token``, or None when out of vocabulary."""
-        return self.entries.get(token)
+        row = self.vocab.get(token)
+        return None if row is None else self.matrix[row]
 
     def __contains__(self, token: str) -> bool:
-        return token in self.entries
+        return token in self.vocab
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.vocab)
 
 
 def load_embeddings(source: PathOrIO) -> EmbeddingTable:
@@ -54,28 +70,47 @@ def load_embeddings(source: PathOrIO) -> EmbeddingTable:
     tokens: list[str] = []
     matrix = np.empty((0, 0))
     with open_text(source) as handle:
-        for dim, line_nos, chunk_tokens, values in _chunks(handle):
+        size = _file_size(handle)
+        for count, dim, line_nos, chunk_tokens, values in _chunks(handle):
             block = _parse_chunk(line_nos, values, dim)
             start = len(tokens)
             tokens += chunk_tokens
-            # realloc grows the matrix, so no second full-size copy is
-            # made; no view of it exists until it is complete.
-            matrix.resize((len(tokens), dim), refcheck=False)
-            matrix[start:] = block
+            if len(tokens) > len(matrix):
+                # A row takes at least 2 * dim bytes (a digit and a
+                # separator per value), so a header count beyond what the
+                # file can hold is not trusted. realloc grows the matrix
+                # without a second full-size copy; no view of it exists
+                # until it is complete.
+                rows = max(len(tokens), min(count, size // (2 * dim)))
+                matrix.resize((rows, dim), refcheck=False)
+            matrix[start : len(tokens)] = block
     if not tokens:
         raise ValueError("empty embedding stream")
+    matrix.resize((len(tokens), dim), refcheck=False)
     matrix.flags.writeable = False
-    return EmbeddingTable(dim=dim, entries=dict(zip(tokens, matrix)))
+    vocab = dict(zip(tokens, range(len(tokens))))
+    return EmbeddingTable(dim=dim, vocab=vocab, matrix=matrix)
 
 
-def _chunks(handle: IO[str]) -> Iterator[tuple[int, list[int], list[str], list[str]]]:
-    """Yield ``(dim, line numbers, tokens, value texts)`` for up to
-    ``_CHUNK_ROWS`` data lines at a time, leaving the values unparsed.
+def _file_size(handle: IO[str]) -> int:
+    """Bytes in the file behind ``handle``; 0 for a stream without one."""
+    try:
+        return os.fstat(handle.fileno()).st_size
+    except (AttributeError, OSError):
+        return 0
 
-    Skips blank lines and the header. A line without values is refused
-    only after the lines before it are yielded, so that the first bad line
-    of the file is the one named.
+
+def _chunks(
+    handle: IO[str],
+) -> Iterator[tuple[int, int, list[int], list[str], list[str]]]:
+    """Yield ``(header count, dim, line numbers, tokens, value texts)`` for
+    up to ``_CHUNK_ROWS`` data lines at a time, leaving the values unparsed.
+
+    Skips blank lines and the header; the count is 0 without a header. A
+    line without values is refused only after the lines before it are
+    yielded, so that the first bad line of the file is the one named.
     """
+    count = 0
     dim: int | None = None
     line_nos: list[int] = []
     tokens: list[str] = []
@@ -86,13 +121,13 @@ def _chunks(handle: IO[str]) -> Iterator[tuple[int, list[int], list[str], list[s
             continue
         if len(parts) == 1:
             if values:
-                yield dim, line_nos, tokens, values
+                yield count, dim, line_nos, tokens, values
             got = line.rstrip("\n")
             raise ValueError(f"line {line_no}: expected '<token> <v1> ...', got {got!r}")
         if dim is None:
             fields = parts[1].split()
             if len(fields) == 1 and _is_int(parts[0]) and _is_int(fields[0]):
-                dim = int(fields[0])
+                count, dim = int(parts[0]), int(fields[0])
                 if dim < 1:
                     raise ValueError(f"line {line_no}: header dimension must be >= 1, got {dim}")
                 continue
@@ -101,10 +136,10 @@ def _chunks(handle: IO[str]) -> Iterator[tuple[int, list[int], list[str], list[s
         tokens.append(parts[0])
         values.append(parts[1])
         if len(values) == _CHUNK_ROWS:
-            yield dim, line_nos, tokens, values
+            yield count, dim, line_nos, tokens, values
             line_nos, tokens, values = [], [], []
     if values:
-        yield dim, line_nos, tokens, values
+        yield count, dim, line_nos, tokens, values
 
 
 def _is_int(text: str) -> bool:
@@ -169,7 +204,7 @@ def _parse_line(line_no: int, text: str, dim: int) -> np.ndarray:
 def save_embeddings(table: EmbeddingTable, sink: PathOrIO) -> None:
     """Write ``table`` with a header line; tokens are sorted for stable output."""
     with open_text(sink, "w") as handle:
-        handle.write(f"{len(table.entries)} {table.dim}\n")
-        for token in sorted(table.entries):
-            components = " ".join(repr(float(v)) for v in table.entries[token])
+        handle.write(f"{len(table.vocab)} {table.dim}\n")
+        for token in sorted(table.vocab):
+            components = " ".join(repr(float(v)) for v in table.matrix[table.vocab[token]])
             handle.write(f"{token} {components}\n")

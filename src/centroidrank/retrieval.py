@@ -27,7 +27,7 @@ import numpy as np
 
 from .embeddings import EmbeddingTable
 from .idf import IdfTable
-from .semantic import centroid
+from .semantic import centroid, centroids
 from .text import split_sentences, tokenize
 
 
@@ -119,12 +119,9 @@ def build_index(
         for ordinal, (sentence, _offset) in enumerate(split_sentences(text)):
             passages.append(Passage(f"{doc_id}#{ordinal}", doc_id, sentence))
     passages.sort(key=lambda p: p.passage_id)
-    uniform = np.empty((len(passages), embeddings.dim), dtype=np.float64)
-    idf = np.empty_like(uniform)
-    for row, passage in enumerate(passages):
-        tokens = tokenize(passage.text)
-        uniform[row] = centroid(tokens, embeddings)
-        idf[row] = centroid(tokens, embeddings, doc_idf)
+    uniform, idf = centroids(
+        (tokenize(passage.text) for passage in passages), embeddings, [None, doc_idf.weight]
+    )
     return PassageIndex(embeddings.dim, passages, uniform, idf)
 
 

@@ -126,7 +126,7 @@ def test_criterion_2_oracle_equivalence_on_randomized_indexes():
 
 def test_criterion_3_weight_scale_invariance():
     embeddings = load_embeddings(str(FIXTURES / "embeddings.txt"))
-    vocabulary = sorted(embeddings.entries)
+    vocabulary = sorted(embeddings.vocab)
     rng = random.Random(31415)
     worst = 0.0
     for _ in range(100):
@@ -278,7 +278,7 @@ def test_criterion_6_end_to_end_fixture_cd_q_beats_cd():
         maps[method] = run.aggregates.map
 
     # independent oracle recomputation of the same pinned values
-    vectors = {t: [float(x) for x in v] for t, v in embeddings.entries.items()}
+    vectors = {t: [float(x) for x in embeddings.lookup(t)] for t in embeddings.vocab}
     passages = []
     for doc_id, text in documents:
         for i, (sentence, _off) in enumerate(split_sentences(text)):

@@ -17,10 +17,11 @@ def _load(text: str) -> EmbeddingTable:
 
 def _assert_same_table(table: EmbeddingTable, other: EmbeddingTable) -> None:
     assert table.dim == other.dim
-    assert table.entries.keys() == other.entries.keys()
-    for token, vector in table.entries.items():
-        assert vector.dtype == other.entries[token].dtype == np.float64
-        assert vector.tobytes() == other.entries[token].tobytes()
+    assert table.vocab.keys() == other.vocab.keys()
+    for token in table.vocab:
+        vector = table.lookup(token)
+        assert vector.dtype == other.lookup(token).dtype == np.float64
+        assert vector.tobytes() == other.lookup(token).tobytes()
 
 
 class TestLoad:
@@ -113,9 +114,10 @@ class TestLoad:
 
     def test_vectors_are_read_only_rows_of_one_matrix(self):
         table = _load("a 1.0 2.0\nb 3.0 4.0\na 5.0 6.0\n")
-        bases = {id(vector.base) for vector in table.entries.values()}
-        assert len(bases) == 1
-        assert not table.lookup("b").base.flags.writeable
+        assert table.vocab == {"a": 2, "b": 1}
+        assert table.matrix.shape == (3, 2) and table.matrix.dtype == np.float64
+        assert all(table.lookup(t).base is table.matrix for t in ("a", "b"))
+        assert not table.matrix.flags.writeable
 
     def test_blank_lines_skipped(self):
         table = _load("\na 1.0 2.0\n\nb 3.0 4.0\n")
@@ -126,6 +128,42 @@ class TestLoad:
         path.write_text("1 2\nword 0.5 -0.5\n", encoding="utf-8")
         table = load_embeddings(str(path))
         assert np.array_equal(table.lookup("word"), [0.5, -0.5])
+
+
+class TestHeaderCount:
+    """A file's header count sizes the matrix once; the table read is the
+    one a stream (which grows the matrix chunk by chunk) gives."""
+
+    BODY = "".join(f"w{i} {i}.5 -{i}.25\n" for i in range(5))
+
+    @pytest.mark.parametrize("count", [0, 1, 4, 5, 6, 400, 10**15, -3])
+    @pytest.mark.parametrize("chunk_rows", [2, 256])
+    def test_count_changes_nothing(self, tmp_path, count, chunk_rows):
+        text = f"{count} 2\n" + self.BODY
+        path = tmp_path / "vectors.txt"
+        path.write_text(text, encoding="utf-8")
+        with mock.patch.object(embeddings, "_CHUNK_ROWS", chunk_rows):
+            from_file = load_embeddings(str(path))
+            with open(path, encoding="utf-8") as handle:
+                from_handle = load_embeddings(handle)
+            from_stream = _load(text)
+        for table in (from_file, from_handle):
+            _assert_same_table(table, from_stream)
+            assert table.matrix.shape == (5, 2)
+            assert table.matrix.tobytes() == from_stream.matrix.tobytes()
+
+    @pytest.mark.parametrize("count", [2, 5, 10**15])
+    def test_bad_line_gives_the_stream_message(self, tmp_path, count):
+        text = f"{count} 2\n" + self.BODY + "bad 1.0\n"
+        path = tmp_path / "vectors.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as from_file:
+            load_embeddings(str(path))
+        with pytest.raises(ValueError) as from_stream:
+            _load(text)
+        assert str(from_file.value) == str(from_stream.value) == (
+            "line 7: expected 2 components, got 1"
+        )
 
 
 class TestLookup:
@@ -233,6 +271,6 @@ def test_bulk_parse_matches_line_by_line_oracle(text, chunk_rows):
         dim, entries = expected
         assert isinstance(got, EmbeddingTable), got
         assert got.dim == dim
-        assert list(got.entries) == list(entries)
+        assert list(got.vocab) == list(entries)
         for token, vector in entries.items():
-            assert got.entries[token].tobytes() == np.array(vector, dtype=np.float64).tobytes()
+            assert got.lookup(token).tobytes() == np.array(vector, dtype=np.float64).tobytes()

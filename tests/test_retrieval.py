@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter
 from io import StringIO
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from centroidrank import (
     save_index,
     tokenize,
 )
+from centroidrank import retrieval, semantic
 from oracles import oracle_rank
 from synth import make_instance
 
@@ -98,6 +100,30 @@ class TestBuildIndex:
 
 
 class TestRank:
+    def test_question_centroid_goes_through_retrieval_centroid(
+        self, small_index, tiny_embeddings, tiny_doc_idf, tiny_question_idf, monkeypatch
+    ):
+        # Tracers time the centroid layer by wrapping retrieval.centroid,
+        # which only rank still calls: once per question, whatever the
+        # method or candidate set.
+        calls = []
+        original = retrieval.centroid
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(retrieval, "centroid", counted)
+        questions = [tokenize("Alpha beta."), tokenize("Gamma zzz delta.")]
+        for method in ("cd", "cd-idf", "cd-q"):
+            for candidates in (None, {"d2"}):
+                for question in questions:
+                    calls.clear()
+                    rank(small_index, question, method, 3, tiny_embeddings,
+                         doc_idf=tiny_doc_idf, question_idf=tiny_question_idf,
+                         candidate_docs=candidates)
+                    assert calls == [question]
+
     def test_k_covers_all_candidates(self, small_index, tiny_embeddings, tiny_doc_idf):
         result = rank(
             small_index, ["alpha", "beta"], "cd", 50, tiny_embeddings, tiny_doc_idf
@@ -423,6 +449,50 @@ class TestRankEdgeCases:
                     )
                     assert _ids(top) == copies[:m]
                     assert len({d for _pid, d in top.items}) == 1
+
+    @pytest.mark.parametrize("block", [1, 7, 16, 20, 33, semantic._BLOCK_VECTORS])
+    def test_copies_in_different_blocks_tie_exactly_by_id(self, block):
+        # Sentences of 5, 6, 8 and 9 covered words around the shared
+        # 7-word one: with these block sizes its copies start and end
+        # blocks, share blocks with longer sentences (so they are padded)
+        # or with shorter ones, and are gathered alone.
+        rng = random.Random(11)
+        words = [f"w{i}" for i in range(30)]
+        embeddings = load_embeddings(
+            StringIO(
+                "\n".join(
+                    w + " " + " ".join(repr(rng.uniform(-1, 1)) for _ in range(5))
+                    for w in words
+                )
+            )
+        )
+        shared = "W1 w2 w3 w4 w5 w6 w7."
+        documents = []
+        for d in range(40):
+            sentences = [
+                " ".join([rng.choice(words).capitalize()]
+                         + rng.sample(words, rng.choice([4, 5, 7, 8]))) + "."
+                for _ in range(rng.randrange(0, 4))
+            ]
+            sentences.insert(rng.randrange(len(sentences) + 1), shared)
+            documents.append((f"doc{d:02d}", " ".join(sentences)))
+        doc_idf = build_idf([rng.sample(words, 5) for _ in range(40)], "documents")
+        with mock.patch.object(semantic, "_BLOCK_VECTORS", block):
+            index = build_index(documents, embeddings, doc_idf)
+        rows = [row for row, p in enumerate(index.passages) if p.text == shared]
+        assert len(rows) == 40
+        for matrix in (index.uniform, index.idf):
+            assert len({matrix[row].tobytes() for row in rows}) == 1
+        copies = [index.passages[row].passage_id for row in rows]
+        for method in ("cd", "cd-idf"):
+            items = rank(
+                index, tokenize("w3 w9 w1 w17"), method, len(index), embeddings,
+                doc_idf=doc_idf,
+            ).items
+            tied = [(pos, d) for pos, (pid, d) in enumerate(items) if pid in copies]
+            assert len({d for _pos, d in tied}) == 1
+            assert [pos for pos, _d in tied] == list(range(tied[0][0], tied[0][0] + 40))
+            assert [items[pos][0] for pos, _d in tied] == copies
 
     def test_dimension_mismatch_named(self, small_index):
         wider = load_embeddings(StringIO("alpha 1.0 0.0 0.0"))

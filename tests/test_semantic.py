@@ -1,18 +1,25 @@
 import math
 import random
 from io import StringIO
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centroidrank import (
+    EmbeddingTable,
     IdfTable,
     build_idf,
     centroid,
+    centroids,
     cosine_distance,
     load_embeddings,
+    semantic,
     weighted_centroid,
 )
+from oracles import oracle_centroid
 
 
 @pytest.fixture
@@ -168,3 +175,69 @@ class TestWeightScaleInvariance:
 
         scaled = centroid(["a", "b"], ab_table, Scaled(idf, 37.5))
         assert np.allclose(base, scaled, atol=1e-9)
+
+
+# Components mix signed zeros with magnitudes far apart, so that any change
+# in the order of the additions shows in the last bits.
+_COMPONENT = st.one_of(
+    st.sampled_from([0.0, -0.0, -0.0, 1.0, -1.0, 1e-300, 3e16]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False, allow_subnormal=True),
+)
+_WEIGHT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, -2.5, 1e-3, 7.0, -7.0]),
+    st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False),
+)
+_OOV = ("oov", "zzz")
+
+
+@st.composite
+def _centroid_cases(draw):
+    dim = draw(st.integers(1, 4))
+    words = [f"w{i}" for i in range(draw(st.integers(1, 6)))]
+    rows = [draw(st.lists(_COMPONENT, min_size=dim, max_size=dim)) for _ in words]
+    table = EmbeddingTable(dim=dim, vocab={w: i for i, w in enumerate(words)},
+                           matrix=np.array(rows, dtype=np.float64).reshape(len(words), dim))
+    weights = {token: draw(_WEIGHT) for token in words + list(_OOV)}
+    token = st.sampled_from(words + list(_OOV))
+    lists = draw(st.lists(st.lists(token, max_size=20), max_size=6))
+    # Signed weights that cancel: +w and -w over two covered tokens.
+    if len(words) >= 2 and draw(st.booleans()):
+        w = draw(st.floats(0.1, 10.0))
+        weights[words[0]], weights[words[1]] = w, -w
+        lists.append([words[0], "oov", words[1]])
+    return table, weights, lists
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, semantic._BLOCK_VECTORS])
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(case=_centroid_cases())
+def test_bulk_and_one_row_centroids_match_the_per_token_loop(block, case):
+    table, weights, lists = case
+    with mock.patch.object(semantic, "_BLOCK_VECTORS", block):
+        uniform, weighted = centroids(lists, table, [None, weights.__getitem__])
+    assert uniform.shape == weighted.shape == (len(lists), table.dim)
+    for row, tokens in enumerate(lists):
+        want_uniform = oracle_centroid(tokens, table, lambda _t: 1.0).tobytes()
+        want_weighted = oracle_centroid(tokens, table, weights.__getitem__).tobytes()
+        assert uniform[row].tobytes() == want_uniform
+        assert weighted[row].tobytes() == want_weighted
+        assert centroid(tokens, table).tobytes() == want_uniform
+        assert weighted_centroid(tokens, table, weights.__getitem__).tobytes() == want_weighted
+
+
+def test_cancelling_weights_and_all_negative_zero_components():
+    table = EmbeddingTable(dim=2, vocab={"a": 0, "b": 1},
+                           matrix=np.array([[-0.0, 1.0], [-0.0, 3.0]]))
+    weights = {"a": 2.0, "b": -2.0, "zzz": 1.0}.__getitem__
+    uniform, weighted = centroids([["a", "b"], ["a", "zzz"]], table, [None, weights])
+    # Summed from +0.0, a column of -0.0 components is +0.0.
+    assert [np.signbit(v) for v in uniform[0]] == [False, False]
+    assert weighted[0].tobytes() == np.zeros(2).tobytes()
+    assert weighted[1].tobytes() == oracle_centroid(["a", "zzz"], table, weights).tobytes()
+    assert not uniform.flags.writeable and not weighted.flags.writeable
+
+
+def test_vocab_row_outside_the_matrix_is_refused():
+    table = EmbeddingTable(dim=1, vocab={"a": 0, "b": 2}, matrix=np.ones((2, 1)))
+    with pytest.raises(IndexError, match="outside its matrix"):
+        centroids([["a"], ["b"]], table, [None])
