@@ -11,7 +11,8 @@ A table is a ``vocab`` dict from token to row plus one read-only
 ``(V, dim)`` float64 matrix of those rows. When a file's header states a
 word count, the matrix is sized once from it, capped by the rows the file
 can hold; otherwise it grows chunk by chunk. Either way it is trimmed to
-the rows read.
+the rows read, and a token given on more than one line keeps only the row
+of its last line.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ class EmbeddingTable:
     """Token -> fixed-length float64 vector: ``vocab[token]`` is the row of
     ``matrix`` (shape ``(V, dim)``) that holds the token's vector.
 
-    Vectors are finite. ``matrix`` may hold rows no token maps to (earlier
-    lines of a duplicated token); ``len`` counts tokens.
+    Vectors are finite; ``len`` counts tokens. A vocab row outside the
+    matrix raises IndexError.
     """
 
     dim: int
@@ -46,6 +47,10 @@ class EmbeddingTable:
     def __post_init__(self) -> None:
         if self.matrix is None:
             self.matrix = np.empty((0, self.dim))
+        rows = self.vocab.values()
+        # A row of -1 would silently read the last vector.
+        if rows and not 0 <= min(rows) <= max(rows) < len(self.matrix):
+            raise IndexError("an embedding vocab row lies outside its matrix")
 
     def lookup(self, token: str) -> np.ndarray | None:
         """Stored vector for ``token``, or None when out of vocabulary."""
@@ -87,8 +92,12 @@ def load_embeddings(source: PathOrIO) -> EmbeddingTable:
     if not tokens:
         raise ValueError("empty embedding stream")
     matrix.resize((len(tokens), dim), refcheck=False)
-    matrix.flags.writeable = False
     vocab = dict(zip(tokens, range(len(tokens))))
+    if len(vocab) < len(tokens):
+        # Keep only the last row of a repeated token.
+        matrix = matrix[list(vocab.values())]
+        vocab = dict(zip(vocab, range(len(vocab))))
+    matrix.flags.writeable = False
     return EmbeddingTable(dim=dim, vocab=vocab, matrix=matrix)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .embeddings import EmbeddingTable
 from .idf import IdfTable
-from .semantic import centroid, centroids
+from .semantic import centroid, centroids, cosine_distances
 from .text import split_sentences, tokenize
 
 
@@ -186,16 +186,7 @@ def rank(
     rows = _candidate_rows(index, candidate_docs)
     if rows is not None:
         matrix, norms = matrix[rows], norms[rows]
-    # einsum reduces each row with the same instruction sequence wherever
-    # the row sits, so identical passages get bit-identical scores and tie
-    # exactly; a BLAS mat-vec may round a row differently by position.
-    dots = np.einsum("ij,j->i", matrix, q)
-    denominators = norms * float(np.linalg.norm(q))
-    # A zero row or a zero question keeps similarity 0: the neutral 1.0.
-    similarity = np.divide(
-        dots, denominators, out=np.zeros_like(dots), where=denominators > 0.0
-    )
-    distances = 1.0 - np.clip(similarity, -1.0, 1.0)
+    distances = cosine_distances(matrix, norms, q)
     pool = np.arange(len(distances))
     if k < len(distances):
         # Only rows that beat or tie the k-th smallest distance can make the

@@ -6,16 +6,15 @@ weight 0, contribute nothing, to either the numerator or the weight
 normalizer, so out-of-vocabulary noise does not dilute the covered
 content. All arithmetic is 64-bit.
 
-:func:`centroids` computes the centroids of many sequences under several
-weightings at once, and :func:`weighted_centroid` and :func:`centroid`
-are its one-row case. Each sequence is mapped to the embedding rows of
-its covered tokens once, and each distinct token's weight is looked up
-once. Sequences are ordered by covered length and their rows gathered in
-blocks of about ``_BLOCK_VECTORS`` word vectors, one block shared by every
-weighting. A centroid has the bytes a per-token loop gives it: weight
-times vector summed in token order starting from +0.0, the weights summed
-in token order, the zero vector when that sum is 0.0, and the division
-last.
+Every centroid is summed the same way, with ``+=`` in token order:
+weight times vector added to a sum that starts at +0.0, the weights added
+to another, the zero vector when the weight sum is 0.0, and the division
+last. :func:`weighted_centroid` and :func:`centroid` do this one token at
+a time. :func:`centroids` does it for many sequences under several
+weightings at once: each sequence is mapped to the embedding rows of its
+covered tokens once, each distinct token's weight is looked up once, and
+token position ``j`` of up to ``_CHUNK_ROWS`` sequences is added in one
+step. No centroid depends on how NumPy orders a reduction.
 """
 
 from __future__ import annotations
@@ -27,9 +26,10 @@ import numpy as np
 
 from .embeddings import EmbeddingTable
 
-# Word vectors gathered per block, 0.4 MB at 200 dimensions; blocks of
-# 1024 and more were slower. A longer sequence is a block of its own.
-_BLOCK_VECTORS = 256
+# Sequences summed side by side: each sum holds 0.4 MB at 200 dimensions.
+# Summing all 4 000 sequences of a benchmark build at once raised the peak
+# memory of the call from 17 to 40 MB, and was no faster.
+_CHUNK_ROWS = 256
 
 Weight = Callable[[str], float]
 
@@ -63,61 +63,38 @@ def centroids(
             token_weights.append(np.fromiter(map(by_row.__getitem__, ids), np.float64, len(ids)))
     del distinct
     ids, counts = np.array(ids, dtype=np.intp), np.array(counts, dtype=np.intp)
-    if len(ids) and not 0 <= ids.min() <= ids.max() < len(embeddings.matrix):
-        raise IndexError("an embedding vocab row lies outside its matrix")
     starts = np.cumsum(counts) - counts
     dim = embeddings.dim
     outs = [np.zeros((len(counts), dim)) for _ in weights]
 
-    # Longest first, so that a block pads little; uncovered lists stay zero.
+    # Longest first, so that the sequences still running at a token
+    # position are a prefix of their chunk; uncovered lists stay zero.
     order = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
-    # One pair of buffers serves every block.
-    size = max(_BLOCK_VECTORS, counts.max(initial=0))
-    gathered, terms = np.empty(size * dim), np.empty(size * (dim + 1))
-    done = 0
-    while done < len(order):
-        length = counts[order[done]]
-        block = order[done : done + max(1, _BLOCK_VECTORS // length)]
-        done += len(block)
-        # Token j of every sequence in the block is layer j; weight 0.0 pads.
-        position = np.arange(length)[:, None]
-        valid = position < counts[block]
-        at = np.where(valid, position + starts[block], 0)
-        # The ids are rows of the matrix (checked above), so "clip" clips
-        # nothing; it lets take write straight into its out array.
-        vectors = np.take(
-            embeddings.matrix, ids[at], axis=0, mode="clip",
-            out=gathered[: at.size * dim].reshape(*at.shape, dim),
-        )
-        block_terms = terms[: at.size * (dim + 1)].reshape(*at.shape, dim + 1)
-        for out, token_weight in zip(outs, token_weights):
-            layer_weights = np.where(valid, token_weight[at], 0.0)
-            np.multiply(vectors, layer_weights[:, :, None], out=block_terms[:, :, :dim])
-            block_terms[:, :, dim] = layer_weights
-            out[block] = _centroid_rows(block_terms)
+    for first in range(0, len(order), _CHUNK_ROWS):
+        chunk = order[first : first + _CHUNK_ROWS]
+        lengths, chunk_starts = counts[chunk], starts[chunk]
+        sums = [np.zeros((len(chunk), dim)) for _ in weights]
+        totals = [np.zeros(len(chunk)) for _ in weights]
+        for j in range(lengths[0]):
+            at = chunk_starts[: np.count_nonzero(lengths > j)] + j
+            vectors = embeddings.matrix[ids[at]]
+            for acc, total, token_weight in zip(sums, totals, token_weights):
+                w = token_weight[at]
+                acc[: len(at)] += w[:, None] * vectors
+                total[: len(at)] += w
+        for out, acc, total in zip(outs, sums, totals):
+            out[chunk] = _divided(acc, total[:, None])
     for out in outs:
         out.flags.writeable = False
     return outs
 
 
-def _centroid_rows(terms: np.ndarray) -> np.ndarray:
-    """Centroids from C-contiguous ``terms`` of shape ``(L, ..., dim + 1)``:
-    ``terms[j, ..., :dim]`` is token ``j``'s weight times its vector and
-    ``terms[j, ..., dim]`` its weight.
-
-    One reduce over axis 0 sums both. numpy adds layer after layer, in
-    token order from +0.0, because its inner loop runs across a layer of
-    at least two numbers; a lone column would be added pairwise. A row
-    whose weights sum to 0.0 is zero.
-    """
-    sums = np.add.reduce(terms, axis=0, initial=0.0)
-    weight_sums = sums[..., -1]
-    if 0.0 in weight_sums.reshape(-1).tolist():
-        # Weights of either sign can cancel, leaving the sum nonzero.
-        cancelled = weight_sums == 0.0
-        sums[cancelled] = 0.0
-        weight_sums[cancelled] = 1.0
-    return sums[..., :-1] / weight_sums[..., None]
+def _divided(numerator: np.ndarray, divisor) -> np.ndarray:
+    """``numerator / divisor``, but +0.0 where the divisor is 0.0: a
+    centroid whose weights cancel is zero, and so is the similarity of a
+    zero vector."""
+    nonzero = divisor != 0.0
+    return np.where(nonzero, numerator / np.where(nonzero, divisor, 1.0), 0.0)
 
 
 def weighted_centroid(
@@ -130,18 +107,18 @@ def weighted_centroid(
     covered, weights summing to zero) yield the zero vector rather than an
     error.
 
-    This is the one-row case of :func:`centroids`, with the same terms and
-    the same sums.
+    This is the one-row case of :func:`centroids`, with the same sums.
     """
-    vocab = embeddings.vocab
-    rows = [vocab[token] for token in tokens if token in vocab]
-    vectors = embeddings.matrix.take(rows, axis=0)
-    if weight is None:
-        weights = np.ones((len(rows), 1))  # 1.0 * vector is the vector
-    else:
-        weights = np.array([float(weight(t)) for t in tokens if t in vocab]).reshape(-1, 1)
-        vectors *= weights
-    result = _centroid_rows(np.concatenate((vectors, weights), axis=1))
+    vocab, matrix = embeddings.vocab, embeddings.matrix
+    acc = np.zeros(embeddings.dim)
+    total = 0.0
+    for token in tokens:
+        row = vocab.get(token)
+        if row is not None:
+            w = 1.0 if weight is None else float(weight(token))
+            acc += w * matrix[row]
+            total += w
+    result = _divided(acc, total)
     result.flags.writeable = False
     return result
 
@@ -159,22 +136,29 @@ def centroid(
     return weighted_centroid(tokens, embeddings, None if idf is None else idf.weight)
 
 
-def cosine_distance(u, v) -> float:
-    """1 - cos(angle) between two array-likes, in [0, 2].
+def cosine_distances(matrix: np.ndarray, norms: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """1 - cos(angle) between each row of ``matrix``, whose norms are
+    ``norms``, and the vector ``q``, each in [0, 2].
 
-    A zero-norm operand gives the neutral distance 1.0, so all-OOV
+    A zero row or a zero ``q`` gives the neutral distance 1.0, so all-OOV
     passages stay rankable without ever outranking a positively matching
     one.
     """
+    # einsum reduces each row with the same instruction sequence wherever
+    # the row sits, so identical rows get bit-identical distances; a BLAS
+    # mat-vec may round a row differently by position.
+    dots = np.einsum("ij,j->i", matrix, q)
+    similarity = _divided(dots, norms * float(np.linalg.norm(q)))
+    # 64-bit rounding can push |similarity| a few ulps past 1.
+    return 1.0 - np.clip(similarity, -1.0, 1.0)
+
+
+def cosine_distance(u, v) -> float:
+    """1 - cos(angle) between two array-likes, in [0, 2]: the one-row case
+    of :func:`cosine_distances`."""
     a = np.asarray(u, dtype=np.float64)
     b = np.asarray(v, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 1.0
-    similarity = float(np.dot(a, b)) / (norm_a * norm_b)
-    # 64-bit rounding can push |similarity| a few ulps past 1.
-    similarity = max(-1.0, min(1.0, similarity))
-    return 1.0 - similarity
+    a = a.reshape(1, -1)
+    return float(cosine_distances(a, np.linalg.norm(a, axis=1), b.reshape(-1))[0])

@@ -114,8 +114,9 @@ class TestLoad:
 
     def test_vectors_are_read_only_rows_of_one_matrix(self):
         table = _load("a 1.0 2.0\nb 3.0 4.0\na 5.0 6.0\n")
-        assert table.vocab == {"a": 2, "b": 1}
-        assert table.matrix.shape == (3, 2) and table.matrix.dtype == np.float64
+        assert table.vocab == {"a": 0, "b": 1}
+        assert table.matrix.shape == (2, 2) and table.matrix.dtype == np.float64
+        assert table.matrix.tolist() == [[5.0, 6.0], [3.0, 4.0]]
         assert all(table.lookup(t).base is table.matrix for t in ("a", "b"))
         assert not table.matrix.flags.writeable
 

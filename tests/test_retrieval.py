@@ -450,12 +450,12 @@ class TestRankEdgeCases:
                     assert _ids(top) == copies[:m]
                     assert len({d for _pid, d in top.items}) == 1
 
-    @pytest.mark.parametrize("block", [1, 7, 16, 20, 33, semantic._BLOCK_VECTORS])
-    def test_copies_in_different_blocks_tie_exactly_by_id(self, block):
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 16, 20, 33, semantic._CHUNK_ROWS])
+    def test_copies_in_different_blocks_tie_exactly_by_id(self, chunk):
         # Sentences of 5, 6, 8 and 9 covered words around the shared
-        # 7-word one: with these block sizes its copies start and end
-        # blocks, share blocks with longer sentences (so they are padded)
-        # or with shorter ones, and are gathered alone.
+        # 7-word one: with these chunk sizes its copies start and end
+        # chunks, share chunks with longer sentences (so they stop before
+        # the chunk does) or with shorter ones, and are summed alone.
         rng = random.Random(11)
         words = [f"w{i}" for i in range(30)]
         embeddings = load_embeddings(
@@ -477,7 +477,7 @@ class TestRankEdgeCases:
             sentences.insert(rng.randrange(len(sentences) + 1), shared)
             documents.append((f"doc{d:02d}", " ".join(sentences)))
         doc_idf = build_idf([rng.sample(words, 5) for _ in range(40)], "documents")
-        with mock.patch.object(semantic, "_BLOCK_VECTORS", block):
+        with mock.patch.object(semantic, "_CHUNK_ROWS", chunk):
             index = build_index(documents, embeddings, doc_idf)
         rows = [row for row, p in enumerate(index.passages) if p.text == shared]
         assert len(rows) == 40

@@ -208,12 +208,12 @@ def _centroid_cases(draw):
     return table, weights, lists
 
 
-@pytest.mark.parametrize("block", [1, 2, 3, semantic._BLOCK_VECTORS])
+@pytest.mark.parametrize("chunk", [1, 2, 3, semantic._CHUNK_ROWS])
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(case=_centroid_cases())
-def test_bulk_and_one_row_centroids_match_the_per_token_loop(block, case):
+def test_bulk_and_one_row_centroids_match_the_per_token_loop(chunk, case):
     table, weights, lists = case
-    with mock.patch.object(semantic, "_BLOCK_VECTORS", block):
+    with mock.patch.object(semantic, "_CHUNK_ROWS", chunk):
         uniform, weighted = centroids(lists, table, [None, weights.__getitem__])
     assert uniform.shape == weighted.shape == (len(lists), table.dim)
     for row, tokens in enumerate(lists):
@@ -238,6 +238,6 @@ def test_cancelling_weights_and_all_negative_zero_components():
 
 
 def test_vocab_row_outside_the_matrix_is_refused():
-    table = EmbeddingTable(dim=1, vocab={"a": 0, "b": 2}, matrix=np.ones((2, 1)))
-    with pytest.raises(IndexError, match="outside its matrix"):
-        centroids([["a"], ["b"]], table, [None])
+    for row in (2, -1):
+        with pytest.raises(IndexError, match="outside its matrix"):
+            EmbeddingTable(dim=1, vocab={"a": 0, "b": row}, matrix=np.ones((2, 1)))
