@@ -200,27 +200,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output index directory")
     p.set_defaults(func=cmd_index_build)
 
-    p = sub.add_parser("query", help="rank passages for one question")
-    p.add_argument("--index", required=True, help="index directory from index-build")
-    p.add_argument("--embeddings")
-    p.add_argument("--doc-idf")
-    p.add_argument("--question-idf")
-    p.add_argument("--method", choices=[m.value for m in Method], default="cd")
-    p.add_argument("--k", type=int, default=DEFAULT_CUTOFF)
+    ranking = argparse.ArgumentParser(add_help=False)
+    ranking.add_argument("--index", required=True, help="index directory from index-build")
+    ranking.add_argument("--embeddings")
+    ranking.add_argument("--doc-idf")
+    ranking.add_argument("--question-idf")
+    ranking.add_argument("--method", choices=[m.value for m in Method], default="cd")
+    ranking.add_argument("--k", type=int, default=DEFAULT_CUTOFF)
+    ranking.add_argument("--seed", type=int, default=0, help="seed for the rnd method")
+
+    p = sub.add_parser("query", parents=[ranking], help="rank passages for one question")
     p.add_argument("--question", required=True, help="question text")
     p.add_argument("--docs", help="comma-separated doc ids restricting candidates")
-    p.add_argument("--seed", type=int, default=0, help="seed for the rnd method")
     p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("eval", help="evaluate a question set and write a run file")
+    p = sub.add_parser(
+        "eval", parents=[ranking], help="evaluate a question set and write a run file"
+    )
     p.add_argument("--questions", required=True, help="question-set JSON path")
-    p.add_argument("--index", required=True, help="index directory from index-build")
-    p.add_argument("--embeddings")
-    p.add_argument("--doc-idf")
-    p.add_argument("--question-idf")
-    p.add_argument("--method", choices=[m.value for m in Method], default="cd")
-    p.add_argument("--k", type=int, default=DEFAULT_CUTOFF)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--overlap-threshold", type=int, default=OVERLAP_THRESHOLD)
     p.add_argument("--out", required=True, help="output run JSON path")
     p.set_defaults(func=cmd_eval)

@@ -411,17 +411,19 @@ def load_run(source: PathOrIO) -> RunResult:
         method = data["method"]
         run = RunResult(method=method)
         for entry in data["questions"]:
+            qid = entry["id"]
+            if qid in run.per_question:
+                raise ValueError(f"run file repeats question {qid!r}")
+            scores = {name: float(entry[name]) for name in ("ap", "precision", "recall")}
+            for name, value in scores.items():
+                if not 0.0 <= value <= 1.0:  # NaN fails too
+                    raise ValueError(f"question {qid!r}: {name} {value} is not in [0, 1]")
             ranking = RankedList(
-                question_id=entry["id"],
+                question_id=qid,
                 method=Method(method),
                 items=[(r["passage_id"], float(r["score"])) for r in entry["ranking"]],
             )
-            run.per_question[entry["id"]] = QuestionScore(
-                ranking=ranking,
-                ap=float(entry["ap"]),
-                precision=float(entry["precision"]),
-                recall=float(entry["recall"]),
-            )
+            run.per_question[qid] = QuestionScore(ranking=ranking, **scores)
         agg = data["aggregates"]
         run.aggregates = Aggregates(
             map=float(agg["map"]),

@@ -24,7 +24,8 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # ("e.g", "i.e").
 _PRECEDING_TOKEN_RE = re.compile(r"([A-Za-z0-9]+(?:\.[A-Za-z0-9]+)*)$")
 
-_TERMINATORS = frozenset(".!?")
+# A terminator, whitespace, and the next sentence's first character (not consumed).
+_BOUNDARY_RE = re.compile(r"([.!?])\s+(?=(\S))")
 
 #: Dot-abbreviations that never end a sentence.
 ABBREVIATIONS = frozenset({"fig", "al", "e.g", "i.e", "dr", "vs", "etc"})
@@ -77,35 +78,28 @@ def _preceding_token(text: str, end: int) -> str:
 def split_sentences(document_text: str) -> list[tuple[str, int]]:
     """Split a document into (sentence_text, char_offset) pairs.
 
-    A boundary is placed after '.', '!' or '?' followed by whitespace and
-    an uppercase letter or digit, unless the token before a '.' is a known
-    abbreviation. Sentences are contiguous spans of the input with
+    One regex scan finds each '.', '!' or '?' followed by whitespace; a
+    sentence starts at the first character after that whitespace if it
+    is an uppercase letter or digit, unless the token before a '.' is a
+    known abbreviation. Sentences are contiguous spans of the input with
     surrounding whitespace trimmed, so offsets are strictly increasing and
     the non-whitespace content of the input is preserved.
     """
-    n = len(document_text)
     starts = [0]
-    for i, ch in enumerate(document_text):
-        if ch not in _TERMINATORS:
-            continue
-        j = i + 1
-        if j >= n or not document_text[j].isspace():
-            continue
-        k = j
-        while k < n and document_text[k].isspace():
-            k += 1
-        if k >= n:
-            continue
-        nxt = document_text[k]
+    for m in _BOUNDARY_RE.finditer(document_text):
+        terminator, nxt = m.groups()
         if not (nxt.isupper() or nxt.isdigit()):
             continue
-        if ch == "." and _preceding_token(document_text, i) in ABBREVIATIONS:
+        if (
+            terminator == "."
+            and _preceding_token(document_text, m.start()) in ABBREVIATIONS
+        ):
             continue
-        starts.append(k)
+        starts.append(m.end())
 
     sentences: list[tuple[str, int]] = []
     for idx, begin in enumerate(starts):
-        end = starts[idx + 1] if idx + 1 < len(starts) else n
+        end = starts[idx + 1] if idx + 1 < len(starts) else len(document_text)
         chunk = document_text[begin:end]
         stripped = chunk.strip()
         if not stripped:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 
@@ -262,3 +263,52 @@ def oracle_load_embeddings(handle):
     if dim is None:
         raise ValueError("empty embedding stream")
     return dim, entries
+
+
+# The sentence splitter's token and abbreviation rules, copied so that the
+# oracle below shares nothing with ``centroidrank.text``.
+_ORACLE_PRECEDING_TOKEN_RE = re.compile(r"([A-Za-z0-9]+(?:\.[A-Za-z0-9]+)*)$")
+_ORACLE_TERMINATORS = frozenset(".!?")
+_ORACLE_ABBREVIATIONS = frozenset({"fig", "al", "e.g", "i.e", "dr", "vs", "etc"})
+
+
+def _oracle_preceding_token(text: str, end: int) -> str:
+    window_start = max(0, end - 40)
+    m = _ORACLE_PRECEDING_TOKEN_RE.search(text, window_start, end)
+    return m.group(1).lower() if m else ""
+
+
+def oracle_split_sentences(document_text: str) -> list[tuple[str, int]]:
+    """Sentences as the splitter found them with a loop over every
+    character: a boundary after '.', '!' or '?', whitespace, and an
+    uppercase letter or digit, unless a '.' ends a known abbreviation."""
+    n = len(document_text)
+    starts = [0]
+    for i, ch in enumerate(document_text):
+        if ch not in _ORACLE_TERMINATORS:
+            continue
+        j = i + 1
+        if j >= n or not document_text[j].isspace():
+            continue
+        k = j
+        while k < n and document_text[k].isspace():
+            k += 1
+        if k >= n:
+            continue
+        nxt = document_text[k]
+        if not (nxt.isupper() or nxt.isdigit()):
+            continue
+        if ch == "." and _oracle_preceding_token(document_text, i) in _ORACLE_ABBREVIATIONS:
+            continue
+        starts.append(k)
+
+    sentences: list[tuple[str, int]] = []
+    for idx, begin in enumerate(starts):
+        end = starts[idx + 1] if idx + 1 < len(starts) else n
+        chunk = document_text[begin:end]
+        stripped = chunk.strip()
+        if not stripped:
+            continue
+        offset = begin + (len(chunk) - len(chunk.lstrip()))
+        sentences.append((stripped, offset))
+    return sentences

@@ -644,6 +644,29 @@ class TestCompare:
         err = capsys.readouterr().err
         assert "q1" in err and "q2" in err
 
+    @pytest.mark.parametrize("bad_ap", [float("nan"), 7.5])
+    def test_score_outside_unit_interval_exit_2(self, workspace, capsys, bad_ap):
+        run_a = workspace["run"].parent / "a.json"
+        run_b = workspace["run"].parent / "b.json"
+        scores = {f"q{i}": 0.5 + 0.08 * i for i in range(1, 6)}
+        _write_run(run_a, "cd", scores)
+        _write_run(run_b, "cd", {**scores, "q3": bad_ap})
+        code = main(["compare", "--run-a", str(run_a), "--run-b", str(run_b)])
+        assert code == 2
+        assert "question 'q3': ap" in capsys.readouterr().err
+
+    def test_repeated_question_exit_2(self, workspace, capsys):
+        run_a = workspace["run"].parent / "a.json"
+        run_b = workspace["run"].parent / "b.json"
+        _write_run(run_a, "cd", {"q1": 0.5, "q2": 0.25})
+        _write_run(run_b, "cd", {"q1": 0.5, "q2": 0.25})
+        payload = json.loads(run_b.read_text(encoding="utf-8"))
+        payload["questions"].append(dict(payload["questions"][0], ap=1.0))
+        run_b.write_text(json.dumps(payload), encoding="utf-8")
+        code = main(["compare", "--run-a", str(run_a), "--run-b", str(run_b)])
+        assert code == 2
+        assert "repeats question 'q1'" in capsys.readouterr().err
+
     def test_metric_selection(self, workspace, capsys):
         run_a = workspace["run"].parent / "a.json"
         run_b = workspace["run"].parent / "b.json"

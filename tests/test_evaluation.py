@@ -1,3 +1,4 @@
+import json
 import random
 from io import StringIO
 
@@ -537,3 +538,27 @@ class TestRunFiles:
     def test_malformed_run_file(self):
         with pytest.raises(ValueError, match="malformed"):
             load_run(StringIO('{"questions": []}'))
+
+    @staticmethod
+    def _run_json(*entries):
+        questions = [
+            {"ranking": [], "ap": 0.5, "precision": 0.5, "recall": 0.5, **entry}
+            for entry in entries
+        ]
+        aggregates = {"map": 0.5, "precision": 0.5, "recall": 0.5, "f1": 0.5}
+        return StringIO(
+            json.dumps({"method": "cd", "questions": questions, "aggregates": aggregates})
+        )
+
+    def test_repeated_question_rejected(self):
+        run = load_run(self._run_json({"id": "q1"}, {"id": "q2", "ap": 1}))
+        assert set(run.per_question) == {"q1", "q2"}
+        with pytest.raises(ValueError, match="repeats question 'q1'"):
+            load_run(self._run_json({"id": "q1"}, {"id": "q2"}, {"id": "q1", "ap": 0.25}))
+
+    @pytest.mark.parametrize("field", ["ap", "precision", "recall"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 7.5, -0.25, 1.0000001])
+    def test_score_outside_unit_interval_rejected(self, field, value):
+        entries = ({"id": "q1", field: 0.0}, {"id": "q2", field: value})
+        with pytest.raises(ValueError, match=rf"question 'q2': {field} .* is not in \[0, 1\]"):
+            load_run(self._run_json(*entries))

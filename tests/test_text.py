@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from centroidrank import split_sentences, tokenize
 from centroidrank.text import _TOKEN_RE, open_text
 
+from oracles import oracle_split_sentences
+
 
 def test_open_text_leaves_streams_open_and_closes_files(tmp_path):
     stream = io.StringIO()
@@ -179,6 +181,32 @@ class TestSplitSentences:
                 assert offset > previous
                 assert text[offset : offset + len(sentence)] == sentence
                 previous = offset
+
+
+# Terminators; Unicode whitespace (vertical tab, file separator, no-break
+# and ideographic space); non-ASCII upper case and digits, with title-case
+# 'ǅ' (not isupper) and 'Ⓐ' (upper case, not alphanumeric); abbreviations,
+# words that only end like one, and a token longer than the 40-character
+# window before a '.'.
+_SPLIT_PIECES = (
+    list(".!?, \t\n\x0b\x1c\xa0\u3000") + list("ÉǅⅠⒶ²١")
+    + ["e.g.", "Fig.", "et al.", "Dr.", "vs.", "etc.", "i.e.", "config.", "x.fig."]
+    + ["q" * 37 + "fig."]
+)
+
+
+@settings(max_examples=3000, deadline=None, database=None, derandomize=True)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from(_SPLIT_PIECES),
+            st.sampled_from(string.ascii_letters + string.digits),
+        ),
+        max_size=30,
+    ).map("".join)
+)
+def test_split_sentences_matches_per_character_oracle(text):
+    assert split_sentences(text) == oracle_split_sentences(text)
 
 
 def _strip_ws(text: str) -> str:
