@@ -15,29 +15,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
-from .embeddings import EmbeddingTable, load_embeddings
-from .evaluation import (
-    DEFAULT_CUTOFF,
-    OVERLAP_THRESHOLD,
-    _check_overlap_threshold,
-    evaluate_questions,
-    load_run,
-    save_run,
-    wilcoxon_signed_rank,
-)
-from .idf import IdfTable, build_idf, load_idf, save_idf
-from .ingest import load_question_set
-from .retrieval import (
-    Method,
-    PassageIndex,
-    build_index,
-    load_index,
-    random_baseline,
-    rank,
-    save_index,
-)
-from .text import tokenize
+# The parser needs only the numpy-free run names; each command imports the
+# rest of the library itself, so ``idf-build`` and ``compare`` never load
+# numpy.
+from .runs import DEFAULT_CUTOFF, OVERLAP_THRESHOLD, Method, _check_overlap_threshold
+
+if TYPE_CHECKING:
+    from .embeddings import EmbeddingTable
+    from .idf import IdfTable
+    from .retrieval import PassageIndex
 
 _UNIT_LABELS = {"doc": "documents", "question": "questions"}
 
@@ -46,6 +34,10 @@ def _load_artifacts(
     args: argparse.Namespace,
 ) -> tuple[PassageIndex, EmbeddingTable | None, IdfTable | None, IdfTable | None]:
     """Check the query/eval flags, then load the artifacts they name."""
+    from .embeddings import load_embeddings
+    from .idf import load_idf
+    from .retrieval import load_index
+
     method = Method(args.method)
     if args.k < 1:
         raise ValueError(f"k must be >= 1, got {args.k}")
@@ -68,6 +60,9 @@ def _load_artifacts(
 
 
 def cmd_idf_build(args: argparse.Namespace) -> int:
+    from .idf import build_idf, save_idf
+    from .text import tokenize
+
     units = []
     for path in args.corpus:
         with open(path, "r", encoding="utf-8") as handle:
@@ -97,6 +92,10 @@ def _read_documents(path: str) -> list[tuple[str, str]]:
 
 
 def cmd_index_build(args: argparse.Namespace) -> int:
+    from .embeddings import load_embeddings
+    from .idf import load_idf
+    from .retrieval import build_index, save_index
+
     documents = _read_documents(args.docs)
     embeddings = load_embeddings(args.embeddings)
     doc_idf = load_idf(args.doc_idf)
@@ -109,6 +108,9 @@ def cmd_index_build(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
+    from .retrieval import random_baseline, rank
+    from .text import tokenize
+
     index, embeddings, doc_idf, question_idf = _load_artifacts(args)
     candidate_docs = (
         {d for d in args.docs.split(",") if d} if args.docs is not None else None
@@ -133,6 +135,9 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .evaluation import evaluate_questions, save_run
+    from .ingest import load_question_set
+
     _check_overlap_threshold(args.overlap_threshold)
     index, embeddings, doc_idf, question_idf = _load_artifacts(args)
     questions = load_question_set(args.questions)
@@ -156,6 +161,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .runs import load_run, wilcoxon_signed_rank
+
     run_a = load_run(args.run_a)
     run_b = load_run(args.run_b)
     ids_a = set(run_a.per_question)

@@ -1,4 +1,4 @@
-"""Relevance judging, ranking metrics at a cutoff, and paired significance.
+"""Relevance judging, ranking metrics at a cutoff, and whole-run scoring.
 
 Gold annotations are free-text snippets, while the retrieval unit is a
 single sentence, so relevance matching is token based: a passage counts as
@@ -9,14 +9,12 @@ contiguous token run, or both contain the same run of t tokens
 
 Metrics (AP, precision, recall) are computed per question at a cutoff and
 averaged arithmetically; F1 is the harmonic mean of the averaged precision
-and recall. Run comparison uses a two-sided Wilcoxon signed-rank test,
-exact for up to 20 nonzero differences and normal-approximated beyond.
+and recall. Run results, run files and the Wilcoxon comparison live in the
+numpy-free :mod:`centroidrank.runs` and are re-exported here.
 """
 
 from __future__ import annotations
 
-import json
-import math
 import warnings
 import zlib
 from dataclasses import dataclass, field
@@ -25,13 +23,23 @@ from typing import Iterable, Iterator, Sequence
 from .embeddings import EmbeddingTable
 from .idf import IdfTable
 from .ingest import Question
-from .retrieval import Method, PassageIndex, RankedList, random_baseline, rank
-from .text import PathOrIO, open_text, tokenize
-
-#: Minimum shared contiguous token run (t-gram) for snippet/passage relevance.
-OVERLAP_THRESHOLD = 5
-
-DEFAULT_CUTOFF = 10
+from .retrieval import PassageIndex, random_baseline, rank
+from .runs import (  # re-exported: the run-file half lives in runs
+    DEFAULT_CUTOFF,
+    OVERLAP_THRESHOLD,
+    Aggregates,
+    Method,
+    QuestionScore,
+    RankedList,
+    RunResult,
+    WilcoxonResult,
+    _check_overlap_threshold,
+    aggregate,
+    load_run,
+    save_run,
+    wilcoxon_signed_rank,
+)
+from .text import tokenize
 
 
 # ---------------------------------------------------------------------------
@@ -46,11 +54,6 @@ class RelevanceJudgments:
     @property
     def n_relevant(self) -> int:
         return len(self.relevant_passage_ids)
-
-
-def _check_overlap_threshold(overlap_threshold: int) -> None:
-    if overlap_threshold < 1:
-        raise ValueError(f"overlap threshold must be >= 1, got {overlap_threshold}")
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Iterator[tuple[str, ...]]:
@@ -155,146 +158,7 @@ def average_precision_at_k(
 
 
 # ---------------------------------------------------------------------------
-# Aggregation
-
-
-@dataclass(frozen=True)
-class Aggregates:
-    map: float
-    precision: float
-    recall: float
-    f1: float
-
-
-def aggregate(per_question: Iterable[tuple[float, float, float]]) -> Aggregates:
-    """Arithmetic means of (ap, precision, recall) plus the F1 of the means."""
-    aps, precisions, recalls = [], [], []
-    for ap, precision, recall in per_question:
-        aps.append(ap)
-        precisions.append(precision)
-        recalls.append(recall)
-    if not aps:
-        raise ValueError("cannot aggregate an empty question set")
-    # fsum keeps the means exactly permutation-invariant
-    mean_ap = math.fsum(aps) / len(aps)
-    mean_p = math.fsum(precisions) / len(precisions)
-    mean_r = math.fsum(recalls) / len(recalls)
-    f1 = 0.0 if mean_p + mean_r == 0.0 else 2.0 * mean_p * mean_r / (mean_p + mean_r)
-    return Aggregates(map=mean_ap, precision=mean_p, recall=mean_r, f1=f1)
-
-
-# ---------------------------------------------------------------------------
-# Wilcoxon signed-rank test
-
-
-@dataclass(frozen=True)
-class WilcoxonResult:
-    statistic: float
-    p_value: float
-    significant: bool
-
-
-def _average_ranks(values: Sequence[float]) -> list[float]:
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2 + 1
-        for pos in range(i, j + 1):
-            ranks[order[pos]] = avg
-        i = j + 1
-    return ranks
-
-
-def _exact_two_sided_p(ranks: Sequence[float], w_observed: float) -> float:
-    # Subset-sum counts over doubled ranks (midranks become integers); the
-    # resulting distribution of W+ over all 2^n sign assignments is exact.
-    doubled = [int(round(2 * r)) for r in ranks]
-    total = sum(doubled)
-    counts = [0] * (total + 1)
-    counts[0] = 1
-    for d in doubled:
-        for s in range(total, d - 1, -1):
-            if counts[s - d]:
-                counts[s] += counts[s - d]
-    threshold = int(round(2 * w_observed))
-    favorable = sum(
-        c for s, c in enumerate(counts) if s <= threshold or s >= total - threshold
-    )
-    return favorable / (2 ** len(ranks))
-
-
-def _normal_two_sided_p(ranks: Sequence[float], w_observed: float) -> float:
-    n = len(ranks)
-    mean = n * (n + 1) / 4.0
-    variance = n * (n + 1) * (2 * n + 1) / 24.0
-    tie_counts: dict[float, int] = {}
-    for r in ranks:
-        tie_counts[r] = tie_counts.get(r, 0) + 1
-    variance -= sum(t**3 - t for t in tie_counts.values()) / 48.0
-    z = (w_observed - mean + 0.5) / math.sqrt(variance)
-    # Phi(z) via the complementary error function.
-    p = math.erfc(-z / math.sqrt(2.0))
-    return min(1.0, p)
-
-
-def wilcoxon_signed_rank(
-    a: Sequence[float],
-    b: Sequence[float],
-    alpha: float = 0.05,
-    mode: str = "auto",
-) -> WilcoxonResult:
-    """Two-sided paired Wilcoxon signed-rank test.
-
-    Zero differences are discarded; absolute differences receive average
-    ranks on ties; the statistic is W = min(W+, W-). The p-value is exact
-    (full sign-assignment distribution) for up to 20 nonzero differences
-    and a tie-corrected, continuity-corrected normal approximation beyond;
-    ``mode`` forces "exact" or "normal". All-zero differences give p = 1.
-    """
-    if mode not in ("auto", "exact", "normal"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if len(a) != len(b):
-        raise ValueError(f"paired inputs differ in length: {len(a)} vs {len(b)}")
-    if len(a) == 0:
-        raise ValueError("empty input")
-    differences = [x - y for x, y in zip(a, b) if x - y != 0.0]
-    if not differences:
-        return WilcoxonResult(statistic=0.0, p_value=1.0, significant=False)
-
-    ranks = _average_ranks([abs(d) for d in differences])
-    w_plus = sum(r for d, r in zip(differences, ranks) if d > 0)
-    w_minus = sum(ranks) - w_plus
-    w = min(w_plus, w_minus)
-
-    use_exact = mode == "exact" or (mode == "auto" and len(differences) <= 20)
-    if use_exact:
-        p = _exact_two_sided_p(ranks, w)
-    else:
-        p = _normal_two_sided_p(ranks, w)
-    return WilcoxonResult(statistic=w, p_value=p, significant=p < alpha)
-
-
-# ---------------------------------------------------------------------------
-# Whole-run evaluation and run files
-
-
-@dataclass
-class QuestionScore:
-    ranking: RankedList
-    ap: float
-    precision: float
-    recall: float
-
-
-@dataclass
-class RunResult:
-    method: str
-    per_question: dict[str, QuestionScore] = field(default_factory=dict)
-    aggregates: Aggregates = field(default_factory=lambda: Aggregates(0.0, 0.0, 0.0, 0.0))
+# Whole-run evaluation
 
 
 def _question_seed(base_seed: int, question_id: str) -> int:
@@ -373,64 +237,3 @@ def evaluate_questions(
     result.aggregates = aggregate(triples)
     return result
 
-
-def save_run(run: RunResult, sink: PathOrIO) -> None:
-    """Write a run as JSON (schema: method, questions[], aggregates)."""
-    payload = {
-        "method": run.method,
-        "questions": [
-            {
-                "id": qid,
-                "ranking": [
-                    {"passage_id": pid, "score": score}
-                    for pid, score in score_entry.ranking.items
-                ],
-                "ap": score_entry.ap,
-                "precision": score_entry.precision,
-                "recall": score_entry.recall,
-            }
-            for qid, score_entry in run.per_question.items()
-        ],
-        "aggregates": {
-            "map": run.aggregates.map,
-            "precision": run.aggregates.precision,
-            "recall": run.aggregates.recall,
-            "f1": run.aggregates.f1,
-        },
-    }
-    with open_text(sink, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-
-
-def load_run(source: PathOrIO) -> RunResult:
-    """Parse a run file written by :func:`save_run`."""
-    with open_text(source) as handle:
-        data = json.load(handle)
-    try:
-        method = data["method"]
-        run = RunResult(method=method)
-        for entry in data["questions"]:
-            qid = entry["id"]
-            if qid in run.per_question:
-                raise ValueError(f"run file repeats question {qid!r}")
-            scores = {name: float(entry[name]) for name in ("ap", "precision", "recall")}
-            for name, value in scores.items():
-                if not 0.0 <= value <= 1.0:  # NaN fails too
-                    raise ValueError(f"question {qid!r}: {name} {value} is not in [0, 1]")
-            ranking = RankedList(
-                question_id=qid,
-                method=Method(method),
-                items=[(r["passage_id"], float(r["score"])) for r in entry["ranking"]],
-            )
-            run.per_question[qid] = QuestionScore(ranking=ranking, **scores)
-        agg = data["aggregates"]
-        run.aggregates = Aggregates(
-            map=float(agg["map"]),
-            precision=float(agg["precision"]),
-            recall=float(agg["recall"]),
-            f1=float(agg["f1"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed run file: {exc}") from None
-    return run

@@ -19,23 +19,15 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
 from .idf import IdfTable
+from .runs import Method, RankedList  # re-exported
 from .semantic import centroid, centroids, cosine_distances
 from .text import split_sentences, tokenize
-
-
-class Method(str, Enum):
-    CD = "cd"
-    CD_IDF = "cd-idf"
-    CD_Q = "cd-q"
-    RND = "rnd"
 
 
 class Passage(NamedTuple):
@@ -89,15 +81,6 @@ class PassageIndex:
 
     def __len__(self) -> int:
         return len(self.passages)
-
-
-@dataclass
-class RankedList:
-    """Top-k retrieval result: (passage_id, distance) pairs in rank order."""
-
-    question_id: str
-    method: Method
-    items: list[tuple[str, float]] = field(default_factory=list)
 
 
 def build_index(

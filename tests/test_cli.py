@@ -13,9 +13,10 @@ from centroidrank import (
     RankedList,
     RunResult,
     load_index,
+    load_run,
     save_run,
 )
-from centroidrank import cli
+from centroidrank import embeddings, retrieval
 from centroidrank.cli import main
 from oracles import oracle_index_tsv
 
@@ -554,8 +555,10 @@ class TestEval:
         def must_not_load(*_args, **_kwargs):
             pytest.fail("an artifact was loaded before the flags were checked")
 
-        monkeypatch.setattr(cli, "load_index", must_not_load)
-        monkeypatch.setattr(cli, "load_embeddings", must_not_load)
+        # the commands import the loaders at call time, so patching the
+        # defining modules reaches them
+        monkeypatch.setattr(retrieval, "load_index", must_not_load)
+        monkeypatch.setattr(embeddings, "load_embeddings", must_not_load)
         argv = argv + ["--index", str(workspace["index"])]
         argv += ["--embeddings", str(workspace["embeddings"])]
         if argv[0] == "eval":
@@ -655,6 +658,18 @@ class TestCompare:
         assert code == 2
         assert "question 'q3': ap" in capsys.readouterr().err
 
+    def test_non_numeric_score_exit_2(self, workspace, capsys):
+        run_a = workspace["run"].parent / "a.json"
+        run_b = workspace["run"].parent / "b.json"
+        _write_run(run_a, "cd", {"q1": 0.5, "q2": 0.25})
+        _write_run(run_b, "cd", {"q1": 0.5, "q2": 0.25})
+        payload = json.loads(run_b.read_text(encoding="utf-8"))
+        payload["questions"][1]["recall"] = "x"
+        run_b.write_text(json.dumps(payload), encoding="utf-8")
+        code = main(["compare", "--run-a", str(run_a), "--run-b", str(run_b)])
+        assert code == 2
+        assert "error: question 'q2': recall 'x' is not a number" in capsys.readouterr().err
+
     def test_repeated_question_exit_2(self, workspace, capsys):
         run_a = workspace["run"].parent / "a.json"
         run_b = workspace["run"].parent / "b.json"
@@ -729,6 +744,7 @@ class TestCheckedInFixturePipeline:
                      "--doc-idf", str(doc_idf), "--question-idf", str(question_idf),
                      "--method", method, "--out", str(run)]) == 0
         assert hashlib.sha256(run.read_bytes()).hexdigest() == self.PINNED_RUNS[method]
+        assert load_run(run).method == method
 
     def test_cd_q_improvement_is_significant(self, tmp_path, capsys):
         doc_idf, question_idf, index = _build_fixture_artifacts(tmp_path)
@@ -776,3 +792,66 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert "n_docs 2" in result.stdout
+
+
+# Runs the CLI in a fresh interpreter and reports, after the command
+# returns, whether numpy was ever imported.
+_NUMPY_PROBE = (
+    "import sys\n"
+    "from centroidrank.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print('numpy loaded' if 'numpy' in sys.modules else 'numpy absent')\n"
+    "sys.exit(code)\n"
+)
+
+
+def _numpy_probe(*argv):
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, *map(str, argv)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
+class TestNumpyFreeCommands:
+    """``idf-build`` and ``compare`` do no vector math and never load numpy."""
+
+    def test_package_import(self):
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, centroidrank; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
+    def test_idf_build(self, workspace):
+        out = _numpy_probe(
+            "idf-build", "--corpus", workspace["doc_corpus"], "--unit", "doc",
+            "--out", workspace["doc_idf"],
+        )
+        assert out == ["n_docs 2 vocab 5", "numpy absent"]
+
+    def test_compare_on_fixture_runs(self, tmp_path):
+        doc_idf, question_idf, index = _build_fixture_artifacts(tmp_path)
+        runs = {}
+        for method in ("cd", "cd-q"):
+            runs[method] = tmp_path / f"run_{method}.json"
+            assert main(["eval", "--questions", str(FIXTURES / "questions.json"),
+                         "--index", str(index),
+                         "--embeddings", str(FIXTURES / "embeddings.txt"),
+                         "--doc-idf", str(doc_idf), "--question-idf", str(question_idf),
+                         "--method", method, "--out", str(runs[method])]) == 0
+        out = _numpy_probe("compare", "--run-a", runs["cd-q"], "--run-b", runs["cd"])
+        assert out == ["W 0 p 0.0005 significant", "numpy absent"]
+
+    def test_query_does_load_numpy(self, workspace):
+        # the probe itself can see numpy when a command uses it
+        _build_artifacts(workspace)
+        out = _numpy_probe(
+            "query", "--index", workspace["index"], "--embeddings", workspace["embeddings"],
+            "--question", "alpha", "--k", "1",
+        )
+        assert out[-1] == "numpy loaded"

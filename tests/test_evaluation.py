@@ -562,3 +562,29 @@ class TestRunFiles:
         entries = ({"id": "q1", field: 0.0}, {"id": "q2", field: value})
         with pytest.raises(ValueError, match=rf"question 'q2': {field} .* is not in \[0, 1\]"):
             load_run(self._run_json(*entries))
+
+    @pytest.mark.parametrize("field", ["ap", "precision", "recall"])
+    @pytest.mark.parametrize("value", ["x", None, [0.5]])
+    def test_non_numeric_score_rejected(self, field, value):
+        entries = ({"id": "q1"}, {"id": "q2", field: value})
+        with pytest.raises(ValueError, match=rf"question 'q2': {field} .* is not a number"):
+            load_run(self._run_json(*entries))
+
+    @pytest.mark.parametrize("value", ["x", None, float("nan"), float("-inf"), -1e-9, 2.5])
+    def test_bad_ranking_score_rejected(self, value):
+        ranking = [{"passage_id": "d#0", "score": 0.0}, {"passage_id": "d#1", "score": value}]
+        with pytest.raises(ValueError, match=r"question 'q1': ranking\[1\] score .* is not"):
+            load_run(self._run_json({"id": "q1", "ranking": ranking}))
+
+    def test_ranking_score_bounds_accepted(self):
+        ranking = [{"passage_id": "d#0", "score": 0.0}, {"passage_id": "d#1", "score": 2.0}]
+        run = load_run(self._run_json({"id": "q1", "ranking": ranking}))
+        assert run.per_question["q1"].ranking.items == [("d#0", 0.0), ("d#1", 2.0)]
+
+    @pytest.mark.parametrize("field", ["map", "precision", "recall", "f1"])
+    @pytest.mark.parametrize("value", ["x", float("nan"), float("inf"), -0.5, 1.5])
+    def test_bad_aggregate_rejected(self, field, value):
+        payload = json.loads(self._run_json({"id": "q1"}).getvalue())
+        payload["aggregates"][field] = value
+        with pytest.raises(ValueError, match=rf"aggregates: {field} .* is not"):
+            load_run(StringIO(json.dumps(payload)))
