@@ -27,7 +27,7 @@ _EXPORTS = {
             "evaluate_questions", "judge_relevance", "precision_at_k", "recall_at_k",
         ),
         "idf": ("IdfTable", "build_idf", "load_idf", "save_idf"),
-        "ingest": ("Question", "load_question_set", "normalize_doc_id", "question_set_to_dict"),
+        "ingest": ("Question", "load_question_set", "normalize_doc_id"),
         "retrieval": (
             "Passage", "PassageIndex", "build_index", "load_index", "random_baseline",
             "rank", "save_index",

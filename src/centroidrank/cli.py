@@ -20,7 +20,8 @@ from typing import TYPE_CHECKING
 # The parser needs only the numpy-free run names; each command imports the
 # rest of the library itself, so ``idf-build`` and ``compare`` never load
 # numpy.
-from .runs import DEFAULT_CUTOFF, OVERLAP_THRESHOLD, Method, _check_overlap_threshold
+from .runs import DEFAULT_CUTOFF, OVERLAP_THRESHOLD, Method, check_method
+from .runs import _check_overlap_threshold
 
 if TYPE_CHECKING:
     from .embeddings import EmbeddingTable
@@ -38,15 +39,7 @@ def _load_artifacts(
     from .idf import load_idf
     from .retrieval import load_index
 
-    method = Method(args.method)
-    if args.k < 1:
-        raise ValueError(f"k must be >= 1, got {args.k}")
-    if method is not Method.RND and args.embeddings is None:
-        raise ValueError(f"{method.value} requires --embeddings")
-    if method is Method.CD_IDF and args.doc_idf is None:
-        raise ValueError("cd-idf requires --doc-idf")
-    if method is Method.CD_Q and args.question_idf is None:
-        raise ValueError("cd-q requires --question-idf")
+    check_method(args.method, args.k, args.embeddings, args.doc_idf, args.question_idf)
     index = load_index(args.index)
     embeddings = load_embeddings(args.embeddings) if args.embeddings else None
     if embeddings is not None and embeddings.dim != index.dim:

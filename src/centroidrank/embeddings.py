@@ -57,9 +57,6 @@ class EmbeddingTable:
         row = self.vocab.get(token)
         return None if row is None else self.matrix[row]
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.vocab
-
     def __len__(self) -> int:
         return len(self.vocab)
 

@@ -10,7 +10,8 @@ contiguous token run, or both contain the same run of t tokens
 Metrics (AP, precision, recall) are computed per question at a cutoff and
 averaged arithmetically; F1 is the harmonic mean of the averaged precision
 and recall. Run results, run files and the Wilcoxon comparison live in the
-numpy-free :mod:`centroidrank.runs` and are re-exported here.
+numpy-free :mod:`centroidrank.runs`; the run-file functions and
+``wilcoxon_signed_rank`` are re-exported here.
 """
 
 from __future__ import annotations
@@ -24,21 +25,18 @@ from .embeddings import EmbeddingTable
 from .idf import IdfTable
 from .ingest import Question
 from .retrieval import PassageIndex, random_baseline, rank
-from .runs import (  # re-exported: the run-file half lives in runs
+from .runs import (
     DEFAULT_CUTOFF,
     OVERLAP_THRESHOLD,
-    Aggregates,
     Method,
     QuestionScore,
     RankedList,
     RunResult,
-    WilcoxonResult,
     _check_overlap_threshold,
     aggregate,
-    load_run,
-    save_run,
-    wilcoxon_signed_rank,
+    check_method,
 )
+from .runs import load_run, save_run, wilcoxon_signed_rank  # re-exported
 from .text import tokenize
 
 
@@ -181,13 +179,13 @@ def evaluate_questions(
     Candidate passages come from each question's reference documents,
     intersected with what the index actually contains; a question whose
     reference documents are entirely absent is scored with an empty
-    ranking (and a warning) but still counts toward the aggregates.
+    ranking (and a warning) but still counts toward the aggregates. The
+    tables the method needs are checked up front, with
+    :func:`~centroidrank.runs.check_method`.
     """
-    method = Method(method)
+    method = check_method(method, k, embeddings, doc_idf, question_idf)
     if not questions:
         raise ValueError("empty question set")
-    if method is not Method.RND and embeddings is None:
-        raise ValueError(f"{method.value} requires an embedding table")
     ids = [q.id for q in questions]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate question ids in the question set")

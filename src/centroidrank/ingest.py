@@ -94,19 +94,3 @@ def load_question_set(source: PathOrIO) -> list[Question]:
         )
     return questions
 
-
-def question_set_to_dict(questions: list[Question]) -> dict:
-    """Re-emit questions in the input schema (for round-tripping)."""
-    return {
-        "questions": [
-            {
-                "id": q.id,
-                "body": q.body,
-                "documents": list(q.reference_docs),
-                "snippets": [
-                    {"document": doc, "text": text} for doc, text in q.gold_snippets
-                ],
-            }
-            for q in questions
-        ]
-    }

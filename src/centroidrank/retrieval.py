@@ -25,7 +25,7 @@ import numpy as np
 
 from .embeddings import EmbeddingTable
 from .idf import IdfTable
-from .runs import Method, RankedList  # re-exported
+from .runs import Method, RankedList, check_method  # Method is also read from here
 from .semantic import centroid, centroids, cosine_distances
 from .text import split_sentences, tokenize
 
@@ -139,30 +139,20 @@ def rank(
     idf for ``cd-idf``, question idf for ``cd-q``); the passage side uses
     the uniform centroids for ``cd`` and the idf centroids otherwise. When
     ``candidate_docs`` is given, only passages from those documents are
-    scored; unknown ids raise ValueError, as does an embedding table whose
-    dimension differs from the index's.
+    scored; unknown ids raise ValueError, as do an embedding table whose
+    dimension differs from the index's and what
+    :func:`~centroidrank.runs.check_method` refuses.
     """
-    method = Method(method)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    method = check_method(method, k, embeddings, doc_idf, question_idf)
+    if method is Method.RND:
+        raise ValueError("rnd has no distance ranking; use random_baseline()")
     if embeddings.dim != index.dim:
         raise ValueError(
             f"dimension mismatch: index dim {index.dim}, embeddings dim {embeddings.dim}"
         )
-    if method is Method.CD:
-        q = centroid(question, embeddings)
-    elif method is Method.CD_IDF:
-        if doc_idf is None:
-            raise ValueError("cd-idf requires a document idf table")
-        q = centroid(question, embeddings, doc_idf)
-    elif method is Method.CD_Q:
-        if question_idf is None:
-            raise ValueError("cd-q requires a question idf table")
-        q = centroid(question, embeddings, question_idf)
-    else:
-        raise ValueError("rnd has no distance ranking; use random_baseline()")
-
-    if method is Method.CD:
+    idf = {Method.CD: None, Method.CD_IDF: doc_idf, Method.CD_Q: question_idf}[method]
+    q = centroid(question, embeddings, idf)
+    if idf is None:
         matrix, norms = index.uniform, index.uniform_norms
     else:
         matrix, norms = index.idf, index.idf_norms

@@ -1,10 +1,11 @@
 """Run results, run files, and the Wilcoxon signed-rank comparison.
 
 This is the half of the evaluation that needs no vector math: the method
-names, ranked lists, per-question scores and their aggregates, the JSON
-run file, and the paired significance test between two runs. It imports
-no numpy, so ``centroidrank compare`` starts without it; ``evaluation``
-and ``retrieval`` re-export these names.
+names and the one rule for which tables each needs, ranked lists,
+per-question scores and their aggregates, the JSON run file, and the
+paired significance test between two runs. It imports no numpy, so
+``centroidrank compare`` starts without it, and the CLI checks its flags
+before numpy loads.
 
 The Wilcoxon test is two-sided, exact for up to 20 nonzero differences
 and normal-approximated beyond.
@@ -36,6 +37,28 @@ class Method(str, Enum):
     CD_IDF = "cd-idf"
     CD_Q = "cd-q"
     RND = "rnd"
+
+
+def check_method(
+    method: Method | str, k: int, embeddings: object, doc_idf: object, question_idf: object
+) -> Method:
+    """``method`` as a :class:`Method`, once it is known to have what it needs.
+
+    Each table may be given loaded or as a path; None means not given.
+    Raises ValueError for ``k < 1``, for any method but ``rnd`` without
+    embeddings, for ``cd-idf`` without a document idf and for ``cd-q``
+    without a question idf, naming the table and its CLI flag.
+    """
+    method = Method(method)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if method is not Method.RND and embeddings is None:
+        raise ValueError(f"{method.value} requires an embedding table (--embeddings)")
+    if method is Method.CD_IDF and doc_idf is None:
+        raise ValueError("cd-idf requires a document idf table (--doc-idf)")
+    if method is Method.CD_Q and question_idf is None:
+        raise ValueError("cd-q requires a question idf table (--question-idf)")
+    return method
 
 
 @dataclass
@@ -222,23 +245,22 @@ def save_run(run: RunResult, sink: PathOrIO) -> None:
 def _bounded(value: object, where: str, name: str, high: float) -> float:
     """``value`` as a float in [0, high], or ValueError naming ``where`` and
     ``name``."""
-    try:
-        number = float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        raise ValueError(f"{where}: {name} {value!r} is not a number") from None
-    if not 0.0 <= number <= high:  # NaN and infinities fail too
-        raise ValueError(f"{where}: {name} {number} is not in [0, {high:g}]")
-    return number
+    # JSON true and numeric strings are not scores; bool is an int subclass
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where}: {name} {value!r} is not a number")
+    if not 0.0 <= value <= high:  # NaN and infinities fail too
+        raise ValueError(f"{where}: {name} {value} is not in [0, {high:g}]")
+    return float(value)
 
 
 def load_run(source: PathOrIO) -> RunResult:
     """Parse a run file written by :func:`save_run`.
 
     Raises ValueError naming the question (or ``aggregates``) and the field
-    for a repeated question id, a value that is not a number, an ``ap``,
-    ``precision``, ``recall`` or aggregate outside [0, 1], or a ranking
-    score outside [0, 2] (cosine distances; ``rnd`` records 0.0). NaN and
-    infinities are refused.
+    for a repeated question id, a value that is not a JSON number (``true``
+    and numeric strings are refused), an ``ap``, ``precision``, ``recall``
+    or aggregate outside [0, 1], or a ranking score outside [0, 2] (cosine
+    distances; ``rnd`` records 0.0). NaN and infinities are refused.
     """
     with open_text(source) as handle:
         data = json.load(handle)

@@ -16,7 +16,7 @@ from centroidrank import (
     load_run,
     save_run,
 )
-from centroidrank import embeddings, retrieval
+from centroidrank import embeddings, idf, retrieval
 from centroidrank.cli import main
 from oracles import oracle_index_tsv
 
@@ -544,6 +544,11 @@ class TestEval:
             (["eval", "--overlap-threshold", "0"], "overlap threshold must be >= 1"),
             (["eval", "--k", "0"], "k must be >= 1, got 0"),
             (["query", "--k", "0", "--question", "alpha"], "k must be >= 1, got 0"),
+            (
+                ["query", "--method", "cd-idf", "--question", "alpha"],
+                "cd-idf requires a document idf table (--doc-idf)",
+            ),
+            (["eval", "--method", "cd-q"], "cd-q requires a question idf table (--question-idf)"),
         ],
     )
     def test_bad_flags_refused_before_loading(
@@ -559,6 +564,7 @@ class TestEval:
         # defining modules reaches them
         monkeypatch.setattr(retrieval, "load_index", must_not_load)
         monkeypatch.setattr(embeddings, "load_embeddings", must_not_load)
+        monkeypatch.setattr(idf, "load_idf", must_not_load)
         argv = argv + ["--index", str(workspace["index"])]
         argv += ["--embeddings", str(workspace["embeddings"])]
         if argv[0] == "eval":

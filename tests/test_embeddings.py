@@ -175,8 +175,8 @@ class TestLookup:
         assert EmbeddingTable(dim=2).lookup("anything") is None
 
     def test_contains(self, tiny_embeddings):
-        assert "alpha" in tiny_embeddings
-        assert "zzz" not in tiny_embeddings
+        assert "alpha" in tiny_embeddings.vocab
+        assert "zzz" not in tiny_embeddings.vocab
 
     def test_vectors_are_read_only(self, tiny_embeddings):
         vector = tiny_embeddings.lookup("alpha")

@@ -1,5 +1,6 @@
 import json
 import random
+import warnings
 from io import StringIO
 
 import pytest
@@ -505,6 +506,28 @@ class TestEvaluateQuestions:
                     overlap_threshold=-2,
                 )
 
+    @pytest.mark.parametrize(
+        ("method", "message"),
+        [
+            ("cd-idf", "cd-idf requires a document idf table (--doc-idf)"),
+            ("cd-q", "cd-q requires a question idf table (--question-idf)"),
+        ],
+    )
+    def test_missing_idf_refused_even_when_nothing_is_ranked(
+        self, qa_setup, tiny_embeddings, method, message
+    ):
+        # No question has an indexed document, so rank is never reached;
+        # the run must still be refused rather than scored all zero.
+        index, _questions, _doc_idf = qa_setup
+        questions = [
+            Question(id="q1", body="alpha", reference_docs=["ghost"], gold_snippets=[])
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as excinfo:
+                evaluate_questions(index, questions, method, embeddings=tiny_embeddings)
+        assert str(excinfo.value) == message
+
     def test_duplicate_question_ids_rejected(self, qa_setup, tiny_embeddings):
         index, questions, doc_idf = qa_setup
         with pytest.raises(ValueError, match="duplicate"):
@@ -564,13 +587,15 @@ class TestRunFiles:
             load_run(self._run_json(*entries))
 
     @pytest.mark.parametrize("field", ["ap", "precision", "recall"])
-    @pytest.mark.parametrize("value", ["x", None, [0.5]])
+    @pytest.mark.parametrize("value", ["x", None, [0.5], True, "0.5"])
     def test_non_numeric_score_rejected(self, field, value):
         entries = ({"id": "q1"}, {"id": "q2", field: value})
         with pytest.raises(ValueError, match=rf"question 'q2': {field} .* is not a number"):
             load_run(self._run_json(*entries))
 
-    @pytest.mark.parametrize("value", ["x", None, float("nan"), float("-inf"), -1e-9, 2.5])
+    @pytest.mark.parametrize(
+        "value", ["x", None, float("nan"), float("-inf"), -1e-9, 2.5, True, "0.5"]
+    )
     def test_bad_ranking_score_rejected(self, value):
         ranking = [{"passage_id": "d#0", "score": 0.0}, {"passage_id": "d#1", "score": value}]
         with pytest.raises(ValueError, match=r"question 'q1': ranking\[1\] score .* is not"):
@@ -582,7 +607,7 @@ class TestRunFiles:
         assert run.per_question["q1"].ranking.items == [("d#0", 0.0), ("d#1", 2.0)]
 
     @pytest.mark.parametrize("field", ["map", "precision", "recall", "f1"])
-    @pytest.mark.parametrize("value", ["x", float("nan"), float("inf"), -0.5, 1.5])
+    @pytest.mark.parametrize("value", ["x", float("nan"), float("inf"), -0.5, 1.5, True, "0.5"])
     def test_bad_aggregate_rejected(self, field, value):
         payload = json.loads(self._run_json({"id": "q1"}).getvalue())
         payload["aggregates"][field] = value

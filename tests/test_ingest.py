@@ -3,15 +3,28 @@ from io import StringIO
 
 import pytest
 
-from centroidrank import (
-    load_question_set,
-    normalize_doc_id,
-    question_set_to_dict,
-)
+from centroidrank import load_question_set, normalize_doc_id
 
 
 def _load(payload) -> list:
     return load_question_set(StringIO(json.dumps(payload)))
+
+
+def question_set_to_dict(questions: list) -> dict:
+    """Re-emit questions in the input schema (for round-tripping)."""
+    return {
+        "questions": [
+            {
+                "id": q.id,
+                "body": q.body,
+                "documents": list(q.reference_docs),
+                "snippets": [
+                    {"document": doc, "text": text} for doc, text in q.gold_snippets
+                ],
+            }
+            for q in questions
+        ]
+    }
 
 
 class TestNormalizeDocId:
