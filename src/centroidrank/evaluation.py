@@ -98,12 +98,12 @@ def build_judgments(
     _check_overlap_threshold(overlap_threshold)
     snippets_by_doc: dict[str, list[tuple[str, ...]]] = {}
     for doc_id, snippet_text in question.gold_snippets:
-        snippets_by_doc.setdefault(doc_id, []).append(tokenize(snippet_text).tokens)
+        snippets_by_doc.setdefault(doc_id, []).append(tokenize(snippet_text))
     relevant: set[str] = set()
     for doc_id, snippets in snippets_by_doc.items():
         for row in index.doc_index.get(doc_id, ()):
             passage = index.passages[row]
-            if judge_relevance(tokenize(passage.text).tokens, snippets, overlap_threshold):
+            if judge_relevance(tokenize(passage.text), snippets, overlap_threshold):
                 relevant.add(passage.passage_id)
     return RelevanceJudgments(question_id=question.id, relevant_passage_ids=relevant)
 
@@ -112,28 +112,25 @@ def build_judgments(
 # Per-question metrics at a cutoff
 
 
+def _hits(ranked: RankedList, judgments: RelevanceJudgments, k: int) -> list[bool]:
+    """Whether each of the top k ranked passages is relevant, in rank order."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return [pid in judgments.relevant_passage_ids for pid, _score in ranked.items[:k]]
+
+
 def precision_at_k(
     ranked: RankedList, judgments: RelevanceJudgments, k: int = DEFAULT_CUTOFF
 ) -> float:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not ranked.items:
-        return 0.0
-    top = ranked.items[:k]
-    hits = sum(1 for pid, _score in top if pid in judgments.relevant_passage_ids)
-    return hits / len(top)
+    hits = _hits(ranked, judgments, k)
+    return sum(hits) / len(hits) if hits else 0.0
 
 
 def recall_at_k(
     ranked: RankedList, judgments: RelevanceJudgments, k: int = DEFAULT_CUTOFF
 ) -> float:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if judgments.n_relevant == 0:
-        return 0.0
-    top = ranked.items[:k]
-    hits = sum(1 for pid, _score in top if pid in judgments.relevant_passage_ids)
-    return hits / judgments.n_relevant
+    hits = _hits(ranked, judgments, k)
+    return sum(hits) / judgments.n_relevant if judgments.n_relevant else 0.0
 
 
 def average_precision_at_k(
@@ -142,16 +139,13 @@ def average_precision_at_k(
     """Cutoff AP: sum of precision-at-hit over the top k, normalized by
     min(n_relevant, k) so a run that retrieves everything relevant within
     the cutoff scores 1.0."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    hits = _hits(ranked, judgments, k)
     if judgments.n_relevant == 0:
         return 0.0
-    hits = 0
+    positions = [position for position, hit in enumerate(hits, start=1) if hit]
     total = 0.0
-    for position, (pid, _score) in enumerate(ranked.items[:k], start=1):
-        if pid in judgments.relevant_passage_ids:
-            hits += 1
-            total += hits / position
+    for found, position in enumerate(positions, start=1):
+        total += found / position
     return total / min(judgments.n_relevant, k)
 
 

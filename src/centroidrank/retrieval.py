@@ -46,12 +46,13 @@ def _frozen(matrix: np.ndarray) -> np.ndarray:
 class PassageIndex:
     """Immutable sentence index.
 
-    ``passages`` are sorted by passage id, and row ``i`` of ``uniform`` and
-    ``idf`` (C-contiguous float64, shape ``(n, dim)``) holds the raw
-    centroids of ``passages[i]``. ``doc_index`` maps each document to the
-    ascending row indices of its passages; the rows of one document need
-    not be contiguous (``d#1`` sorts between ``d`` and ``d``'s later rows
-    when ``d#1`` is itself a document id).
+    ``passages`` come in strictly ascending passage-id order (ValueError
+    otherwise), and row ``i`` of ``uniform`` and ``idf`` (C-contiguous
+    float64, shape ``(n, dim)``) holds the raw centroids of ``passages[i]``.
+    ``doc_index`` maps each document to the ascending row indices of its
+    passages; the rows of one document need not be contiguous (``d#1``
+    sorts between ``d`` and ``d``'s later rows when ``d#1`` is itself a
+    document id).
     """
 
     def __init__(
@@ -61,10 +62,11 @@ class PassageIndex:
         uniform: np.ndarray,
         idf: np.ndarray,
     ) -> None:
-        order = sorted(range(len(passages)), key=lambda row: passages[row].passage_id)
-        if order != list(range(len(passages))):
-            passages = [passages[row] for row in order]
-            uniform, idf = uniform[order], idf[order]
+        for before, after in zip(passages, passages[1:]):
+            if after.passage_id <= before.passage_id:
+                raise ValueError(
+                    f"passage id {after.passage_id!r} does not sort after {before.passage_id!r}"
+                )
         self.dim = dim
         self.passages = passages
         self.uniform = _frozen(np.ascontiguousarray(uniform, dtype=np.float64))
@@ -244,8 +246,9 @@ def load_index(directory: str | os.PathLike) -> PassageIndex:
     A missing file raises OSError. Raises ValueError naming the file for a
     matrix file that is empty, truncated or not ``.npy``, a matrix that is
     not 2-d float64, matrices of different shapes, a passage line that is
-    not three strings or repeats a passage id (naming the line), or a
-    passage count that differs from the matrix rows.
+    not three strings or whose passage id does not sort after the previous
+    line's (naming the line), or a passage count that differs from the
+    matrix rows.
     """
     uniform = _load_matrix(directory, _UNIFORM)
     idf = _load_matrix(directory, _IDF)
@@ -254,7 +257,6 @@ def load_index(directory: str | os.PathLike) -> PassageIndex:
             f"{_UNIFORM} shape {uniform.shape} differs from {_IDF} shape {idf.shape}"
         )
     passages: list[Passage] = []
-    seen: set[str] = set()
     with open(os.path.join(directory, _PASSAGES), encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             try:
@@ -270,11 +272,11 @@ def load_index(directory: str | os.PathLike) -> PassageIndex:
                     f"{_PASSAGES} line {line_no}: expected [passage_id, doc_id, text]"
                 )
             passage = Passage(*fields)
-            if passage.passage_id in seen:
+            if passages and passage.passage_id <= passages[-1].passage_id:
                 raise ValueError(
-                    f"{_PASSAGES} line {line_no}: duplicate passage id {passage.passage_id!r}"
+                    f"{_PASSAGES} line {line_no}: passage id {passage.passage_id!r} "
+                    f"does not sort after {passages[-1].passage_id!r}"
                 )
-            seen.add(passage.passage_id)
             passages.append(passage)
     if len(passages) != len(uniform):
         raise ValueError(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -84,17 +84,11 @@ class Aggregates:
 
 def aggregate(per_question: Iterable[tuple[float, float, float]]) -> Aggregates:
     """Arithmetic means of (ap, precision, recall) plus the F1 of the means."""
-    aps, precisions, recalls = [], [], []
-    for ap, precision, recall in per_question:
-        aps.append(ap)
-        precisions.append(precision)
-        recalls.append(recall)
-    if not aps:
+    columns = list(zip(*per_question))
+    if not columns:
         raise ValueError("cannot aggregate an empty question set")
     # fsum keeps the means exactly permutation-invariant
-    mean_ap = math.fsum(aps) / len(aps)
-    mean_p = math.fsum(precisions) / len(precisions)
-    mean_r = math.fsum(recalls) / len(recalls)
+    mean_ap, mean_p, mean_r = (math.fsum(column) / len(column) for column in columns)
     f1 = 0.0 if mean_p + mean_r == 0.0 else 2.0 * mean_p * mean_r / (mean_p + mean_r)
     return Aggregates(map=mean_ap, precision=mean_p, recall=mean_r, f1=f1)
 
@@ -230,12 +224,7 @@ def save_run(run: RunResult, sink: PathOrIO) -> None:
             }
             for qid, score_entry in run.per_question.items()
         ],
-        "aggregates": {
-            "map": run.aggregates.map,
-            "precision": run.aggregates.precision,
-            "recall": run.aggregates.recall,
-            "f1": run.aggregates.f1,
-        },
+        "aggregates": asdict(run.aggregates),
     }
     with open_text(sink, "w") as handle:
         json.dump(payload, handle, indent=2)
@@ -260,7 +249,9 @@ def load_run(source: PathOrIO) -> RunResult:
     for a repeated question id, a value that is not a JSON number (``true``
     and numeric strings are refused), an ``ap``, ``precision``, ``recall``
     or aggregate outside [0, 1], or a ranking score outside [0, 2] (cosine
-    distances; ``rnd`` records 0.0). NaN and infinities are refused.
+    distances; ``rnd`` records 0.0). NaN and infinities are refused, as are
+    a file with no questions and aggregates other than :func:`aggregate` of
+    the per-question scores.
     """
     with open_text(source) as handle:
         data = json.load(handle)
@@ -286,12 +277,18 @@ def load_run(source: PathOrIO) -> RunResult:
             )
             run.per_question[qid] = QuestionScore(ranking=ranking, **scores)
         agg = data["aggregates"]
-        run.aggregates = Aggregates(
-            **{
-                name: _bounded(agg[name], "aggregates", name, 1.0)
-                for name in ("map", "precision", "recall", "f1")
-            }
-        )
+        stored = {
+            name: _bounded(agg[name], "aggregates", name, 1.0)
+            for name in ("map", "precision", "recall", "f1")
+        }
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed run file: {exc}") from None
+    run.aggregates = aggregate((s.ap, s.precision, s.recall) for s in run.per_question.values())
+    for name, value in stored.items():
+        derived = getattr(run.aggregates, name)
+        if value != derived:
+            raise ValueError(
+                f"aggregates: {name} {value} is not the value of the per-question scores, "
+                f"{derived}"
+            )
     return run

@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import IO, Iterator, Union
 
 PathOrIO = Union[str, os.PathLike, IO[str]]
@@ -42,20 +41,19 @@ def open_text(source: PathOrIO, mode: str = "r") -> Iterator[IO[str]]:
             yield handle
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    """Normalized tokens of a text: lowercase, non-empty, no whitespace."""
+class TokenSequence(tuple):
+    """Normalized tokens of a text: lowercase, non-empty, no whitespace.
 
-    tokens: tuple[str, ...]
+    A plain tuple of the tokens. ``tokens`` is kept for the readers that
+    still unwrap it: ``perfbench/test_perfbench.py``, ``tests/test_text.py``
+    and ``tests/test_evaluation.py``.
+    """
 
-    def __len__(self) -> int:
-        return len(self.tokens)
+    __slots__ = ()
 
-    def __iter__(self):
-        return iter(self.tokens)
-
-    def __getitem__(self, i):
-        return self.tokens[i]
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        return tuple(self)
 
 
 def tokenize(raw: str) -> TokenSequence:
@@ -64,7 +62,7 @@ def tokenize(raw: str) -> TokenSequence:
     Empty fragments are discarded; digit runs are kept as tokens. Empty
     input yields an empty sequence.
     """
-    return TokenSequence(tuple(map(str.lower, _TOKEN_RE.findall(raw))))
+    return TokenSequence(map(str.lower, _TOKEN_RE.findall(raw)))
 
 
 def _preceding_token(text: str, end: int) -> str:

@@ -146,6 +146,21 @@ def oracle_wilcoxon(differences):
     return w_observed, favorable / (2**n)
 
 
+def oracle_precision(ranked_ids, relevant_ids, k: int) -> float:
+    if not ranked_ids:
+        return 0.0
+    top = ranked_ids[:k]
+    hits = sum(1 for pid in top if pid in relevant_ids)
+    return hits / len(top)
+
+
+def oracle_recall(ranked_ids, relevant_ids, k: int) -> float:
+    if len(relevant_ids) == 0:
+        return 0.0
+    hits = sum(1 for pid in ranked_ids[:k] if pid in relevant_ids)
+    return hits / len(relevant_ids)
+
+
 def oracle_average_precision(ranked_ids, relevant_ids, k: int) -> float:
     n_relevant = len(relevant_ids)
     if n_relevant == 0:

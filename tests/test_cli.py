@@ -7,11 +7,11 @@ import sys
 import pytest
 
 from centroidrank import (
-    Aggregates,
     Method,
     QuestionScore,
     RankedList,
     RunResult,
+    aggregate,
     load_index,
     load_run,
     save_run,
@@ -599,18 +599,15 @@ class TestEval:
 
 def _write_run(path, method, scores):
     per_question = {}
-    triples = []
     for qid, ap in scores.items():
         ranking = RankedList(question_id=qid, method=Method(method), items=[])
         per_question[qid] = QuestionScore(
             ranking=ranking, ap=ap, precision=ap, recall=ap
         )
-        triples.append(ap)
-    mean = sum(triples) / len(triples)
     run = RunResult(
         method=method,
         per_question=per_question,
-        aggregates=Aggregates(map=mean, precision=mean, recall=mean, f1=mean),
+        aggregates=aggregate((ap, ap, ap) for ap in scores.values()),
     )
     save_run(run, str(path))
 

@@ -1,6 +1,7 @@
 import json
 import random
 import warnings
+from dataclasses import asdict
 from io import StringIO
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centroidrank import (
-    Aggregates,
     Method,
     QuestionScore,
     RankedList,
@@ -30,7 +30,13 @@ from centroidrank import (
 )
 from centroidrank import evaluation
 from centroidrank.ingest import Question
-from oracles import oracle_judge, oracle_wilcoxon
+from oracles import (
+    oracle_average_precision,
+    oracle_judge,
+    oracle_precision,
+    oracle_recall,
+    oracle_wilcoxon,
+)
 
 
 def _ranking(*passage_ids: str) -> RankedList:
@@ -259,6 +265,24 @@ class TestAveragePrecision:
     def test_only_first_k_count_toward_ap(self):
         ranking = _ranking(*([f"x{i}" for i in range(10)] + ["p0"]))
         assert average_precision_at_k(ranking, _judgments("p0"), k=10) == 0.0
+
+
+_PASSAGE_IDS = st.sampled_from([f"d#{i}" for i in range(20)])
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(
+    ranked=st.lists(_PASSAGE_IDS, max_size=15, unique=True),
+    relevant=st.sets(_PASSAGE_IDS, max_size=10),
+    k=st.integers(min_value=1, max_value=12),
+)
+def test_metrics_match_oracles_bitwise_property(ranked, relevant, k):
+    ranking, judgments = _ranking(*ranked), _judgments(*relevant)
+    assert precision_at_k(ranking, judgments, k) == oracle_precision(ranked, relevant, k)
+    assert recall_at_k(ranking, judgments, k) == oracle_recall(ranked, relevant, k)
+    assert average_precision_at_k(ranking, judgments, k) == oracle_average_precision(
+        ranked, relevant, k
+    )
 
 
 class TestAggregate:
@@ -550,7 +574,7 @@ class TestRunFiles:
             per_question={
                 "q1": QuestionScore(ranking=ranking, ap=1.0, precision=0.1, recall=0.5)
             },
-            aggregates=Aggregates(map=1.0, precision=0.1, recall=0.5, f1=1.0 / 6.0),
+            aggregates=aggregate([(1.0, 0.1, 0.5)]),
         )
         buffer = StringIO()
         save_run(run_in, buffer)
@@ -568,10 +592,21 @@ class TestRunFiles:
             {"ranking": [], "ap": 0.5, "precision": 0.5, "recall": 0.5, **entry}
             for entry in entries
         ]
-        aggregates = {"map": 0.5, "precision": 0.5, "recall": 0.5, "f1": 0.5}
+        try:
+            aggregates = asdict(
+                aggregate((q["ap"], q["precision"], q["recall"]) for q in questions)
+            )
+        except TypeError:  # a non-number is refused before the aggregates are read
+            aggregates = {"map": 0.5, "precision": 0.5, "recall": 0.5, "f1": 0.5}
         return StringIO(
             json.dumps({"method": "cd", "questions": questions, "aggregates": aggregates})
         )
+
+    def test_run_without_questions_rejected(self):
+        payload = json.loads(self._run_json({"id": "q1"}).getvalue())
+        payload["questions"] = []
+        with pytest.raises(ValueError, match="empty question set"):
+            load_run(StringIO(json.dumps(payload)))
 
     def test_repeated_question_rejected(self):
         run = load_run(self._run_json({"id": "q1"}, {"id": "q2", "ap": 1}))
@@ -607,7 +642,9 @@ class TestRunFiles:
         assert run.per_question["q1"].ranking.items == [("d#0", 0.0), ("d#1", 2.0)]
 
     @pytest.mark.parametrize("field", ["map", "precision", "recall", "f1"])
-    @pytest.mark.parametrize("value", ["x", float("nan"), float("inf"), -0.5, 1.5, True, "0.5"])
+    @pytest.mark.parametrize(
+        "value", ["x", float("nan"), float("inf"), -0.5, 1.5, True, "0.5", 0.25]
+    )
     def test_bad_aggregate_rejected(self, field, value):
         payload = json.loads(self._run_json({"id": "q1"}).getvalue())
         payload["aggregates"][field] = value

@@ -769,6 +769,25 @@ class TestIndexSerialization:
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text("".join(lines[:2] + lines[:1] + lines[3:]), encoding="utf-8")
         with pytest.raises(
-            ValueError, match="passages.jsonl line 3: duplicate passage id 'd1#0'"
+            ValueError, match="passages.jsonl line 3: passage id 'd1#0' does not sort after 'd1#1'"
         ):
             load_index(bundle)
+
+    def test_reversed_index_refused(self, bundle):
+        # Consistent but out of order: every line still matches its matrix rows.
+        for name in ("uniform.npy", "idf.npy"):
+            np.save(bundle / name, np.load(bundle / name)[::-1])
+        path = bundle / "passages.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(reversed(lines)), encoding="utf-8")
+        with pytest.raises(
+            ValueError, match="passages.jsonl line 2: passage id 'd2#1' does not sort after 'd2#2'"
+        ):
+            load_index(bundle)
+
+    def test_unsorted_passages_refused_by_the_index(self, small_index):
+        passages = small_index.passages[::-1]
+        with pytest.raises(ValueError, match="passage id 'd2#1' does not sort after 'd2#2'"):
+            retrieval.PassageIndex(
+                small_index.dim, passages, small_index.uniform[::-1], small_index.idf[::-1]
+            )

@@ -36,6 +36,13 @@ class TestTokenize:
             "protein",
         )
 
+    def test_sequence_is_a_plain_tuple(self):
+        seq = tokenize("Adrenal glands")
+        assert isinstance(seq, tuple)
+        assert seq == ("adrenal", "glands")
+        assert type(seq.tokens) is tuple
+        assert not hasattr(seq, "__dict__")
+
     def test_empty_input(self):
         seq = tokenize("")
         assert seq.tokens == ()
