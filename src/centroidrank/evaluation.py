@@ -58,32 +58,69 @@ def _ngrams(tokens: Sequence[str], n: int) -> Iterator[tuple[str, ...]]:
     return zip(*[tokens[i:] for i in range(n)])
 
 
+def _padded(tokens: Sequence[str]) -> str:
+    return f" {' '.join(tokens)} "
+
+
+class _PreparedSnippets:
+    """One document's snippets, prepared for matching at one threshold t.
+
+    A passage matches some snippet exactly when one of three things holds:
+    it shares a t-gram with the union of the snippets' t-grams; it has
+    fewer than t tokens and its padded join occurs in ``joined``; or one of
+    the ``short`` padded snippets (fewer than t tokens) occurs in its
+    padded join. When the contained text has at least t tokens, containment
+    implies a shared t-gram, so the gram test covers it. Tokens are
+    non-empty and whitespace-free, so run containment is exactly substring
+    containment of the space-padded joins, and no match crosses a line
+    break of ``joined``.
+    """
+
+    __slots__ = ("t", "grams", "joined", "short")
+
+    def __init__(self, snippets: Iterable[Sequence[str]], t: int) -> None:
+        snippets = [snippet for snippet in snippets if snippet]
+        self.t = t
+        self.grams = {gram for snippet in snippets for gram in _ngrams(snippet, t)}
+        self.joined = "\n".join(map(_padded, snippets))
+        self.short = [_padded(snippet) for snippet in snippets if len(snippet) < t]
+
+    def match(self, passage_tokens: Sequence[str]) -> bool:
+        if not passage_tokens:
+            return False
+        if not self.grams.isdisjoint(_ngrams(passage_tokens, self.t)):
+            return True
+        is_short = len(passage_tokens) < self.t
+        if not (is_short or self.short):
+            return False
+        padded = _padded(passage_tokens)
+        if is_short and padded in self.joined:
+            return True
+        return any(snippet in padded for snippet in self.short)
+
+
 def judge_relevance(
     passage_tokens: Sequence[str],
-    snippets: Iterable[Sequence[str]],
+    snippets: Iterable[Sequence[str]] | _PreparedSnippets,
     overlap_threshold: int = OVERLAP_THRESHOLD,
 ) -> bool:
     """True when some snippet (token tuples from the passage's own document)
     matches the passage: one contains the other as a contiguous run, or the
     two share an ``overlap_threshold``-gram.
 
-    Tokens are non-empty and whitespace-free, so run containment is exactly
-    substring containment of the space-padded joins.
+    ``snippets`` may also be a set prepared for ``overlap_threshold`` by
+    :func:`build_judgments`, which prepares each snippet document once;
+    one prepared for another threshold raises ValueError.
     """
     _check_overlap_threshold(overlap_threshold)
-    if not passage_tokens:
-        return False
-    padded = f" {' '.join(passage_tokens)} "
-    grams = set(_ngrams(passage_tokens, overlap_threshold))
-    for snippet in snippets:
-        if not snippet:
-            continue
-        joined = f" {' '.join(snippet)} "
-        if padded in joined or joined in padded:
-            return True
-        if not grams.isdisjoint(_ngrams(snippet, overlap_threshold)):
-            return True
-    return False
+    if not isinstance(snippets, _PreparedSnippets):
+        snippets = _PreparedSnippets(snippets, overlap_threshold)
+    elif snippets.t != overlap_threshold:
+        raise ValueError(
+            f"snippets prepared for overlap threshold {snippets.t}, "
+            f"judged at {overlap_threshold}"
+        )
+    return snippets.match(passage_tokens)
 
 
 def build_judgments(
@@ -93,7 +130,9 @@ def build_judgments(
 ) -> RelevanceJudgments:
     """Materialize the question's gold snippets against the sentence index.
 
-    Each snippet and each passage of a snippet document is tokenized once.
+    Each snippet is tokenized and each snippet document prepared once per
+    question; passage tokens come from the index, which tokenizes each
+    passage once (:meth:`~centroidrank.retrieval.PassageIndex.passage_tokens`).
     """
     _check_overlap_threshold(overlap_threshold)
     snippets_by_doc: dict[str, list[tuple[str, ...]]] = {}
@@ -101,10 +140,12 @@ def build_judgments(
         snippets_by_doc.setdefault(doc_id, []).append(tokenize(snippet_text))
     relevant: set[str] = set()
     for doc_id, snippets in snippets_by_doc.items():
-        for row in index.doc_index.get(doc_id, ()):
-            passage = index.passages[row]
-            if judge_relevance(tokenize(passage.text), snippets, overlap_threshold):
-                relevant.add(passage.passage_id)
+        if doc_id not in index.doc_index:
+            continue
+        prepared = _PreparedSnippets(snippets, overlap_threshold)
+        for row in index.doc_index[doc_id].tolist():
+            if judge_relevance(index.passage_tokens(row), prepared, overlap_threshold):
+                relevant.add(index.passages[row].passage_id)
     return RelevanceJudgments(question_id=question.id, relevant_passage_ids=relevant)
 
 

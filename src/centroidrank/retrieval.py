@@ -44,7 +44,7 @@ def _frozen(matrix: np.ndarray) -> np.ndarray:
 
 
 class PassageIndex:
-    """Immutable sentence index.
+    """Sentence index whose data is immutable.
 
     ``passages`` come in strictly ascending passage-id order (ValueError
     otherwise), and row ``i`` of ``uniform`` and ``idf`` (C-contiguous
@@ -52,7 +52,9 @@ class PassageIndex:
     ``doc_index`` maps each document to the ascending row indices of its
     passages; the rows of one document need not be contiguous (``d#1``
     sorts between ``d`` and ``d``'s later rows when ``d#1`` is itself a
-    document id).
+    document id). The one mutable part is a memo of data derived from
+    that: each passage's tokens, filled by :meth:`passage_tokens` on first
+    use and never by building, loading or ranking.
     """
 
     def __init__(
@@ -80,9 +82,21 @@ class PassageIndex:
             doc_id: _frozen(np.array(doc_rows, dtype=np.intp))
             for doc_id, doc_rows in rows.items()
         }
+        self._tokens: dict[int, tuple[str, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.passages)
+
+    def passage_tokens(self, row: int) -> tuple[str, ...]:
+        """``tokenize(passages[row].text)``, computed on first use and kept.
+
+        Threads that share the index may each compute a row's first call;
+        they get equal tokens, and one of them is kept.
+        """
+        tokens = self._tokens.get(row)
+        if tokens is None:
+            tokens = self._tokens[row] = tokenize(self.passages[row].text)
+        return tokens
 
 
 def build_index(
@@ -246,9 +260,9 @@ def load_index(directory: str | os.PathLike) -> PassageIndex:
     A missing file raises OSError. Raises ValueError naming the file for a
     matrix file that is empty, truncated or not ``.npy``, a matrix that is
     not 2-d float64, matrices of different shapes, a passage line that is
-    not three strings or whose passage id does not sort after the previous
-    line's (naming the line), or a passage count that differs from the
-    matrix rows.
+    not three strings, whose passage id is not ``<doc_id>#<n>`` (``n``
+    ASCII digits) or does not sort after the previous line's (naming the
+    line), or a passage count that differs from the matrix rows.
     """
     uniform = _load_matrix(directory, _UNIFORM)
     idf = _load_matrix(directory, _IDF)
@@ -272,6 +286,16 @@ def load_index(directory: str | os.PathLike) -> PassageIndex:
                     f"{_PASSAGES} line {line_no}: expected [passage_id, doc_id, text]"
                 )
             passage = Passage(*fields)
+            ordinal = passage.passage_id[len(passage.doc_id) + 1 :]
+            if not (
+                passage.passage_id == f"{passage.doc_id}#{ordinal}"
+                and ordinal.isascii()
+                and ordinal.isdigit()
+            ):
+                raise ValueError(
+                    f"{_PASSAGES} line {line_no}: passage id {passage.passage_id!r} "
+                    f"is not {passage.doc_id + '#<n>'!r}"
+                )
             if passages and passage.passage_id <= passages[-1].passage_id:
                 raise ValueError(
                     f"{_PASSAGES} line {line_no}: passage id {passage.passage_id!r} "

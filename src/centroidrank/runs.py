@@ -227,8 +227,7 @@ def save_run(run: RunResult, sink: PathOrIO) -> None:
         "aggregates": asdict(run.aggregates),
     }
     with open_text(sink, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+        handle.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _bounded(value: object, where: str, name: str, high: float) -> float:

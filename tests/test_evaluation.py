@@ -37,6 +37,7 @@ from oracles import (
     oracle_recall,
     oracle_wilcoxon,
 )
+from synth import make_instance
 
 
 def _ranking(*passage_ids: str) -> RankedList:
@@ -131,6 +132,74 @@ def test_judge_relevance_matches_oracle_property(passage, snippet, threshold):
     assert judge_relevance(passage, [snippet], threshold) == oracle_judge(
         passage, snippet, threshold
     )
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(
+    passage=st.lists(st.sampled_from("abc"), max_size=12).map(tuple),
+    snippets=st.lists(st.lists(st.sampled_from("abc"), max_size=12).map(tuple), max_size=4),
+    threshold=st.integers(min_value=1, max_value=7),
+)
+def test_judge_relevance_with_several_snippets_matches_oracle_property(
+    passage, snippets, threshold
+):
+    # Short inputs on purpose: t up to 7 over at most 12 tokens puts
+    # passages and snippets below t on both sides, and empty snippets in.
+    got = judge_relevance(passage, snippets, threshold)
+    if not passage:
+        assert got is False
+    else:
+        assert got == any(oracle_judge(passage, s, threshold) for s in snippets if s)
+    prepared = evaluation._PreparedSnippets(snippets, threshold)
+    assert judge_relevance(passage, prepared, threshold) == got
+
+
+def test_prepared_snippets_for_another_threshold_refused():
+    prepared = evaluation._PreparedSnippets([_tokens("alpha beta gamma")], 3)
+    assert judge_relevance(_tokens("alpha beta gamma"), prepared, 3)
+    with pytest.raises(
+        ValueError, match="snippets prepared for overlap threshold 3, judged at 2"
+    ):
+        judge_relevance(_tokens("alpha beta gamma"), prepared, 2)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    threshold=st.integers(min_value=1, max_value=5),
+)
+def test_build_judgments_matches_per_passage_oracle_property(seed, threshold):
+    rng = random.Random(seed)
+    instance = make_instance(rng)
+    index = build_index(instance.documents, instance.embeddings, instance.doc_idf)
+    vocab = sorted({t for _pid, _doc, tokens in instance.passages for t in tokens})
+    doc_ids = [doc_id for doc_id, _text in instance.documents] + ["ghost"]
+    gold: list[tuple[str, list[str]]] = []
+    for _ in range(rng.randrange(0, 9)):
+        _pid, doc_id, tokens = rng.choice(instance.passages)
+        start = rng.randrange(len(tokens))
+        snippet = {
+            "part": tokens[start : rng.randrange(start, len(tokens) + 1)],
+            "whole": tokens,
+            "random": [rng.choice(vocab) for _ in range(rng.randrange(0, 7))],
+        }[rng.choice(["part", "whole", "random"])]
+        gold.append((rng.choice([doc_id, rng.choice(doc_ids)]), snippet))
+    question = Question(
+        id="q",
+        body="anything",
+        reference_docs=doc_ids,
+        gold_snippets=[(doc_id, " ".join(tokens)) for doc_id, tokens in gold],
+    )
+    want = {
+        pid
+        for pid, doc_id, tokens in instance.passages
+        if any(
+            oracle_judge(tokens, snippet, threshold)
+            for snippet_doc, snippet in gold
+            if snippet_doc == doc_id and snippet
+        )
+    }
+    assert build_judgments(index, question, threshold).relevant_passage_ids == want
 
 
 class TestBuildJudgments:

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from collections import Counter
 from io import StringIO
 from unittest import mock
@@ -23,7 +24,8 @@ from centroidrank import (
     save_index,
     tokenize,
 )
-from centroidrank import retrieval, semantic
+from centroidrank import build_judgments, retrieval, semantic
+from centroidrank.ingest import Question
 from oracles import oracle_rank
 from synth import make_instance
 
@@ -637,6 +639,42 @@ class TestConcurrentReads:
                 concurrent = list(pool.map(work, jobs))
                 assert concurrent == sequential
 
+    def test_fresh_index_judges_identically_across_threads(self, bundle):
+        from concurrent.futures import ThreadPoolExecutor
+
+        questions = [
+            Question(
+                id=f"q{i}",
+                body="anything",
+                reference_docs=["d1", "d2"],
+                gold_snippets=[("d1", snippet), ("d2", snippet)],
+            )
+            for i, snippet in enumerate(["beta gamma", "Gamma alone.", "alpha", "epsilon"])
+        ]
+        sequential = [
+            build_judgments(load_index(bundle), q, 1).relevant_passage_ids for q in questions
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                index = load_index(bundle)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    concurrent = list(
+                        pool.map(
+                            lambda q: build_judgments(index, q, 1).relevant_passage_ids,
+                            questions * 4,
+                            timeout=60,
+                        )
+                    )
+                assert concurrent == sequential * 4
+                assert all(
+                    index.passage_tokens(row) == tokenize(p.text)
+                    for row, p in enumerate(index.passages)
+                )
+        finally:
+            sys.setswitchinterval(interval)
+
 
 UNPICKLED: list[str] = []
 
@@ -703,6 +741,7 @@ class TestIndexSerialization:
     ):
         text = "Alpha \\ beta\tgamma\rdelta\u2028epsilon\x85alpha é ß 字 \\t \\n."
         documents = [("a\tb", text), ("a\nb", "Beta beta. " + text), ("a\rb", text)]
+        documents += [("a", "Beta beta. Gamma."), ("a#1", text)]
         index = build_index(documents, tiny_embeddings, tiny_doc_idf)
         assert text in [p.text for p in index.passages]
         save_index(index, tmp_path / "index")
@@ -773,6 +812,25 @@ class TestIndexSerialization:
         ):
             load_index(bundle)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (["d1#0", "zzz", "Alpha."], "passage id 'd1#0' is not 'zzz#<n>'"),
+            (["d1#0", "d", "Alpha."], "passage id 'd1#0' is not 'd#<n>'"),
+            (["d1#x", "d1", "Alpha."], "passage id 'd1#x' is not 'd1#<n>'"),
+            (["d1#", "d1", "Alpha."], "passage id 'd1#' is not 'd1#<n>'"),
+            (["d1#\u0663", "d1", "Alpha."], "passage id 'd1#\u0663' is not 'd1#<n>'"),
+            (["d1-0", "d1", "Alpha."], "passage id 'd1-0' is not 'd1#<n>'"),
+        ],
+        ids=["other-doc", "doc-prefix", "not-digits", "no-ordinal", "non-ascii-digit", "no-hash"],
+    )
+    def test_passage_id_must_be_doc_id_and_ordinal(self, bundle, fields, message):
+        path = bundle / "passages.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text(json.dumps(fields) + "\n" + "".join(lines[1:]), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"passages.jsonl line 1: {message}"):
+            load_index(bundle)
+
     def test_reversed_index_refused(self, bundle):
         # Consistent but out of order: every line still matches its matrix rows.
         for name in ("uniform.npy", "idf.npy"):
@@ -791,3 +849,28 @@ class TestIndexSerialization:
             retrieval.PassageIndex(
                 small_index.dim, passages, small_index.uniform[::-1], small_index.idf[::-1]
             )
+
+
+class TestPassageTokens:
+    def test_tokens_of_every_row_of_built_and_loaded_index(self, small_index, bundle):
+        for index in (small_index, load_index(bundle)):
+            for row, passage in enumerate(index.passages):
+                assert index.passage_tokens(row) == tokenize(passage.text)
+
+    def test_tokenized_once_through_the_module_and_kept(self, small_index):
+        with mock.patch.object(retrieval, "tokenize", wraps=tokenize) as counted:
+            first = [small_index.passage_tokens(row) for row in range(len(small_index))]
+            again = [small_index.passage_tokens(row) for row in range(len(small_index))]
+        assert counted.call_count == len(small_index)
+        assert all(a is b for a, b in zip(again, first))
+
+    def test_load_and_rank_leave_the_memo_empty(self, tiny_embeddings, bundle):
+        index = load_index(bundle)
+        rank(index, ["alpha", "gamma"], "cd", 3, tiny_embeddings)
+        rank(index, ["alpha"], "cd", 2, tiny_embeddings, candidate_docs={"d2"})
+        random_baseline(index, {"d1"}, 2, seed=0)
+        with mock.patch.object(retrieval, "tokenize", wraps=tokenize) as counted:
+            for row in range(len(index)):
+                index.passage_tokens(row)
+        # every row was tokenized now, so none was kept before
+        assert counted.call_count == len(index)
