@@ -104,10 +104,12 @@ def cmd_query(args: argparse.Namespace) -> int:
     from .retrieval import random_baseline, rank
     from .text import tokenize
 
+    candidate_docs = None
+    if args.docs is not None:
+        candidate_docs = {d for d in args.docs.split(",") if d}
+        if not candidate_docs:
+            raise ValueError(f"--docs names no document id: {args.docs!r}")
     index, embeddings, doc_idf, question_idf = _load_artifacts(args)
-    candidate_docs = (
-        {d for d in args.docs.split(",") if d} if args.docs is not None else None
-    )
     if args.method == Method.RND:
         ranking = random_baseline(index, candidate_docs, args.k, seed=args.seed)
     else:

@@ -133,8 +133,19 @@ def build_judgments(
     Each snippet is tokenized and each snippet document prepared once per
     question; passage tokens come from the index, which tokenizes each
     passage once (:meth:`~centroidrank.retrieval.PassageIndex.passage_tokens`).
+    The index keeps the relevant ids per ``(t, gold snippets)``, so a
+    repeated call looks them up; threads that race on a key's first call
+    judge equal sets, and one of them is kept.
     """
     _check_overlap_threshold(overlap_threshold)
+    key = (overlap_threshold, tuple((doc_id, text) for doc_id, text in question.gold_snippets))
+    judged = index._judged.get(key)
+    if judged is None:
+        judged = index._judged[key] = _judge(index, question, overlap_threshold)
+    return RelevanceJudgments(question_id=question.id, relevant_passage_ids=set(judged))
+
+
+def _judge(index: PassageIndex, question: Question, overlap_threshold: int) -> frozenset[str]:
     snippets_by_doc: dict[str, list[tuple[str, ...]]] = {}
     for doc_id, snippet_text in question.gold_snippets:
         snippets_by_doc.setdefault(doc_id, []).append(tokenize(snippet_text))
@@ -146,7 +157,7 @@ def build_judgments(
         for row in index.doc_index[doc_id].tolist():
             if judge_relevance(index.passage_tokens(row), prepared, overlap_threshold):
                 relevant.add(index.passages[row].passage_id)
-    return RelevanceJudgments(question_id=question.id, relevant_passage_ids=relevant)
+    return frozenset(relevant)
 
 
 # ---------------------------------------------------------------------------

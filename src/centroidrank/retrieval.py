@@ -52,9 +52,12 @@ class PassageIndex:
     ``doc_index`` maps each document to the ascending row indices of its
     passages; the rows of one document need not be contiguous (``d#1``
     sorts between ``d`` and ``d``'s later rows when ``d#1`` is itself a
-    document id). The one mutable part is a memo of data derived from
-    that: each passage's tokens, filled by :meth:`passage_tokens` on first
-    use and never by building, loading or ranking.
+    document id). The mutable parts are two memos of data derived from
+    that, never filled by building, loading or ranking: each passage's
+    tokens, filled by :meth:`passage_tokens` on first use, and the relevant
+    passage ids per judged ``(t, gold snippets)``, filled by
+    :func:`~centroidrank.evaluation.build_judgments`. The second grows with
+    the distinct snippet lists judged on the index.
     """
 
     def __init__(
@@ -83,6 +86,7 @@ class PassageIndex:
             for doc_id, doc_rows in rows.items()
         }
         self._tokens: dict[int, tuple[str, ...]] = {}
+        self._judged: dict[tuple, frozenset[str]] = {}
 
     def __len__(self) -> int:
         return len(self.passages)

@@ -164,7 +164,10 @@ def wilcoxon_signed_rank(
     (full sign-assignment distribution) for up to 20 nonzero differences
     and a tie-corrected, continuity-corrected normal approximation beyond;
     ``mode`` forces "exact" or "normal". All-zero differences give p = 1.
+    ``alpha`` must lie in (0, 1).
     """
+    if not 0.0 < alpha < 1.0:  # NaN fails too
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if mode not in ("auto", "exact", "normal"):
         raise ValueError(f"unknown mode {mode!r}")
     if len(a) != len(b):

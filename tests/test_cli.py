@@ -409,6 +409,28 @@ class TestQuery:
         assert code == 2
         assert "dimension" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("docs", ["", ",", ",,"])
+    @pytest.mark.parametrize("method", ["cd", "cd-idf", "cd-q", "rnd"])
+    def test_docs_naming_no_document_exits_2(self, workspace, capsys, method, docs):
+        _build_artifacts(workspace)
+        capsys.readouterr()
+        code = main(
+            [
+                "query",
+                "--index", str(workspace["index"]),
+                "--embeddings", str(workspace["embeddings"]),
+                "--doc-idf", str(workspace["doc_idf"]),
+                "--question-idf", str(workspace["question_idf"]),
+                "--method", method,
+                "--question", "alpha",
+                "--docs", docs,
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--docs names no document id" in captured.err
+
     def test_rnd_query_is_seeded(self, workspace, capsys):
         _build_artifacts(workspace)
         capsys.readouterr()
@@ -684,6 +706,20 @@ class TestCompare:
         code = main(["compare", "--run-a", str(run_a), "--run-b", str(run_b)])
         assert code == 2
         assert "repeats question 'q1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["1.5", "nan", "0", "1", "-0.05"])
+    def test_alpha_outside_unit_interval_exits_2(self, workspace, capsys, alpha):
+        run_a = workspace["run"].parent / "a.json"
+        run_b = workspace["run"].parent / "b.json"
+        _write_run(run_a, "cd", {"q1": 0.6, "q2": 0.7, "q3": 0.4})
+        _write_run(run_b, "cd", {"q1": 0.3, "q2": 0.6, "q3": 0.6})
+        code = main(
+            ["compare", "--run-a", str(run_a), "--run-b", str(run_b), "--alpha", alpha]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "alpha must be in (0, 1)" in captured.err
 
     def test_metric_selection(self, workspace, capsys):
         run_a = workspace["run"].parent / "a.json"

@@ -163,15 +163,9 @@ def test_prepared_snippets_for_another_threshold_refused():
         judge_relevance(_tokens("alpha beta gamma"), prepared, 2)
 
 
-@settings(max_examples=100, deadline=None, database=None, derandomize=True)
-@given(
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    threshold=st.integers(min_value=1, max_value=5),
-)
-def test_build_judgments_matches_per_passage_oracle_property(seed, threshold):
-    rng = random.Random(seed)
-    instance = make_instance(rng)
-    index = build_index(instance.documents, instance.embeddings, instance.doc_idf)
+def _random_gold(rng, instance):
+    """Gold snippets drawn from an instance: parts of passages, whole
+    passages and random token runs, some under another or a missing doc."""
     vocab = sorted({t for _pid, _doc, tokens in instance.passages for t in tokens})
     doc_ids = [doc_id for doc_id, _text in instance.documents] + ["ghost"]
     gold: list[tuple[str, list[str]]] = []
@@ -184,13 +178,20 @@ def test_build_judgments_matches_per_passage_oracle_property(seed, threshold):
             "random": [rng.choice(vocab) for _ in range(rng.randrange(0, 7))],
         }[rng.choice(["part", "whole", "random"])]
         gold.append((rng.choice([doc_id, rng.choice(doc_ids)]), snippet))
-    question = Question(
-        id="q",
+    return doc_ids, gold
+
+
+def _gold_question(question_id, doc_ids, gold):
+    return Question(
+        id=question_id,
         body="anything",
         reference_docs=doc_ids,
         gold_snippets=[(doc_id, " ".join(tokens)) for doc_id, tokens in gold],
     )
-    want = {
+
+
+def _oracle_relevant(instance, gold, threshold):
+    return {
         pid
         for pid, doc_id, tokens in instance.passages
         if any(
@@ -199,7 +200,45 @@ def test_build_judgments_matches_per_passage_oracle_property(seed, threshold):
             if snippet_doc == doc_id and snippet
         )
     }
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    threshold=st.integers(min_value=1, max_value=5),
+)
+def test_build_judgments_matches_per_passage_oracle_property(seed, threshold):
+    rng = random.Random(seed)
+    instance = make_instance(rng)
+    index = build_index(instance.documents, instance.embeddings, instance.doc_idf)
+    doc_ids, gold = _random_gold(rng, instance)
+    question = _gold_question("q", doc_ids, gold)
+    want = _oracle_relevant(instance, gold, threshold)
     assert build_judgments(index, question, threshold).relevant_passage_ids == want
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_judgments_kept_on_the_index_match_a_fresh_index_property(seed):
+    # Questions share ids across draws, as they do across question sets;
+    # each is judged twice at each of two thresholds, in shuffled order,
+    # on one index that keeps its judgments.
+    rng = random.Random(seed)
+    instance = make_instance(rng)
+    shared = build_index(instance.documents, instance.embeddings, instance.doc_idf)
+    drawn = []
+    for _ in range(rng.randrange(1, 5)):
+        doc_ids, gold = _random_gold(rng, instance)
+        drawn.append((_gold_question(rng.choice(["q", "r"]), doc_ids, gold), gold))
+    calls = [(question, gold, t) for question, gold in drawn for t in rng.sample(range(1, 6), 2)]
+    calls *= 2
+    rng.shuffle(calls)
+    for question, gold, t in calls:
+        got = build_judgments(shared, question, t)
+        fresh = build_index(instance.documents, instance.embeddings, instance.doc_idf)
+        assert got == build_judgments(fresh, question, t)
+        assert got.question_id == question.id
+        assert got.relevant_passage_ids == _oracle_relevant(instance, gold, t)
 
 
 class TestBuildJudgments:
@@ -252,6 +291,40 @@ class TestBuildJudgments:
             gold_snippets=[("d1", "Alpha beta gamma."), ("d1", "epsilon here"), ("ghost", "Beta alone.")],
         )
         assert build_judgments(index, question).relevant_passage_ids == {"d1#0", "d1#1"}
+
+    TWO_DOCS = [("d1", "Alpha beta gamma. Delta epsilon here."), ("d2", "Gamma alone.")]
+
+    @staticmethod
+    def _question(*snippets):
+        return Question(id="q1", body="x", reference_docs=["d1", "d2"], gold_snippets=list(snippets))
+
+    def test_same_id_with_other_snippets_judged_afresh(self, tiny_embeddings, tiny_doc_idf):
+        index = build_index(self.TWO_DOCS, tiny_embeddings, tiny_doc_idf)
+        first = self._question(("d1", "beta gamma"))
+        second = self._question(("d2", "gamma alone"))
+        assert build_judgments(index, first).relevant_passage_ids == {"d1#0"}
+        assert build_judgments(index, second).relevant_passage_ids == {"d2#0"}
+        assert build_judgments(index, first).relevant_passage_ids == {"d1#0"}
+
+    def test_mutating_a_result_leaves_the_next_call_unchanged(
+        self, tiny_embeddings, tiny_doc_idf
+    ):
+        index = build_index(self.TWO_DOCS, tiny_embeddings, tiny_doc_idf)
+        question = self._question(("d1", "beta gamma"))
+        build_judgments(index, question).relevant_passage_ids.add("d2#0")
+        build_judgments(index, question).relevant_passage_ids.clear()
+        assert build_judgments(index, question).relevant_passage_ids == {"d1#0"}
+
+    def test_snippets_given_as_lists_judged_as_tuples(self, tiny_embeddings, tiny_doc_idf):
+        snippets = [("d1", "epsilon here"), ("d2", "Gamma alone."), ("ghost", "alpha")]
+        as_lists = self._question(*map(list, snippets))
+        as_tuples = self._question(*snippets)
+        want = {"d1#1", "d2#0"}
+        # lists first on one index, tuples first on another
+        for order in ((as_lists, as_tuples), (as_tuples, as_lists)):
+            index = build_index(self.TWO_DOCS, tiny_embeddings, tiny_doc_idf)
+            for question in order:
+                assert build_judgments(index, question).relevant_passage_ids == want
 
     def test_threshold_below_one_rejected(self, tiny_embeddings, tiny_doc_idf):
         index = build_index([("d1", "Alpha beta.")], tiny_embeddings, tiny_doc_idf)
@@ -508,6 +581,18 @@ class TestWilcoxon:
             wilcoxon_signed_rank([], [])
         with pytest.raises(ValueError, match="mode"):
             wilcoxon_signed_rank([1.0], [0.0], mode="bogus")
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, float("nan"), float("inf")])
+    def test_alpha_outside_unit_interval_refused(self, alpha):
+        # p = 0.75 here: an alpha above 1 would call it significant
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            wilcoxon_signed_rank([0.6, 0.7, 0.4], [0.3, 0.6, 0.6], alpha=alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            wilcoxon_signed_rank([0.5], [0.5], alpha=alpha)
+
+    def test_alpha_inside_unit_interval_accepted(self):
+        assert wilcoxon_signed_rank([0.6, 0.7, 0.4], [0.3, 0.6, 0.6], alpha=0.8).significant
+        assert not wilcoxon_signed_rank([0.6, 0.7, 0.4], [0.3, 0.6, 0.6], alpha=0.7).significant
 
 
 class TestEvaluateQuestions:

@@ -63,10 +63,15 @@ def test_evaluation_reaches_the_traced_layers(tiny_embeddings):
         "evaluation.judge_relevance",
     } <= tracer.summary().keys()
     # The first judging tokenizes both snippets and the index's five
-    # passages; the second finds the passage tokens kept on the index.
-    judging = {
+    # passages; the second, for the next method, still runs as its own
+    # span but finds the judgments kept on the index and tokenizes nothing.
+    judging = [
         i for i, (name, *_times) in enumerate(tracer.spans)
         if name == "evaluation.build_judgments"
-    }
-    under_judging = [name for name, _start, _end, parent in tracer.spans if parent in judging]
-    assert under_judging.count("text.tokenize") == 2 + 5 + 2
+    ]
+    assert len(judging) == 2
+    tokenized = [
+        [name for name, _start, _end, parent in tracer.spans if parent == i].count("text.tokenize")
+        for i in judging
+    ]
+    assert tokenized == [2 + 5, 0]
