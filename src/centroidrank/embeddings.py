@@ -18,7 +18,7 @@ of its last line.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterator
 
 import numpy as np
@@ -40,17 +40,19 @@ class EmbeddingTable:
     matrix raises IndexError.
     """
 
-    dim: int
-    vocab: dict[str, int] = field(default_factory=dict)
-    matrix: np.ndarray | None = None
+    vocab: dict[str, int]
+    matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.matrix is None:
-            self.matrix = np.empty((0, self.dim))
         rows = self.vocab.values()
         # A row of -1 would silently read the last vector.
         if rows and not 0 <= min(rows) <= max(rows) < len(self.matrix):
             raise IndexError("an embedding vocab row lies outside its matrix")
+
+    @property
+    def dim(self) -> int:
+        """The width of ``matrix``."""
+        return self.matrix.shape[1]
 
     def lookup(self, token: str) -> np.ndarray | None:
         """Stored vector for ``token``, or None when out of vocabulary."""
@@ -95,7 +97,7 @@ def load_embeddings(source: PathOrIO) -> EmbeddingTable:
         matrix = matrix[list(vocab.values())]
         vocab = dict(zip(vocab, range(len(vocab))))
     matrix.flags.writeable = False
-    return EmbeddingTable(dim=dim, vocab=vocab, matrix=matrix)
+    return EmbeddingTable(vocab, matrix)
 
 
 def _file_size(handle: IO[str]) -> int:

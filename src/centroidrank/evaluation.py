@@ -33,7 +33,6 @@ from .runs import (
     RankedList,
     RunResult,
     _check_overlap_threshold,
-    aggregate,
     check_method,
 )
 from .runs import load_run, save_run, wilcoxon_signed_rank  # re-exported
@@ -238,7 +237,6 @@ def evaluate_questions(
     _check_overlap_threshold(overlap_threshold)
 
     result = RunResult(method=method.value)
-    triples = []
     for question in questions:
         candidate_docs = {
             d for d in question.reference_docs if d in index.doc_index
@@ -277,7 +275,5 @@ def evaluate_questions(
         result.per_question[question.id] = QuestionScore(
             ranking=ranking, ap=ap, precision=precision, recall=recall
         )
-        triples.append((ap, precision, recall))
-    result.aggregates = aggregate(triples)
     return result
 

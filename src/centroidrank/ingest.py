@@ -30,13 +30,18 @@ def normalize_doc_id(value: str) -> str:
     return value
 
 
+def _not_a_string(field_name: str, value: object) -> ValueError:
+    return ValueError(f"{field_name} {value!r} is not a non-empty string")
+
+
 def load_question_set(source: PathOrIO) -> list[Question]:
     """Parse a question-set document.
 
     Raises ValueError for a missing ``questions`` array, entries without
-    ``id``/``body``, malformed snippets, or duplicate ids, naming the
-    offending entry. A snippet whose document is not among the entry's
-    reference documents is reported as a warning but kept.
+    ``id``/``body``, malformed snippets, a document id, snippet document or
+    snippet text that is not a non-empty string, or duplicate ids, naming
+    the offending entry and field. A snippet whose document is not among
+    the entry's reference documents is reported as a warning but kept.
     """
     with open_text(source) as handle:
         data = json.load(handle)
@@ -69,7 +74,10 @@ def load_question_set(source: PathOrIO) -> list[Question]:
         if not isinstance(raw_snippets, list):
             raise ValueError(f"{where} (id {qid!r}): 'snippets' must be an array")
 
-        reference_docs = [normalize_doc_id(str(d)) for d in raw_docs]
+        for i, doc in enumerate(raw_docs):
+            if not isinstance(doc, str) or not doc:
+                raise _not_a_string(f"{where} (id {qid!r}): documents[{i}]", doc)
+        reference_docs = [normalize_doc_id(d) for d in raw_docs]
         snippets: list[tuple[str, str]] = []
         for snip_pos, snippet in enumerate(raw_snippets):
             if (
@@ -81,14 +89,20 @@ def load_question_set(source: PathOrIO) -> list[Question]:
                     f"{where} (id {qid!r}): snippets[{snip_pos}] needs "
                     "'document' and 'text'"
                 )
-            doc = normalize_doc_id(str(snippet["document"]))
+            doc, text = snippet["document"], snippet["text"]
+            for name, value in (("document", doc), ("text", text)):
+                if not isinstance(value, str) or not value:
+                    raise _not_a_string(
+                        f"{where} (id {qid!r}): snippets[{snip_pos}].{name}", value
+                    )
+            doc = normalize_doc_id(doc)
             if doc not in reference_docs:
                 warnings.warn(
                     f"question {qid!r}: snippet document {doc!r} is not in "
                     "the reference documents; snippet kept",
                     stacklevel=2,
                 )
-            snippets.append((doc, str(snippet["text"])))
+            snippets.append((doc, text))
         questions.append(
             Question(id=qid, body=body, reference_docs=reference_docs, gold_snippets=snippets)
         )

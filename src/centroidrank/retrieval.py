@@ -48,33 +48,27 @@ class PassageIndex:
 
     ``passages`` come in strictly ascending passage-id order (ValueError
     otherwise), and row ``i`` of ``uniform`` and ``idf`` (C-contiguous
-    float64, shape ``(n, dim)``) holds the raw centroids of ``passages[i]``.
-    ``doc_index`` maps each document to the ascending row indices of its
-    passages; the rows of one document need not be contiguous (``d#1``
-    sorts between ``d`` and ``d``'s later rows when ``d#1`` is itself a
-    document id). The mutable parts are two memos of data derived from
-    that, never filled by building, loading or ranking: each passage's
-    tokens, filled by :meth:`passage_tokens` on first use, and the relevant
-    passage ids per judged ``(t, gold snippets)``, filled by
-    :func:`~centroidrank.evaluation.build_judgments`. The second grows with
-    the distinct snippet lists judged on the index.
+    float64, shape ``(n, dim)``; ``dim`` is their width) holds the raw
+    centroids of ``passages[i]``. ``doc_index`` maps each document to the
+    ascending row indices of its passages; the rows of one document need
+    not be contiguous (``d#1`` sorts between ``d`` and ``d``'s later rows
+    when ``d#1`` is itself a document id). The mutable parts are two memos
+    of data derived from that, never filled by building, loading or
+    ranking: each passage's tokens, filled by :meth:`passage_tokens` on
+    first use, and the relevant passage ids per judged ``(t, gold
+    snippets)``, filled by :func:`~centroidrank.evaluation.build_judgments`.
+    The second grows with the distinct snippet lists judged on the index.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        passages: list[Passage],
-        uniform: np.ndarray,
-        idf: np.ndarray,
-    ) -> None:
+    def __init__(self, passages: list[Passage], uniform: np.ndarray, idf: np.ndarray) -> None:
         for before, after in zip(passages, passages[1:]):
             if after.passage_id <= before.passage_id:
                 raise ValueError(
                     f"passage id {after.passage_id!r} does not sort after {before.passage_id!r}"
                 )
-        self.dim = dim
         self.passages = passages
         self.uniform = _frozen(np.ascontiguousarray(uniform, dtype=np.float64))
+        self.dim = self.uniform.shape[1]
         self.idf = _frozen(np.ascontiguousarray(idf, dtype=np.float64))
         self.uniform_norms = _frozen(np.linalg.norm(self.uniform, axis=1))
         self.idf_norms = _frozen(np.linalg.norm(self.idf, axis=1))
@@ -125,7 +119,7 @@ def build_index(
     uniform, idf = centroids(
         (tokenize(passage.text) for passage in passages), embeddings, [None, doc_idf.weight]
     )
-    return PassageIndex(embeddings.dim, passages, uniform, idf)
+    return PassageIndex(passages, uniform, idf)
 
 
 def _candidate_rows(
@@ -213,11 +207,8 @@ def random_baseline(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    rows = _candidate_rows(index, candidate_docs)
-    if rows is None:
-        candidates = [p.passage_id for p in index.passages]
-    else:
-        candidates = [index.passages[row].passage_id for row in rows.tolist()]
+    rows = range(len(index)) if candidate_docs is None else _candidate_rows(index, candidate_docs)
+    candidates = [index.passages[row].passage_id for row in rows]
     if not candidates:
         raise ValueError("empty candidate set")
     rng = random.Random(seed)
@@ -255,6 +246,8 @@ def _load_matrix(directory: str | os.PathLike, name: str) -> np.ndarray:
         raise ValueError(f"{name}: not a readable .npy matrix ({exc})") from None
     if not isinstance(matrix, np.ndarray) or matrix.ndim != 2 or matrix.dtype != np.float64:
         raise ValueError(f"{name}: expected a 2-d float64 matrix")
+    if not np.isfinite(matrix).all():
+        raise ValueError(f"{name}: non-finite value")
     return matrix
 
 
@@ -263,10 +256,11 @@ def load_index(directory: str | os.PathLike) -> PassageIndex:
 
     A missing file raises OSError. Raises ValueError naming the file for a
     matrix file that is empty, truncated or not ``.npy``, a matrix that is
-    not 2-d float64, matrices of different shapes, a passage line that is
-    not three strings, whose passage id is not ``<doc_id>#<n>`` (``n``
-    ASCII digits) or does not sort after the previous line's (naming the
-    line), or a passage count that differs from the matrix rows.
+    not 2-d float64 or holds a NaN or an infinity, matrices of different
+    shapes, a passage line that is not three strings, whose passage id is
+    not ``<doc_id>#<n>`` (``n`` ASCII digits) or does not sort after the
+    previous line's (naming the line), or a passage count that differs
+    from the matrix rows.
     """
     uniform = _load_matrix(directory, _UNIFORM)
     idf = _load_matrix(directory, _IDF)
@@ -310,4 +304,4 @@ def load_index(directory: str | os.PathLike) -> PassageIndex:
         raise ValueError(
             f"{_PASSAGES} has {len(passages)} passages, the matrices {len(uniform)} rows"
         )
-    return PassageIndex(uniform.shape[1], passages, uniform, idf)
+    return PassageIndex(passages, uniform, idf)

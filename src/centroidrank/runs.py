@@ -207,11 +207,20 @@ class QuestionScore:
 class RunResult:
     method: str
     per_question: dict[str, QuestionScore] = field(default_factory=dict)
-    aggregates: Aggregates = field(default_factory=lambda: Aggregates(0.0, 0.0, 0.0, 0.0))
+
+    @property
+    def aggregates(self) -> Aggregates:
+        """:func:`aggregate` of the per-question (ap, precision, recall)."""
+        return aggregate((s.ap, s.precision, s.recall) for s in self.per_question.values())
 
 
 def save_run(run: RunResult, sink: PathOrIO) -> None:
-    """Write a run as JSON (schema: method, questions[], aggregates)."""
+    """Write a run as JSON (schema: method, questions[], aggregates).
+
+    Raises ValueError naming the question and the field for a NaN or an
+    infinity, before ``sink`` is opened, so a file already there keeps its
+    bytes.
+    """
     payload = {
         "method": run.method,
         "questions": [
@@ -227,10 +236,20 @@ def save_run(run: RunResult, sink: PathOrIO) -> None:
             }
             for qid, score_entry in run.per_question.items()
         ],
-        "aggregates": asdict(run.aggregates),
     }
+    try:
+        payload["aggregates"] = asdict(run.aggregates)
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError:  # a NaN or an infinity: name the first
+        for qid, entry in run.per_question.items():
+            named = [("ap", entry.ap), ("precision", entry.precision), ("recall", entry.recall)]
+            named += [(f"ranking[{i}] score", d) for i, (_, d) in enumerate(entry.ranking.items)]
+            for name, value in named:
+                if not math.isfinite(value):
+                    raise ValueError(f"question {qid!r}: {name} {value} is not finite") from None
+        raise
     with open_text(sink, "w") as handle:
-        handle.write(json.dumps(payload, indent=2) + "\n")
+        handle.write(text)
 
 
 def _bounded(value: object, where: str, name: str, high: float) -> float:
@@ -285,9 +304,9 @@ def load_run(source: PathOrIO) -> RunResult:
         }
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed run file: {exc}") from None
-    run.aggregates = aggregate((s.ap, s.precision, s.recall) for s in run.per_question.values())
+    aggregates = run.aggregates
     for name, value in stored.items():
-        derived = getattr(run.aggregates, name)
+        derived = getattr(aggregates, name)
         if value != derived:
             raise ValueError(
                 f"aggregates: {name} {value} is not the value of the per-question scores, "

@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from centroidrank import (
@@ -11,12 +12,11 @@ from centroidrank import (
     QuestionScore,
     RankedList,
     RunResult,
-    aggregate,
     load_index,
     load_run,
     save_run,
 )
-from centroidrank import embeddings, idf, retrieval
+from centroidrank import cli, embeddings, idf, retrieval
 from centroidrank.cli import main
 from oracles import oracle_index_tsv
 
@@ -209,6 +209,18 @@ class TestIndexBuild:
             "5297c5205199f15dc48601672a77f731cacf5baf48ee3513ed93e533fe36a6f8"
         )
 
+    def test_blank_docs_lines_are_skipped(self, workspace, capsys):
+        _build_artifacts(workspace)
+        plain = load_index(workspace["index"])
+        spaced = "\n" + DOCS_TSV.replace("\n", "\n \t \n", 1) + "\n"
+        workspace["docs"].write_text(spaced, encoding="utf-8")
+        capsys.readouterr()
+        assert self._index_build(workspace, workspace["index"]) == 0
+        assert capsys.readouterr().out == "4 passages\n"
+        reloaded = load_index(workspace["index"])
+        assert reloaded.passages == plain.passages
+        assert reloaded.uniform.tobytes() == plain.uniform.tobytes()
+
     def test_empty_docs_file_warns(self, workspace, capsys):
         workspace["docs"].write_text("", encoding="utf-8")
         _build_artifacts(workspace)
@@ -317,6 +329,43 @@ class TestQuery:
         assert code == 2
         assert capsys.readouterr().err.startswith(
             "error: uniform.npy: not a readable .npy matrix ("
+        )
+
+    @pytest.mark.parametrize("name", ["uniform.npy", "idf.npy"])
+    @pytest.mark.parametrize("command", ["query", "eval"])
+    def test_non_finite_matrix_exits_2_naming_it(self, workspace, capsys, command, name):
+        _build_artifacts(workspace)
+        matrix = np.load(workspace["index"] / name)
+        matrix[0, 0] = np.nan
+        np.save(workspace["index"] / name, matrix)
+        capsys.readouterr()
+        argv = [command, "--index", str(workspace["index"]),
+                "--embeddings", str(workspace["embeddings"])]
+        if command == "query":
+            argv += ["--question", "alpha"]
+        else:
+            argv += ["--questions", str(workspace["questions"]), "--out", str(workspace["run"])]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {name}: non-finite value\n"
+        assert not workspace["run"].exists()
+
+    @pytest.mark.parametrize("method", ["cd", "cd-idf", "cd-q"])
+    def test_method_without_embeddings_exits_2(self, workspace, capsys, method):
+        _build_artifacts(workspace)
+        capsys.readouterr()
+        code = main(
+            [
+                "query",
+                "--index", str(workspace["index"]),
+                "--doc-idf", str(workspace["doc_idf"]),
+                "--question-idf", str(workspace["question_idf"]),
+                "--method", method,
+                "--question", "alpha",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {method} requires an embedding table (--embeddings)\n"
         )
 
     def test_identical_question_scores_zero(self, workspace, capsys):
@@ -626,11 +675,7 @@ def _write_run(path, method, scores):
         per_question[qid] = QuestionScore(
             ranking=ranking, ap=ap, precision=ap, recall=ap
         )
-    run = RunResult(
-        method=method,
-        per_question=per_question,
-        aggregates=aggregate((ap, ap, ap) for ap in scores.values()),
-    )
+    run = RunResult(method=method, per_question=per_question)
     save_run(run, str(path))
 
 
@@ -678,7 +723,11 @@ class TestCompare:
         run_b = workspace["run"].parent / "b.json"
         scores = {f"q{i}": 0.5 + 0.08 * i for i in range(1, 6)}
         _write_run(run_a, "cd", scores)
-        _write_run(run_b, "cd", {**scores, "q3": bad_ap})
+        _write_run(run_b, "cd", scores)
+        # save_run refuses NaN, so the bad score is written into the file.
+        payload = json.loads(run_b.read_text(encoding="utf-8"))
+        payload["questions"][2]["ap"] = bad_ap
+        run_b.write_text(json.dumps(payload), encoding="utf-8")
         code = main(["compare", "--run-a", str(run_a), "--run-b", str(run_b)])
         assert code == 2
         assert "question 'q3': ap" in capsys.readouterr().err
@@ -817,6 +866,16 @@ class TestCheckedInFixturePipeline:
 
 
 class TestEntryPoint:
+    def test_unexpected_exception_exits_1(self, workspace, capsys, monkeypatch):
+        def fails(_args):
+            raise RuntimeError("boom")
+
+        # main builds its parser on each call, so the patched command is the one run
+        monkeypatch.setattr(cli, "cmd_compare", fails)
+        code = main(["compare", "--run-a", str(workspace["run"]), "--run-b", str(workspace["run"])])
+        assert code == 1
+        assert capsys.readouterr().err == "internal error: boom\n"
+
     def test_module_invocation(self, workspace):
         result = subprocess.run(
             [

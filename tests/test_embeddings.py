@@ -172,7 +172,15 @@ class TestLookup:
         assert tiny_embeddings.lookup("zzz") is None
 
     def test_empty_table(self):
-        assert EmbeddingTable(dim=2).lookup("anything") is None
+        assert EmbeddingTable({}, np.empty((0, 2))).lookup("anything") is None
+
+    def test_dim_is_the_matrix_width(self):
+        table = EmbeddingTable({"a": 0}, np.ones((1, 3)))
+        assert table.dim == 3
+        with pytest.raises(AttributeError):
+            table.dim = 4
+        with pytest.raises(TypeError):
+            EmbeddingTable({})  # no matrix, no default
 
     def test_contains(self, tiny_embeddings):
         assert "alpha" in tiny_embeddings.vocab

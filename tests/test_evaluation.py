@@ -728,13 +728,59 @@ class TestRunFiles:
             per_question={
                 "q1": QuestionScore(ranking=ranking, ap=1.0, precision=0.1, recall=0.5)
             },
-            aggregates=aggregate([(1.0, 0.1, 0.5)]),
         )
         buffer = StringIO()
         save_run(run_in, buffer)
         buffer.seek(0)
         run_out = load_run(buffer)
         assert run_out == run_in
+
+    @staticmethod
+    def _built_run(ap=1.0, score=0.5):
+        """Three questions; ``ap`` and the second ranking ``score`` are q2's."""
+        return RunResult(
+            method="cd",
+            per_question={
+                qid: QuestionScore(
+                    ranking=RankedList(
+                        qid, Method.CD, [("d1#0", 0.125), ("d2#1", score if qid == "q2" else 0.5)]
+                    ),
+                    ap=ap if qid == "q2" else 0.25,
+                    precision=0.1,
+                    recall=0.5,
+                )
+                for qid in ("q1", "q2", "q3")
+            },
+        )
+
+    def test_run_built_in_code_round_trips(self):
+        run_in = self._built_run()
+        assert run_in.aggregates == aggregate([(0.25, 0.1, 0.5), (1.0, 0.1, 0.5), (0.25, 0.1, 0.5)])
+        buffer = StringIO()
+        save_run(run_in, buffer)
+        assert json.loads(buffer.getvalue())["aggregates"] == asdict(run_in.aggregates)
+        buffer.seek(0)
+        run_out = load_run(buffer)
+        assert run_out == run_in
+        assert run_out.aggregates == run_in.aggregates
+
+    def test_aggregates_follow_the_scores_and_cannot_be_set(self):
+        run = self._built_run()
+        run.per_question["q2"].ap = 0.25
+        assert run.aggregates.map == 0.25
+        with pytest.raises(AttributeError):
+            run.aggregates = aggregate([(1.0, 1.0, 1.0)])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["ap", "ranking[1] score"])
+    def test_non_finite_value_refused_and_file_kept(self, tmp_path, field, value):
+        run = self._built_run(**{"ap" if field == "ap" else "score": value})
+        target = tmp_path / "run.json"
+        target.write_bytes(b"an earlier run\n")
+        with pytest.raises(ValueError) as excinfo:
+            save_run(run, str(target))
+        assert str(excinfo.value) == f"question 'q2': {field} {value} is not finite"
+        assert target.read_bytes() == b"an earlier run\n"
 
     def test_malformed_run_file(self):
         with pytest.raises(ValueError, match="malformed"):

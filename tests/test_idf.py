@@ -134,6 +134,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match="line 1"):
             load_idf(StringIO("n_docs 2\na\t1\n"))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty idf stream"),
+            ("#n_docs two docs\na\t1\n", "line 1: malformed document count 'two'"),
+        ],
+    )
+    def test_empty_stream_and_bad_document_count(self, text, message):
+        with pytest.raises(ValueError) as excinfo:
+            load_idf(StringIO(text))
+        assert str(excinfo.value) == message
+
     def test_malformed_row_names_line(self):
         with pytest.raises(ValueError, match="line 3"):
             load_idf(StringIO("#n_docs 2 docs\na\t1\nb 2\n"))

@@ -81,6 +81,41 @@ class TestLoadQuestionSet:
         with pytest.raises(ValueError, match="questions"):
             _load({"items": []})
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"questions": {"q1": {}}}, "'questions' must be an array"),
+            (
+                {"questions": [{"id": "q1", "body": "A?"}, "q2"]},
+                "questions[1]: entry is not an object",
+            ),
+        ],
+    )
+    def test_malformed_questions_array_named(self, payload, message):
+        with pytest.raises(ValueError) as excinfo:
+            _load(payload)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("value", [None, 123, {}, ["d"], ""], ids=repr)
+    @pytest.mark.parametrize("field", ["documents[0]", "snippets[0].document", "snippets[0].text"])
+    def test_non_string_field_refused_naming_it(self, field, value):
+        entry = {
+            "id": "q1",
+            "body": "B?",
+            "documents": ["d1"],
+            "snippets": [{"document": "d1", "text": "s"}],
+        }
+        if field == "documents[0]":
+            entry["documents"] = [value]
+        else:
+            entry["snippets"][0][field.rsplit(".", 1)[1]] = value
+        payload = {"questions": [{"id": "q0", "body": "A?"}, entry]}
+        with pytest.raises(ValueError) as excinfo:
+            _load(payload)
+        assert str(excinfo.value) == (
+            f"questions[1] (id 'q1'): {field} {value!r} is not a non-empty string"
+        )
+
     def test_missing_id_names_entry(self):
         with pytest.raises(ValueError, match=r"questions\[1\]"):
             _load({"questions": [{"id": "q1", "body": "B?"}, {"body": "C?"}]})

@@ -14,7 +14,7 @@ from centroidrank import evaluation, retrieval, runs
 RUN_REEXPORTS = {
     evaluation: (
         "DEFAULT_CUTOFF", "OVERLAP_THRESHOLD", "Method", "QuestionScore", "RankedList",
-        "RunResult", "aggregate",
+        "RunResult",
         "load_run", "save_run", "wilcoxon_signed_rank",
     ),
     retrieval: ("RankedList", "Method"),

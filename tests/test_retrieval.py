@@ -503,6 +503,18 @@ class TestRankEdgeCases:
         ):
             rank(small_index, ["alpha"], "cd", 5, wider)
 
+    def test_index_dim_is_its_matrix_width(self, small_index, tiny_embeddings):
+        # Matrices narrower than the embeddings: the index cannot claim the
+        # embeddings' width, so rank refuses before numpy broadcasts.
+        narrow = retrieval.PassageIndex(
+            small_index.passages, small_index.uniform[:, :1], small_index.idf[:, :1]
+        )
+        assert narrow.dim == 1
+        with pytest.raises(
+            ValueError, match="dimension mismatch: index dim 1, embeddings dim 2"
+        ):
+            rank(narrow, ["alpha"], "cd", 5, tiny_embeddings)
+
 
 def _rounding_ties(ranked, centroid_of) -> bool:
     """True when neighbouring passages have different centroids but
@@ -572,6 +584,14 @@ class TestRandomBaseline:
         assert len(set(ids)) == len(ids)
         assert ids == sorted(ids)
         assert all(score == 0.0 for _pid, score in result.items)
+
+    def test_no_candidate_set_draws_from_every_passage(self, small_index):
+        everything = set(small_index.doc_index)
+        for seed in range(5):
+            assert (
+                random_baseline(small_index, None, 3, seed=seed).items
+                == random_baseline(small_index, everything, 3, seed=seed).items
+            )
 
     def test_restriction_respected(self, small_index):
         for seed in range(20):
@@ -752,6 +772,15 @@ class TestIndexSerialization:
         reloaded = load_index(tmp_path / "index")
         assert (len(reloaded), reloaded.dim) == (0, tiny_embeddings.dim)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["uniform.npy", "idf.npy"])
+    def test_non_finite_matrix_value_refused_naming_file(self, bundle, name, value):
+        matrix = np.load(bundle / name)
+        matrix[-1, 0] = value
+        np.save(bundle / name, matrix)
+        with pytest.raises(ValueError, match=f"^{name}: non-finite value$"):
+            load_index(bundle)
+
     @pytest.mark.parametrize("name", ["uniform.npy", "idf.npy", "passages.jsonl"])
     def test_missing_file_refused(self, bundle, name):
         (bundle / name).unlink()
@@ -846,9 +875,7 @@ class TestIndexSerialization:
     def test_unsorted_passages_refused_by_the_index(self, small_index):
         passages = small_index.passages[::-1]
         with pytest.raises(ValueError, match="passage id 'd2#1' does not sort after 'd2#2'"):
-            retrieval.PassageIndex(
-                small_index.dim, passages, small_index.uniform[::-1], small_index.idf[::-1]
-            )
+            retrieval.PassageIndex(passages, small_index.uniform[::-1], small_index.idf[::-1])
 
 
 class TestPassageTokens:

@@ -195,7 +195,7 @@ def _centroid_cases(draw):
     dim = draw(st.integers(1, 4))
     words = [f"w{i}" for i in range(draw(st.integers(1, 6)))]
     rows = [draw(st.lists(_COMPONENT, min_size=dim, max_size=dim)) for _ in words]
-    table = EmbeddingTable(dim=dim, vocab={w: i for i, w in enumerate(words)},
+    table = EmbeddingTable(vocab={w: i for i, w in enumerate(words)},
                            matrix=np.array(rows, dtype=np.float64).reshape(len(words), dim))
     weights = {token: draw(_WEIGHT) for token in words + list(_OOV)}
     token = st.sampled_from(words + list(_OOV))
@@ -226,7 +226,7 @@ def test_bulk_and_one_row_centroids_match_the_per_token_loop(chunk, case):
 
 
 def test_cancelling_weights_and_all_negative_zero_components():
-    table = EmbeddingTable(dim=2, vocab={"a": 0, "b": 1},
+    table = EmbeddingTable(vocab={"a": 0, "b": 1},
                            matrix=np.array([[-0.0, 1.0], [-0.0, 3.0]]))
     weights = {"a": 2.0, "b": -2.0, "zzz": 1.0}.__getitem__
     uniform, weighted = centroids([["a", "b"], ["a", "zzz"]], table, [None, weights])
@@ -240,4 +240,4 @@ def test_cancelling_weights_and_all_negative_zero_components():
 def test_vocab_row_outside_the_matrix_is_refused():
     for row in (2, -1):
         with pytest.raises(IndexError, match="outside its matrix"):
-            EmbeddingTable(dim=1, vocab={"a": 0, "b": row}, matrix=np.ones((2, 1)))
+            EmbeddingTable(vocab={"a": 0, "b": row}, matrix=np.ones((2, 1)))
