@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 # The parser needs only the numpy-free run names; each command imports the
 # rest of the library itself, so ``idf-build`` and ``compare`` never load
@@ -30,6 +30,16 @@ if TYPE_CHECKING:
 
 _UNIT_LABELS = {"doc": "documents", "question": "questions"}
 
+_T = TypeVar("_T")
+
+
+def _load(flag: str, path: str, loader: Callable[[str], _T]) -> _T:
+    """``loader(path)``; a refusal (exit 2) names the flag and the path."""
+    try:
+        return loader(path)
+    except (ValueError, OSError) as exc:
+        raise ValueError(f"{flag} {path}: {exc}") from None
+
 
 def _load_artifacts(
     args: argparse.Namespace,
@@ -40,15 +50,19 @@ def _load_artifacts(
     from .retrieval import load_index
 
     check_method(args.method, args.k, args.embeddings, args.doc_idf, args.question_idf)
-    index = load_index(args.index)
-    embeddings = load_embeddings(args.embeddings) if args.embeddings else None
+    index = _load("--index", args.index, load_index)
+    embeddings = (
+        _load("--embeddings", args.embeddings, load_embeddings) if args.embeddings else None
+    )
     if embeddings is not None and embeddings.dim != index.dim:
         raise ValueError(
             f"dimension mismatch: index has dim {index.dim}, "
             f"embeddings have dim {embeddings.dim}"
         )
-    doc_idf = load_idf(args.doc_idf) if args.doc_idf else None
-    question_idf = load_idf(args.question_idf) if args.question_idf else None
+    doc_idf = _load("--doc-idf", args.doc_idf, load_idf) if args.doc_idf else None
+    question_idf = (
+        _load("--question-idf", args.question_idf, load_idf) if args.question_idf else None
+    )
     return index, embeddings, doc_idf, question_idf
 
 
@@ -89,9 +103,9 @@ def cmd_index_build(args: argparse.Namespace) -> int:
     from .idf import load_idf
     from .retrieval import build_index, save_index
 
-    documents = _read_documents(args.docs)
-    embeddings = load_embeddings(args.embeddings)
-    doc_idf = load_idf(args.doc_idf)
+    documents = _load("--docs", args.docs, _read_documents)
+    embeddings = _load("--embeddings", args.embeddings, load_embeddings)
+    doc_idf = _load("--doc-idf", args.doc_idf, load_idf)
     index = build_index(documents, embeddings, doc_idf)
     save_index(index, args.out)
     if not documents:
@@ -135,7 +149,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     _check_overlap_threshold(args.overlap_threshold)
     index, embeddings, doc_idf, question_idf = _load_artifacts(args)
-    questions = load_question_set(args.questions)
+    questions = _load("--questions", args.questions, load_question_set)
     run = evaluate_questions(
         index,
         questions,
@@ -158,8 +172,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     from .runs import load_run, wilcoxon_signed_rank
 
-    run_a = load_run(args.run_a)
-    run_b = load_run(args.run_b)
+    run_a = _load("--run-a", args.run_a, load_run)
+    run_b = _load("--run-b", args.run_b, load_run)
     ids_a = set(run_a.per_question)
     ids_b = set(run_b.per_question)
     if ids_a != ids_b:

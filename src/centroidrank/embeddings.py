@@ -70,6 +70,11 @@ def load_embeddings(source: PathOrIO) -> EmbeddingTable:
     integers. Duplicate tokens keep the last occurrence. Raises ValueError
     naming the offending line for malformed floats, non-finite values or
     inconsistent dimensions, and ValueError for a stream without vectors.
+
+    Finite values can still overflow later: a vector whose norm passes
+    about 1.3e154 (the square root of the largest float64), or values near
+    1e308 that a centroid sums, give centroids whose norm is not finite.
+    ``build_index`` refuses such a passage and ``rank`` such a question.
     """
     tokens: list[str] = []
     matrix = np.empty((0, 0))

@@ -34,14 +34,26 @@ def _not_a_string(field_name: str, value: object) -> ValueError:
     return ValueError(f"{field_name} {value!r} is not a non-empty string")
 
 
+def _doc_id(field_name: str, value: object) -> str:
+    """``normalize_doc_id(value)``, or ValueError naming ``field_name`` when
+    ``value`` is not a non-empty string or normalizes to ``''``."""
+    if not isinstance(value, str) or not value:
+        raise _not_a_string(field_name, value)
+    doc_id = normalize_doc_id(value)
+    if not doc_id:
+        raise ValueError(f"{field_name} {value!r} is empty after URL normalization")
+    return doc_id
+
+
 def load_question_set(source: PathOrIO) -> list[Question]:
     """Parse a question-set document.
 
     Raises ValueError for a missing ``questions`` array, entries without
     ``id``/``body``, malformed snippets, a document id, snippet document or
-    snippet text that is not a non-empty string, or duplicate ids, naming
-    the offending entry and field. A snippet whose document is not among
-    the entry's reference documents is reported as a warning but kept.
+    snippet text that is not a non-empty string, a document id or snippet
+    document that normalizes to ``''`` (such as ``"/"``), or duplicate ids,
+    naming the offending entry and field. A snippet whose document is not
+    among the entry's reference documents is reported as a warning but kept.
     """
     with open_text(source) as handle:
         data = json.load(handle)
@@ -74,10 +86,10 @@ def load_question_set(source: PathOrIO) -> list[Question]:
         if not isinstance(raw_snippets, list):
             raise ValueError(f"{where} (id {qid!r}): 'snippets' must be an array")
 
-        for i, doc in enumerate(raw_docs):
-            if not isinstance(doc, str) or not doc:
-                raise _not_a_string(f"{where} (id {qid!r}): documents[{i}]", doc)
-        reference_docs = [normalize_doc_id(d) for d in raw_docs]
+        reference_docs = [
+            _doc_id(f"{where} (id {qid!r}): documents[{i}]", doc)
+            for i, doc in enumerate(raw_docs)
+        ]
         snippets: list[tuple[str, str]] = []
         for snip_pos, snippet in enumerate(raw_snippets):
             if (
@@ -89,13 +101,11 @@ def load_question_set(source: PathOrIO) -> list[Question]:
                     f"{where} (id {qid!r}): snippets[{snip_pos}] needs "
                     "'document' and 'text'"
                 )
-            doc, text = snippet["document"], snippet["text"]
-            for name, value in (("document", doc), ("text", text)):
-                if not isinstance(value, str) or not value:
-                    raise _not_a_string(
-                        f"{where} (id {qid!r}): snippets[{snip_pos}].{name}", value
-                    )
-            doc = normalize_doc_id(doc)
+            field_name = f"{where} (id {qid!r}): snippets[{snip_pos}]"
+            doc = _doc_id(f"{field_name}.document", snippet["document"])
+            text = snippet["text"]
+            if not isinstance(text, str) or not text:
+                raise _not_a_string(f"{field_name}.text", text)
             if doc not in reference_docs:
                 warnings.warn(
                     f"question {qid!r}: snippet document {doc!r} is not in "

@@ -2,21 +2,23 @@
 
 Each document is split into sentences; each sentence becomes a passage,
 one row of two centroid matrices (uniform and document-idf weighted).
-Ranking compares the question centroid against every candidate row of
-the matching matrix in one matrix-vector product, under one of three
-schemes:
+Ranking scores the question centroid against the candidate rows of the
+matching matrix with one ``einsum``, under one of three schemes:
 
 * ``cd``      uniform question centroid vs uniform passage centroid
 * ``cd-idf``  document-idf question centroid vs idf passage centroid
 * ``cd-q``    question-corpus-idf question centroid vs idf passage centroid
 
 plus a seeded random baseline (``rnd``). Output order is total: ascending
-distance, ties broken by ascending passage id.
+distance, ties broken by ascending passage id. Over the whole index, a
+float32 screen of unit rows first chooses the rows that can still reach
+the top k; the scores and the order are those of scoring every row.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 from typing import Iterable, NamedTuple, Sequence
@@ -26,7 +28,7 @@ import numpy as np
 from .embeddings import EmbeddingTable
 from .idf import IdfTable
 from .runs import Method, RankedList, check_method  # Method is also read from here
-from .semantic import centroid, centroids, cosine_distances
+from .semantic import centroid, centroids, cosine_distances, row_norms
 from .text import split_sentences, tokenize
 
 
@@ -52,12 +54,15 @@ class PassageIndex:
     centroids of ``passages[i]``. ``doc_index`` maps each document to the
     ascending row indices of its passages; the rows of one document need
     not be contiguous (``d#1`` sorts between ``d`` and ``d``'s later rows
-    when ``d#1`` is itself a document id). The mutable parts are two memos
-    of data derived from that, never filled by building, loading or
-    ranking: each passage's tokens, filled by :meth:`passage_tokens` on
-    first use, and the relevant passage ids per judged ``(t, gold
-    snippets)``, filled by :func:`~centroidrank.evaluation.build_judgments`.
-    The second grows with the distinct snippet lists judged on the index.
+    when ``d#1`` is itself a document id). A row whose norm is not finite
+    raises ValueError naming its passage. The mutable parts are three memos
+    of data derived from that, never filled by building or loading: each
+    passage's tokens, filled by :meth:`passage_tokens` on first use; the
+    relevant passage ids per judged ``(t, gold snippets)``, filled by
+    :func:`~centroidrank.evaluation.build_judgments`, which grows with the
+    distinct snippet lists judged on the index; and the float32 screen of
+    ``uniform`` or ``idf``, filled by :meth:`screen` when :func:`rank`
+    first scores the whole index with it.
     """
 
     def __init__(self, passages: list[Passage], uniform: np.ndarray, idf: np.ndarray) -> None:
@@ -70,8 +75,8 @@ class PassageIndex:
         self.uniform = _frozen(np.ascontiguousarray(uniform, dtype=np.float64))
         self.dim = self.uniform.shape[1]
         self.idf = _frozen(np.ascontiguousarray(idf, dtype=np.float64))
-        self.uniform_norms = _frozen(np.linalg.norm(self.uniform, axis=1))
-        self.idf_norms = _frozen(np.linalg.norm(self.idf, axis=1))
+        self.uniform_norms = _finite_norms(self.uniform, "uniform", passages)
+        self.idf_norms = _finite_norms(self.idf, "idf", passages)
         rows: dict[str, list[int]] = {}
         for row, passage in enumerate(passages):
             rows.setdefault(passage.doc_id, []).append(row)
@@ -81,6 +86,7 @@ class PassageIndex:
         }
         self._tokens: dict[int, tuple[str, ...]] = {}
         self._judged: dict[tuple, frozenset[str]] = {}
+        self._screens: dict[str, np.ndarray | None] = {}
 
     def __len__(self) -> int:
         return len(self.passages)
@@ -96,6 +102,104 @@ class PassageIndex:
             tokens = self._tokens[row] = tokenize(self.passages[row].text)
         return tokens
 
+    def screen(self, name: str) -> np.ndarray | None:
+        """Each row of matrix ``name`` (``"uniform"`` or ``"idf"``) over its
+        norm, in float32 (zero rows stay zero), computed on first use and
+        kept; None when a nonzero norm lies outside [2**-100, 2**100].
+        Threads may each compute it first; they get equal screens.
+        """
+        if name not in self._screens:
+            self._screens[name] = _unit_rows32(
+                getattr(self, name), getattr(self, name + "_norms")
+            )
+        return self._screens[name]
+
+
+def _finite_norms(matrix: np.ndarray, name: str, passages: list[Passage]) -> np.ndarray:
+    with np.errstate(over="ignore"):  # refused below, naming the passage
+        norms = row_norms(matrix)
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if len(bad):
+        raise ValueError(
+            f"passage {passages[bad[0]].passage_id!r}: {name} centroid norm "
+            f"{norms[bad[0]]} is not finite"
+        )
+    return _frozen(norms)
+
+
+# Screening needs every nonzero norm, the question's included, within
+# [2**-100, 2**100]. Beyond it float64 sums of squares and products of two
+# norms can underflow or overflow, so einsum no longer tracks the cosine,
+# and float32 entries would overflow or flush to zero; such an index or
+# question is scored row by row.
+_SCREEN_LIMIT = 2.0**100
+
+
+def _unit_rows32(matrix: np.ndarray, norms: np.ndarray) -> np.ndarray | None:
+    with np.errstate(over="ignore"):  # a subnormal norm; refused below
+        scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms != 0.0)
+    if max(norms.max(initial=0.0), scale.max(initial=0.0)) > _SCREEN_LIMIT:
+        return None
+    # Cast first, then scale in float32: one pass over the float64 matrix.
+    # Entries are at most 2**100 here, far inside the float32 range.
+    screen = matrix.astype(np.float32)
+    screen *= scale.astype(np.float32)[:, None]
+    return _frozen(screen)
+
+
+def _screen_slack(dim: int) -> float:
+    """δ, a bound on |d_b - d_e| for any row: d_b is the screen distance
+    ``1 - vecdot(screen row, fl32(q / Q))``, d_e the einsum distance that
+    :func:`~centroidrank.semantic.cosine_distances` returns."""
+    # u = 2**-24 and v = 2**-53 are the float32 and float64 unit roundoffs;
+    # a row m has stored norm N, the question q norm Q, both in
+    # [2**-100, 2**100], and c = m.q / (N Q).
+    # * A screen entry fl32(fl32(m_i) * fl32(fl64(1 / N))) is
+    #   (m_i / N)(1 + a) + e, |a| <= 3u + v + 4u^2 (three float32 roundings
+    #   and one float64); |e| <= 2**-49 covers a subnormal float32 result,
+    #   magnified at most 2**100 by the scale. A question entry
+    #   fl32(fl64(q_i / Q)) is (q_i / Q)(1 + b) + f, |b| <= u + v,
+    #   |f| <= 2**-150.
+    # * Inside the norm range nothing underflows that matters, so N and Q
+    #   are within d v of the true norms and sum |m_i q_i| / (N Q) <= 1 + 2dv.
+    #   The exact dot product of the two screen vectors is then within
+    #   4u + 8u^2 + sqrt(d) 2**-48 + 3dv of c, and each vector has norm at
+    #   most 1 + 5u.
+    # * vecdot adds at most γ_d (1 + 5u) + d 2**-150, γ_d = d u / (1 - d u),
+    #   in any order of summation, with or without FMA (the last term is
+    #   products that underflow).
+    # * einsum's similarity is within (d + 3) v of c; clipping it, as
+    #   cosine_distances does and the screen need not, moves it by at most
+    #   its distance from c, since |c| <= 1 + 2dv. Rounding 1 - s and the
+    #   threshold T_b + 2δ costs a few v more.
+    # Summed and rounded up, δ ~= 1.22e-5 at d = 200:
+    u, v = 2.0**-24, 2.0**-53
+    if dim * u >= 0.5:
+        return math.inf
+    gamma = dim * u / (1 - dim * u)
+    return 5 * u + gamma * (1 + 8 * u) + math.sqrt(dim) * 2.0**-47 + 32 * (dim + 4) * v
+
+
+def _screened_rows(
+    index: PassageIndex, name: str, q: np.ndarray, q_norm: float, k: int
+) -> np.ndarray | None:
+    """Ascending rows that can still reach the top k by einsum distance,
+    chosen on ``index.screen(name)``; None when the screen cannot choose."""
+    if not 1 / _SCREEN_LIMIT <= q_norm <= _SCREEN_LIMIT:
+        return None
+    screen = index.screen(name)
+    if screen is None:
+        return None
+    # vecdot runs on one thread; a BLAS mat-vec (``@``) may use more, and
+    # they slowed long runs of rank below scoring every row.
+    d_b = 1.0 - np.vecdot(screen, (q / q_norm).astype(np.float32)).astype(np.float64)
+    # The k rows with d_b <= T_b have d_e <= T_b + δ, so the k-th smallest
+    # d_e, T_e, is at most T_b + δ; a row with d_e <= T_e then has
+    # d_b <= T_b + 2δ. Every row of the top k, and every row tied with its
+    # last, is kept, in row order.
+    threshold = np.partition(d_b, k - 1)[k - 1] + 2 * _screen_slack(index.dim)
+    return np.flatnonzero(d_b <= threshold)
+
 
 def build_index(
     documents: Iterable[tuple[str, str]],
@@ -105,7 +209,10 @@ def build_index(
     """Sentence-split documents and precompute both centroids per passage.
 
     Passage ids are ``<doc_id>#<sentence_ordinal>``. Duplicate document ids
-    raise ValueError.
+    raise ValueError, as does a centroid whose norm overflows, naming its
+    passage: with vectors or weights large enough that a weighted sum or
+    a sum of squares passes the float64 range (about 1.8e308; a centroid
+    norm past about 1.3e154 does).
     """
     passages: list[Passage] = []
     seen: set[str] = set()
@@ -154,8 +261,14 @@ def rank(
     the uniform centroids for ``cd`` and the idf centroids otherwise. When
     ``candidate_docs`` is given, only passages from those documents are
     scored; unknown ids raise ValueError, as do an embedding table whose
-    dimension differs from the index's and what
-    :func:`~centroidrank.runs.check_method` refuses.
+    dimension differs from the index's, a question centroid whose norm is
+    not finite, and what :func:`~centroidrank.runs.check_method` refuses.
+
+    Without ``candidate_docs``, with k below the passage count and a
+    question centroid whose norm lies in [2**-100, 2**100], the rows that
+    can reach the top k are first chosen on :meth:`PassageIndex.screen`
+    (kept on the index), and only they are scored. Ids and distances are
+    those of scoring every row.
     """
     method = check_method(method, k, embeddings, doc_idf, question_idf)
     if method is Method.RND:
@@ -166,14 +279,20 @@ def rank(
         )
     idf = {Method.CD: None, Method.CD_IDF: doc_idf, Method.CD_Q: question_idf}[method]
     q = centroid(question, embeddings, idf)
-    if idf is None:
-        matrix, norms = index.uniform, index.uniform_norms
-    else:
-        matrix, norms = index.idf, index.idf_norms
+    q_norm = float(np.linalg.norm(q))  # numpy warns when it overflows
+    if not math.isfinite(q_norm):
+        raise ValueError(
+            f"question {question_id or ' '.join(question)!r}: centroid norm {q_norm} "
+            "is not finite"
+        )
+    name = "uniform" if idf is None else "idf"
+    matrix, norms = getattr(index, name), getattr(index, name + "_norms")
     rows = _candidate_rows(index, candidate_docs)
+    if rows is None and k < len(index):
+        rows = _screened_rows(index, name, q, q_norm, k)
     if rows is not None:
         matrix, norms = matrix[rows], norms[rows]
-    distances = cosine_distances(matrix, norms, q)
+    distances = cosine_distances(matrix, norms, q, q_norm)
     pool = np.arange(len(distances))
     if k < len(distances):
         # Only rows that beat or tie the k-th smallest distance can make the

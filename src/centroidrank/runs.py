@@ -83,12 +83,22 @@ class Aggregates:
 
 
 def aggregate(per_question: Iterable[tuple[float, float, float]]) -> Aggregates:
-    """Arithmetic means of (ap, precision, recall) plus the F1 of the means."""
+    """Arithmetic means of (ap, precision, recall) plus the F1 of the means.
+
+    Raises ValueError for an empty question set, and naming the field for
+    finite values whose sum passes the float range.
+    """
     columns = list(zip(*per_question))
     if not columns:
         raise ValueError("cannot aggregate an empty question set")
-    # fsum keeps the means exactly permutation-invariant
-    mean_ap, mean_p, mean_r = (math.fsum(column) / len(column) for column in columns)
+    means = []
+    for name, column in zip(("ap", "precision", "recall"), columns):
+        try:
+            # fsum keeps the means exactly permutation-invariant
+            means.append(math.fsum(column) / len(column))
+        except OverflowError:
+            raise ValueError(f"the sum of the per-question {name} values overflows") from None
+    mean_ap, mean_p, mean_r = means
     f1 = 0.0 if mean_p + mean_r == 0.0 else 2.0 * mean_p * mean_r / (mean_p + mean_r)
     return Aggregates(map=mean_ap, precision=mean_p, recall=mean_r, f1=f1)
 

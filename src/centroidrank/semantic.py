@@ -136,9 +136,23 @@ def centroid(
     return weighted_centroid(tokens, embeddings, None if idf is None else idf.weight)
 
 
-def cosine_distances(matrix: np.ndarray, norms: np.ndarray, q: np.ndarray) -> np.ndarray:
+def row_norms(matrix: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(matrix, axis=1)``, bit for bit, ``_CHUNK_ROWS`` rows
+    at a time: the squares of a whole index would be a second copy of it."""
+    norms = np.empty(len(matrix))
+    for first in range(0, len(matrix), _CHUNK_ROWS):
+        norms[first : first + _CHUNK_ROWS] = np.linalg.norm(
+            matrix[first : first + _CHUNK_ROWS], axis=1
+        )
+    return norms
+
+
+def cosine_distances(
+    matrix: np.ndarray, norms: np.ndarray, q: np.ndarray, q_norm: float
+) -> np.ndarray:
     """1 - cos(angle) between each row of ``matrix``, whose norms are
-    ``norms``, and the vector ``q``, each in [0, 2].
+    ``norms``, and the vector ``q``, whose norm is ``q_norm``, each in
+    [0, 2].
 
     A zero row or a zero ``q`` gives the neutral distance 1.0, so all-OOV
     passages stay rankable without ever outranking a positively matching
@@ -148,7 +162,7 @@ def cosine_distances(matrix: np.ndarray, norms: np.ndarray, q: np.ndarray) -> np
     # the row sits, so identical rows get bit-identical distances; a BLAS
     # mat-vec may round a row differently by position.
     dots = np.einsum("ij,j->i", matrix, q)
-    similarity = _divided(dots, norms * float(np.linalg.norm(q)))
+    similarity = _divided(dots, norms * q_norm)
     # 64-bit rounding can push |similarity| a few ulps past 1.
     return 1.0 - np.clip(similarity, -1.0, 1.0)
 
@@ -160,5 +174,5 @@ def cosine_distance(u, v) -> float:
     b = np.asarray(v, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    a = a.reshape(1, -1)
-    return float(cosine_distances(a, np.linalg.norm(a, axis=1), b.reshape(-1))[0])
+    a, b = a.reshape(1, -1), b.reshape(-1)
+    return float(cosine_distances(a, np.linalg.norm(a, axis=1), b, float(np.linalg.norm(b)))[0])

@@ -5,7 +5,9 @@ package): centroid scoring straight from the defining formulas, ranking
 by exhaustive scoring, Wilcoxon p-values by enumerating every sign
 assignment. The test suite checks the library against these. The one
 numpy function, ``oracle_centroid``, is the library's earlier per-token
-centroid loop, kept as the byte-exact reference for the bulk routine.
+centroid loop, kept as the byte-exact reference for the bulk routine,
+and ``oracle_full_rank`` is the library's earlier full-index ranking,
+kept as the bit-exact reference for the screened one.
 """
 
 from __future__ import annotations
@@ -45,6 +47,20 @@ def oracle_centroid(tokens, embeddings, weight) -> np.ndarray:
         acc /= weight_sum
     acc.flags.writeable = False
     return acc
+
+
+def oracle_full_rank(matrix, q, passage_ids, k: int):
+    """The library's full-index ranking before it screened rows: the einsum
+    cosine distance of every row of ``matrix`` to ``q``, 1.0 for a zero row
+    or a zero ``q``, and the k smallest, ties broken by row (passage-id)
+    order. Returns [(passage_id, distance)]."""
+    dots = np.einsum("ij,j->i", matrix, q)
+    divisor = np.linalg.norm(matrix, axis=1) * float(np.linalg.norm(q))
+    nonzero = divisor != 0.0
+    similarity = np.where(nonzero, dots / np.where(nonzero, divisor, 1.0), 0.0)
+    distances = (1.0 - np.clip(similarity, -1.0, 1.0)).tolist()
+    order = sorted(range(len(distances)), key=lambda row: (distances[row], row))
+    return [(passage_ids[row], distances[row]) for row in order[:k]]
 
 
 def oracle_list_centroid(tokens, vectors, weights=None):

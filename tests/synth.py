@@ -12,7 +12,10 @@ import random
 from dataclasses import dataclass
 from io import StringIO
 
+import numpy as np
+
 from centroidrank import EmbeddingTable, IdfTable, build_idf, load_embeddings
+from centroidrank.retrieval import Passage, PassageIndex
 
 
 @dataclass
@@ -105,4 +108,63 @@ def make_instance(rng: random.Random) -> Instance:
         question=question,
         candidate_docs=candidate_docs,
         k=rng.randrange(1, len(passages) + 3),
+    )
+
+
+@dataclass
+class ScreenInstance:
+    """A full-index ranking problem given as matrices: the question is the
+    one token ``q`` of ``embeddings``, or no token (the zero centroid)."""
+
+    index: PassageIndex
+    embeddings: EmbeddingTable
+    doc_idf: IdfTable
+    question: list[str]
+
+
+def _screen_rows(gen: np.random.Generator, n: int, dim: int, anchor: np.ndarray) -> np.ndarray:
+    rows = np.empty((n, dim))
+    for i in range(n):
+        kind = gen.random()
+        if i == 0 or kind < 0.2:
+            rows[i] = gen.normal(size=dim)
+        elif kind < 0.35:  # an exact copy
+            rows[i] = rows[gen.integers(i)]
+        elif kind < 0.45:  # the same direction at another length
+            rows[i] = rows[gen.integers(i)] * gen.uniform(0.1, 10.0)
+        elif kind < 0.55:
+            rows[i] = 0.0
+        else:  # a near-tie with an earlier row or with the question
+            base = anchor if kind < 0.8 else rows[gen.integers(i)]
+            rows[i] = base + 10.0 ** gen.uniform(-9, -3) * gen.normal(size=dim)
+    return rows
+
+
+def make_screen_instance(rng: random.Random) -> ScreenInstance:
+    """Rows that stress the screen of full-index ranking, 1 to 60 of them
+    at 2 to 300 dimensions: exact copies, the same direction at another
+    length, zero rows, and near-ties (noise of 1e-9 to 1e-3) with an
+    earlier row or with the question, which is itself zero, the rows'
+    anchor direction, a near-tie of it, or unrelated."""
+    gen = np.random.default_rng(rng.getrandbits(64))
+    dim = int(gen.choice([2, 3, gen.integers(2, 301)]))
+    n = int(gen.integers(1, 61))
+    anchor = gen.normal(size=dim)
+    kind = gen.random()
+    question = [] if kind < 0.15 else ["q"]
+    if kind < 0.5:
+        vector = anchor
+    elif kind < 0.8:
+        vector = anchor + 10.0 ** gen.uniform(-9, -3) * gen.normal(size=dim)
+    else:
+        vector = gen.normal(size=dim)
+    passages = [Passage(f"p{i:02d}#0", f"p{i:02d}", "") for i in range(n)]
+    index = PassageIndex(
+        passages, _screen_rows(gen, n, dim, anchor), _screen_rows(gen, n, dim, anchor)
+    )
+    return ScreenInstance(
+        index=index,
+        embeddings=EmbeddingTable({"q": 0}, vector[None, :]),
+        doc_idf=build_idf([["x"]], label="documents"),
+        question=question,
     )

@@ -234,7 +234,9 @@ class TestIndexBuild:
         workspace["embeddings"].write_text(EMBEDDINGS.replace("0.6", value), encoding="utf-8")
         capsys.readouterr()
         assert self._index_build(workspace, workspace["index"]) == 2
-        assert capsys.readouterr().err.startswith("error: line 4: malformed float (")
+        assert capsys.readouterr().err.startswith(
+            f"error: --embeddings {workspace['embeddings']}: line 4: malformed float ("
+        )
 
     def test_line_without_tab_exits_2(self, workspace, capsys):
         workspace["docs"].write_text("d1 no tab here\n", encoding="utf-8")
@@ -328,7 +330,7 @@ class TestQuery:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith(
-            "error: uniform.npy: not a readable .npy matrix ("
+            f"error: --index {workspace['index']}: uniform.npy: not a readable .npy matrix ("
         )
 
     @pytest.mark.parametrize("name", ["uniform.npy", "idf.npy"])
@@ -346,7 +348,9 @@ class TestQuery:
         else:
             argv += ["--questions", str(workspace["questions"]), "--out", str(workspace["run"])]
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: {name}: non-finite value\n"
+        assert capsys.readouterr().err == (
+            f"error: --index {workspace['index']}: {name}: non-finite value\n"
+        )
         assert not workspace["run"].exists()
 
     @pytest.mark.parametrize("method", ["cd", "cd-idf", "cd-q"])
@@ -742,7 +746,9 @@ class TestCompare:
         run_b.write_text(json.dumps(payload), encoding="utf-8")
         code = main(["compare", "--run-a", str(run_a), "--run-b", str(run_b)])
         assert code == 2
-        assert "error: question 'q2': recall 'x' is not a number" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: --run-b {run_b}: question 'q2': recall 'x' is not a number\n"
+        )
 
     def test_repeated_question_exit_2(self, workspace, capsys):
         run_a = workspace["run"].parent / "a.json"
@@ -863,6 +869,87 @@ class TestCheckedInFixturePipeline:
         assert "p 0.0005" in out
         assert "not significant" not in out
         assert "significant" in out
+
+
+class TestLoaderRefusals:
+    @pytest.mark.parametrize(
+        ("command", "flag"),
+        [
+            ("index-build", "--docs"),
+            ("index-build", "--embeddings"),
+            ("index-build", "--doc-idf"),
+            ("query", "--index"),
+            ("query", "--embeddings"),
+            ("query", "--doc-idf"),
+            ("query", "--question-idf"),
+            ("eval", "--index"),
+            ("eval", "--embeddings"),
+            ("eval", "--doc-idf"),
+            ("eval", "--question-idf"),
+            ("eval", "--questions"),
+            ("compare", "--run-a"),
+            ("compare", "--run-b"),
+        ],
+    )
+    def test_refusal_names_flag_and_path(self, workspace, capsys, command, flag):
+        _build_artifacts(workspace)
+        run_a, run_b = workspace["run"].parent / "a.json", workspace["run"].parent / "b.json"
+        _write_run(run_a, "cd", {"q1": 0.5})
+        _write_run(run_b, "cd", {"q1": 0.25})
+        ranking = [
+            "--index", workspace["index"], "--embeddings", workspace["embeddings"],
+            "--doc-idf", workspace["doc_idf"], "--question-idf", workspace["question_idf"],
+            "--method", "cd-q",
+        ]
+        argv = {
+            "index-build": [
+                "--docs", workspace["docs"], "--embeddings", workspace["embeddings"],
+                "--doc-idf", workspace["doc_idf"], "--out", workspace["index"],
+            ],
+            "query": ranking + ["--question", "alpha"],
+            "eval": ranking + ["--questions", workspace["questions"], "--out", workspace["run"]],
+            "compare": ["--run-a", run_a, "--run-b", run_b],
+        }[command]
+        # the same bad line for every input, so only the prefix tells them apart
+        bad = workspace["run"].parent / "bad.txt"
+        bad.write_text("bad\n", encoding="utf-8")
+        argv[argv.index(flag) + 1] = bad
+        capsys.readouterr()
+        assert main([command, *map(str, argv)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} {bad}: ")
+
+
+class TestOverflow:
+    BIG = EMBEDDINGS.replace("5 2\n", "6 2\n") + "huge 1e200 1e200\n"
+
+    def test_index_build_refuses_an_overflowing_passage(self, workspace, capsys):
+        _build_artifacts(workspace)
+        workspace["embeddings"].write_text(self.BIG, encoding="utf-8")
+        workspace["docs"].write_text("d1\tAlpha alpha. Huge beta.\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main([
+            "index-build", "--docs", str(workspace["docs"]),
+            "--embeddings", str(workspace["embeddings"]),
+            "--doc-idf", str(workspace["doc_idf"]), "--out", str(workspace["index"]),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: passage 'd1#1': uniform centroid norm inf is not finite\n"
+        )
+
+    def test_query_refuses_an_overflowing_question(self, workspace, capsys):
+        _build_artifacts(workspace)
+        workspace["embeddings"].write_text(self.BIG, encoding="utf-8")
+        capsys.readouterr()
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main([
+                "query", "--index", str(workspace["index"]),
+                "--embeddings", str(workspace["embeddings"]), "--question", "huge alpha",
+            ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: question 'huge alpha': centroid norm inf is not finite\n"
+        )
 
 
 class TestEntryPoint:

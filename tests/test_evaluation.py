@@ -471,6 +471,16 @@ class TestAggregate:
         with pytest.raises(ValueError, match="empty"):
             aggregate([])
 
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_overflowing_sum_refused_naming_the_field(self, column):
+        rows = [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]]
+        for row in rows:
+            row[column] = 1e308
+        with pytest.raises(ValueError) as excinfo:
+            aggregate(rows)
+        name = ("ap", "precision", "recall")[column]
+        assert str(excinfo.value) == f"the sum of the per-question {name} values overflows"
+
 
 class TestWilcoxon:
     def test_identical_inputs(self):
@@ -780,6 +790,16 @@ class TestRunFiles:
         with pytest.raises(ValueError) as excinfo:
             save_run(run, str(target))
         assert str(excinfo.value) == f"question 'q2': {field} {value} is not finite"
+        assert target.read_bytes() == b"an earlier run\n"
+
+    def test_overflowing_aggregate_refused_and_file_kept(self, tmp_path):
+        run = self._built_run(ap=1e308)
+        run.per_question["q1"].ap = 1e308
+        target = tmp_path / "run.json"
+        target.write_bytes(b"an earlier run\n")
+        with pytest.raises(ValueError) as excinfo:
+            save_run(run, str(target))
+        assert str(excinfo.value) == "the sum of the per-question ap values overflows"
         assert target.read_bytes() == b"an earlier run\n"
 
     def test_malformed_run_file(self):

@@ -116,6 +116,26 @@ class TestLoadQuestionSet:
             f"questions[1] (id 'q1'): {field} {value!r} is not a non-empty string"
         )
 
+    @pytest.mark.parametrize("value", ["/", "///"])
+    @pytest.mark.parametrize("field", ["documents[0]", "snippets[0].document"])
+    def test_id_empty_after_normalization_refused_naming_it(self, field, value):
+        entry = {
+            "id": "q1",
+            "body": "B?",
+            "documents": ["d1"],
+            "snippets": [{"document": "d1", "text": "s"}],
+        }
+        if field == "documents[0]":
+            entry["documents"] = [value]
+        else:
+            entry["snippets"][0]["document"] = value
+        payload = {"questions": [{"id": "q0", "body": "A?"}, entry]}
+        with pytest.raises(ValueError) as excinfo:
+            _load(payload)
+        assert str(excinfo.value) == (
+            f"questions[1] (id 'q1'): {field} {value!r} is empty after URL normalization"
+        )
+
     def test_missing_id_names_entry(self):
         with pytest.raises(ValueError, match=r"questions\[1\]"):
             _load({"questions": [{"id": "q1", "body": "B?"}, {"body": "C?"}]})

@@ -1,6 +1,8 @@
+import contextlib
 import json
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from io import StringIO
 from unittest import mock
@@ -26,8 +28,9 @@ from centroidrank import (
 )
 from centroidrank import build_judgments, retrieval, semantic
 from centroidrank.ingest import Question
-from oracles import oracle_rank
-from synth import make_instance
+from centroidrank.embeddings import EmbeddingTable
+from oracles import oracle_full_rank, oracle_rank
+from synth import make_instance, make_screen_instance
 
 
 @pytest.fixture
@@ -565,6 +568,170 @@ def test_rank_matches_oracle_property(seed):
             )
             assert abs(distance - cosine_distance(question_vec, passage_vec)) <= 1e-12
             assert abs(distance - oracle_distance) <= 1e-12
+
+
+def _hex_items(items):
+    return [(pid, float(d).hex()) for pid, d in items]
+
+
+def _full_rank_matches_oracle(index, embeddings, question, k, doc_idf=None):
+    """rank over the whole index, for k from 1 to n + 1 unless given, equals
+    oracle_full_rank bit for bit under cd and (with ``doc_idf``) cd-idf."""
+    ids = [p.passage_id for p in index.passages]
+    methods = [("cd", None)] + ([("cd-idf", doc_idf)] if doc_idf else [])
+    for method, idf in methods:
+        q = centroid(question, embeddings, idf)
+        want = oracle_full_rank(index.uniform if idf is None else index.idf, q, ids, len(ids))
+        for top in [k] if k else range(1, len(index) + 2):
+            got = rank(index, question, method, top, embeddings, doc_idf=doc_idf)
+            assert _hex_items(got.items) == _hex_items(want[:top]), (method, top)
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_screened_rank_is_bit_equal_to_scoring_every_row(seed):
+    instance = make_screen_instance(random.Random(seed))
+    _full_rank_matches_oracle(
+        instance.index, instance.embeddings, instance.question, None, instance.doc_idf
+    )
+
+
+def _index_of(rows):
+    passages = [retrieval.Passage(f"p{i:03d}#0", f"p{i:03d}", "") for i in range(len(rows))]
+    return retrieval.PassageIndex(passages, rows, rows)
+
+
+class TestScreen:
+    def test_rows_float32_misorders_are_kept(self):
+        # Near the question, 200 rows whose cosines to it differ by less
+        # than float32 resolves: for some k the screen's own top k misses a
+        # row of the einsum top k, so a screen without its slack (δ = 0)
+        # returns other rows; rank must still return the einsum top k. The
+        # 200 unrelated rows are what the screen leaves out.
+        gen = np.random.default_rng(7)
+        dim, n = 200, 400
+        q = gen.normal(size=dim)
+        rows = np.concatenate([
+            q + 0.3 * gen.normal(size=dim) + 1e-7 * gen.normal(size=(n // 2, dim)),
+            gen.normal(size=(n // 2, dim)),
+        ])
+        index = _index_of(rows)
+        embeddings = EmbeddingTable({"q": 0}, q[None, :])
+        einsum_order = [row for row, _d in oracle_full_rank(rows, q, range(n), n)]
+        sims = np.vecdot(index.screen("uniform"), (q / np.linalg.norm(q)).astype(np.float32))
+        d_b = 1.0 - sims.astype(np.float64)
+        missed = [
+            k for k in range(1, 41)
+            if not set(einsum_order[:k])
+            <= set(np.flatnonzero(d_b <= np.partition(d_b, k - 1)[k - 1]))
+        ]
+        assert missed, "no float32 misorder at the cut; the data does not test the slack"
+        scoring = mock.patch.object(retrieval, "cosine_distances", wraps=semantic.cosine_distances)
+        with scoring as scored:
+            rank(index, ["q"], "cd", 10, embeddings)
+        assert len(scored.call_args.args[0]) < n  # the screen chose the rows
+        for k in missed:
+            _full_rank_matches_oracle(index, embeddings, ["q"], k)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-40, 1e40, 1e140])
+    def test_norms_beyond_the_screen_range_score_every_row(self, scale):
+        # Outside [2**-100, 2**100] float32 entries flush to zero or
+        # overflow, and float64 norms lose accuracy to underflow: one such
+        # row keeps the whole matrix off the screen.
+        gen = np.random.default_rng(3)
+        rows = gen.normal(size=(30, 8))
+        rows[[4, 9]] = gen.normal(size=8)
+        rows[5] = rows[4] * scale
+        rows[9] *= scale
+        index = _index_of(rows)
+        embeddings = EmbeddingTable({"q": 0}, (rows[4] + 1e-3)[None, :])
+        _full_rank_matches_oracle(index, embeddings, ["q"], None)
+        assert index.screen("uniform") is None
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("scale", [1e-160, 3e-161, 1e-162])
+    def test_tiny_question_scores_every_row(self, seed, scale):
+        # The squares of the question's entries are subnormal, so its norm
+        # is off by up to a few percent; einsum then clips the rows nearest
+        # it to distance 0, a tie broken by id, where the screen would
+        # still order them.
+        gen = np.random.default_rng(seed)
+        base = gen.normal(size=16)
+        rows = base + 10.0 ** gen.uniform(-4, -1, size=(40, 1)) * gen.normal(size=(40, 16))
+        embeddings = EmbeddingTable({"q": 0}, (base * scale)[None, :])
+        for k in (1, 3, 10):
+            _full_rank_matches_oracle(_index_of(rows), embeddings, ["q"], k)
+
+    def test_screen_is_built_on_first_full_index_rank_and_kept(self, tiny_embeddings, bundle):
+        index = load_index(bundle)
+        rank(index, ["alpha"], "cd", len(index), tiny_embeddings)
+        rank(index, ["alpha"], "cd", 1, tiny_embeddings, candidate_docs={"d1"})
+        rank(index, [], "cd", 1, tiny_embeddings)
+        assert index._screens == {}
+        rank(index, ["alpha"], "cd", 1, tiny_embeddings)
+        assert set(index._screens) == {"uniform"}
+        screen = index.screen("uniform")
+        assert screen.dtype == np.float32 and not screen.flags.writeable
+        rank(index, ["beta", "gamma"], "cd", 2, tiny_embeddings)
+        assert index.screen("uniform") is screen
+
+    def test_screen_rows_are_float32_unit_rows_and_zero_rows_stay_zero(self):
+        rows = np.array([[3.0, 4.0], [0.0, 0.0], [1e-30, 0.0], [-2.0, 0.0]])
+        screen = _index_of(rows).screen("uniform")
+        assert screen.tolist() == [[0.6000000238418579, 0.800000011920929], [0, 0], [1, 0], [-1, 0]]
+
+
+class TestFiniteNorms:
+    def test_norms_need_no_full_size_temporary(self):
+        matrix = np.ones((4000, 100))
+        passages = [retrieval.Passage(f"d#{i:04d}", "d", "") for i in range(len(matrix))]
+        tracemalloc.start()
+        try:
+            index = retrieval.PassageIndex(passages, matrix, matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert index.uniform_norms.tolist() == [10.0] * len(matrix)
+        assert peak < matrix.nbytes / 4
+
+    @staticmethod
+    def _sum_warns(value):
+        """1e200 overflows only in the row norms, which the index check
+        silences; 1e308 already overflows a centroid's sum, which warns."""
+        return pytest.warns(RuntimeWarning) if value > 1e300 else contextlib.nullcontext()
+
+    @pytest.mark.parametrize("value", [1e200, 1e308])
+    def test_overflowing_centroid_refused_naming_passage(self, value, tiny_doc_idf):
+        embeddings = load_embeddings(StringIO(f"alpha 1.0 0.0\nbig {value} {value}"))
+        with pytest.raises(ValueError) as excinfo, self._sum_warns(value):
+            build_index([("a", "Alpha. Big big alpha.")], embeddings, tiny_doc_idf)
+        assert str(excinfo.value) == "passage 'a#1': uniform centroid norm inf is not finite"
+
+    def test_load_refuses_a_finite_matrix_whose_norm_overflows(self, bundle):
+        for name in ("uniform.npy", "idf.npy"):
+            matrix = np.load(bundle / name)
+            saved = matrix.copy()
+            matrix[2] = 1e200
+            np.save(bundle / name, matrix)
+            with pytest.raises(ValueError) as excinfo:
+                load_index(bundle)
+            passage = json.loads((bundle / "passages.jsonl").read_text().splitlines()[2])[0]
+            label = name.split(".")[0]
+            assert str(excinfo.value) == (
+                f"passage {passage!r}: {label} centroid norm inf is not finite"
+            )
+            np.save(bundle / name, saved)
+
+    @pytest.mark.parametrize("value", [1e200, 1e308])
+    @pytest.mark.parametrize("question_id", ["", "q7"])
+    def test_overflowing_question_refused(self, small_index, value, question_id):
+        embeddings = load_embeddings(StringIO(f"alpha 1.0 0.0\nbig {value} {value}"))
+        # numpy warns of the overflow of the question's norm, then rank refuses
+        with pytest.raises(ValueError) as excinfo, pytest.warns(RuntimeWarning):
+            rank(small_index, ["big", "big"], "cd", 2, embeddings, question_id=question_id)
+        assert str(excinfo.value) == (
+            f"question {question_id or 'big big'!r}: centroid norm inf is not finite"
+        )
 
 
 class TestRandomBaseline:

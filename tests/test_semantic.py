@@ -241,3 +241,11 @@ def test_vocab_row_outside_the_matrix_is_refused():
     for row in (2, -1):
         with pytest.raises(IndexError, match="outside its matrix"):
             EmbeddingTable(vocab={"a": 0, "b": row}, matrix=np.ones((2, 1)))
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 700])
+def test_row_norms_are_numpys_bit_for_bit(n):
+    gen = np.random.default_rng(n)
+    matrix = gen.normal(size=(n, 37)) * 10.0 ** gen.uniform(-5, 5, size=(n, 1))
+    matrix[::7] = 0.0
+    assert semantic.row_norms(matrix).tobytes() == np.linalg.norm(matrix, axis=1).tobytes()
