@@ -56,8 +56,8 @@ def _load_artifacts(
     )
     if embeddings is not None and embeddings.dim != index.dim:
         raise ValueError(
-            f"dimension mismatch: index has dim {index.dim}, "
-            f"embeddings have dim {embeddings.dim}"
+            f"--embeddings {args.embeddings}: dimension mismatch: index has dim "
+            f"{index.dim}, embeddings have dim {embeddings.dim}"
         )
     doc_idf = _load("--doc-idf", args.doc_idf, load_idf) if args.doc_idf else None
     question_idf = (
@@ -66,16 +66,19 @@ def _load_artifacts(
     return index, embeddings, doc_idf, question_idf
 
 
+def _read_units(path: str) -> list[tuple[str, ...]]:
+    from .text import tokenize
+
+    with open(path, "r", encoding="utf-8") as handle:
+        return [tokenize(line) for line in handle if line.strip()]
+
+
 def cmd_idf_build(args: argparse.Namespace) -> int:
     from .idf import build_idf, save_idf
-    from .text import tokenize
 
     units = []
     for path in args.corpus:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                if line.strip():
-                    units.append(tokenize(line))
+        units += _load("--corpus", path, _read_units)
     table = build_idf(units, label=_UNIT_LABELS[args.unit])
     save_idf(table, args.out)
     print(f"n_docs {table.n_docs} vocab {len(table.df)}")
@@ -84,6 +87,7 @@ def cmd_idf_build(args: argparse.Namespace) -> int:
 
 def _read_documents(path: str) -> list[tuple[str, str]]:
     documents = []
+    seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, raw_line in enumerate(handle, start=1):
             line = raw_line.rstrip("\n")
@@ -94,6 +98,9 @@ def _read_documents(path: str) -> list[tuple[str, str]]:
                 raise ValueError(
                     f"line {line_no}: expected '<doc_id>\\t<text>', got {line!r}"
                 )
+            if doc_id in seen:
+                raise ValueError(f"line {line_no}: duplicate doc_id {doc_id!r}")
+            seen.add(doc_id)
             documents.append((doc_id, text))
     return documents
 
@@ -106,7 +113,12 @@ def cmd_index_build(args: argparse.Namespace) -> int:
     documents = _load("--docs", args.docs, _read_documents)
     embeddings = _load("--embeddings", args.embeddings, load_embeddings)
     doc_idf = _load("--doc-idf", args.doc_idf, load_idf)
-    index = build_index(documents, embeddings, doc_idf)
+    try:
+        index = build_index(documents, embeddings, doc_idf)
+    except ValueError as exc:
+        # Duplicate documents are refused while reading, so this is a
+        # centroid whose norm overflows: vectors too large for float64 sums.
+        raise ValueError(f"--embeddings {args.embeddings}: {exc}") from None
     save_index(index, args.out)
     if not documents:
         print("warning: empty document file, wrote an empty index", file=sys.stderr)

@@ -341,6 +341,10 @@ def random_baseline(
 
 _UNIFORM, _IDF, _PASSAGES = "uniform.npy", "idf.npy", "passages.jsonl"
 
+# ``json.dumps(passage, ensure_ascii=False)``, with one encoder for every
+# line: given an option, ``json.dumps`` builds a new encoder per call.
+_PASSAGE_LINE = json.JSONEncoder(ensure_ascii=False)
+
 
 def save_index(index: PassageIndex, directory: str | os.PathLike) -> None:
     """Write the index as a directory of standard files.
@@ -354,8 +358,7 @@ def save_index(index: PassageIndex, directory: str | os.PathLike) -> None:
     np.save(os.path.join(directory, _UNIFORM), index.uniform)
     np.save(os.path.join(directory, _IDF), index.idf)
     with open(os.path.join(directory, _PASSAGES), "w", encoding="utf-8") as handle:
-        for passage in index.passages:
-            handle.write(json.dumps(passage, ensure_ascii=False) + "\n")
+        handle.writelines(_PASSAGE_LINE.encode(passage) + "\n" for passage in index.passages)
 
 
 def _load_matrix(directory: str | os.PathLike, name: str) -> np.ndarray:

@@ -11,15 +11,17 @@ weight times vector added to a sum that starts at +0.0, the weights added
 to another, the zero vector when the weight sum is 0.0, and the division
 last. :func:`weighted_centroid` and :func:`centroid` do this one token at
 a time. :func:`centroids` does it for many sequences under several
-weightings at once: each sequence is mapped to the embedding rows of its
-covered tokens once, each distinct token's weight is looked up once, and
-token position ``j`` of up to ``_CHUNK_ROWS`` sequences is added in one
-step. No centroid depends on how NumPy orders a reduction.
+weightings at once: each distinct token's embedding row and weight are
+looked up once and gathered by NumPy, a uniform sum adds the vectors
+themselves, and token position ``j`` of up to ``_CHUNK_ROWS`` sequences
+is added in one step. No centroid depends on how NumPy orders a
+reduction.
 """
 
 from __future__ import annotations
 
-from array import array
+from collections import defaultdict
+from itertools import count, repeat
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -42,28 +44,47 @@ def centroids(
     """One read-only ``(n, dim)`` matrix per entry of ``weights``, whose row
     ``i`` is the centroid of the ``i``-th token sequence under that weight.
 
-    A weight of None is the uniform weight 1.0. ``token_lists`` is read
-    once, one sequence at a time.
+    A weight of None is the uniform weight 1.0: its sums add the vectors
+    themselves, since ``1.0 * v`` is ``v``, and its weight sum is the
+    covered token count, which adding 1.0 per token reaches exactly.
+    ``token_lists`` is read once, one sequence at a time.
     """
-    vocab = embeddings.vocab
-    ids = array("q")  # embedding rows of the covered tokens, list by list
-    counts = array("q")  # covered tokens per list
-    distinct: set[str] = set()
+    # Each distinct token gets a slot when first seen, inside the dict, so
+    # reading a sequence makes no Python call per token.
+    slot_of: defaultdict[str, int] = defaultdict(count().__next__)
+    slots: list[int] = []  # the slot of every token, sequence by sequence
+    ends: list[int] = []  # where each sequence ends in ``slots``
     for tokens in token_lists:
-        rows = [row for row in map(vocab.get, tokens) if row is not None]
-        ids.extend(rows)
-        counts.append(len(rows))
-        distinct.update(tokens)
+        slots += map(slot_of.__getitem__, tokens)
+        ends.append(len(slots))
+    distinct = list(slot_of)  # tokens in slot order
+    del slot_of
+    slot_rows = np.fromiter(
+        map(embeddings.vocab.get, distinct, repeat(-1)), np.intp, len(distinct)
+    )
+    covered_slots = np.flatnonzero(slot_rows >= 0)
+    slots = np.fromiter(slots, np.intp, len(slots))
+    covered = slot_rows[slots] >= 0
+    slots = slots[covered]  # of the covered tokens only, from here on
+    ids = slot_rows[slots]
+    covered_ends = np.concatenate(([0], np.cumsum(covered)))[ends]
+    counts = np.diff(covered_ends, prepend=0)
+    starts = covered_ends - counts
+    del covered
+    # Each distinct covered token is weighed once, and its weight gathered
+    # by slot: two tokens that share an embedding row keep their own weights.
     token_weights = []
     for weight in weights:
         if weight is None:
-            token_weights.append(np.ones(len(ids)))
+            token_weights.append(None)
         else:
-            by_row = {vocab[t]: float(weight(t)) for t in distinct if t in vocab}
-            token_weights.append(np.fromiter(map(by_row.__getitem__, ids), np.float64, len(ids)))
-    del distinct
-    ids, counts = np.array(ids, dtype=np.intp), np.array(counts, dtype=np.intp)
-    starts = np.cumsum(counts) - counts
+            slot_weights = np.zeros(len(distinct))
+            slot_weights[covered_slots] = [
+                float(weight(distinct[s])) for s in covered_slots.tolist()
+            ]
+            token_weights.append(slot_weights[slots])
+    del slots, distinct
+    weighted = [i for i, w in enumerate(token_weights) if w is not None]
     dim = embeddings.dim
     outs = [np.zeros((len(counts), dim)) for _ in weights]
 
@@ -74,16 +95,26 @@ def centroids(
         chunk = order[first : first + _CHUNK_ROWS]
         lengths, chunk_starts = counts[chunk], starts[chunk]
         sums = [np.zeros((len(chunk), dim)) for _ in weights]
-        totals = [np.zeros(len(chunk)) for _ in weights]
+        # Weight sums of the weighted sums; a uniform one is ``lengths``.
+        totals = [None if w is None else np.zeros(len(chunk)) for w in token_weights]
         for j in range(lengths[0]):
             at = chunk_starts[: np.count_nonzero(lengths > j)] + j
+            m = len(at)
             vectors = embeddings.matrix[ids[at]]
-            for acc, total, token_weight in zip(sums, totals, token_weights):
-                w = token_weight[at]
-                acc[: len(at)] += w[:, None] * vectors
-                total[: len(at)] += w
+            for acc, token_weight in zip(sums, token_weights):
+                if token_weight is None:
+                    acc[:m] += vectors
+            for i in weighted:
+                w = token_weights[i][at]
+                totals[i][:m] += w
+                # The last weighting may scale the gathered vectors in place.
+                out = vectors if i == weighted[-1] else None
+                sums[i][:m] += np.multiply(vectors, w[:, None], out=out)
         for out, acc, total in zip(outs, sums, totals):
-            out[chunk] = _divided(acc, total[:, None])
+            if total is None:
+                out[chunk] = np.divide(acc, lengths[:, None], out=acc)
+            else:
+                out[chunk] = _divided(acc, total[:, None])
     for out in outs:
         out.flags.writeable = False
     return outs

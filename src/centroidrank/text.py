@@ -2,9 +2,10 @@
 
 Sentences are the retrieval unit of this library, so the splitter is
 deliberately deterministic: no learned models, no locale tables, just
-terminator punctuation plus a short abbreviation list. The module also
-holds :func:`open_text`, the one path-or-stream opener every file reader
-and writer in the package goes through.
+terminator punctuation plus a short abbreviation list. ASCII text is
+tokenized by ``bytes`` methods, other text by a regex; both give the same
+tokens. The module also holds :func:`open_text`, the one path-or-stream
+opener every file reader and writer in the package goes through.
 """
 
 from __future__ import annotations
@@ -18,6 +19,13 @@ PathOrIO = Union[str, os.PathLike, IO[str]]
 
 # Maximal runs of alphanumeric characters (underscore excluded).
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+# The same tokens for ASCII text, where [^\W_] is exactly [A-Za-z0-9]: this
+# table lowercases letters and turns every other ASCII byte into a space.
+# Its upper half is never read.
+_ASCII_TOKEN_BYTES = bytes(
+    ord(c.lower()) if c.isalnum() else ord(" ") for c in map(chr, range(128))
+) + bytes(128)
 
 # Token preceding a '.' candidate boundary, possibly with internal dots
 # ("e.g", "i.e").
@@ -61,7 +69,13 @@ def tokenize(raw: str) -> TokenSequence:
 
     Empty fragments are discarded; digit runs are kept as tokens. Empty
     input yields an empty sequence.
+
+    ASCII text is lowercased and split as a whole, with no Python call per
+    token. Other text lowercases each token on its own: lowering the whole
+    string would differ, as with ``İ`` (two code points) or a final ``Σ``.
     """
+    if raw.isascii():
+        return TokenSequence(raw.encode().translate(_ASCII_TOKEN_BYTES).decode().split())
     return TokenSequence(map(str.lower, _TOKEN_RE.findall(raw)))
 
 

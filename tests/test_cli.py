@@ -155,6 +155,19 @@ class TestIdfBuild:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_undecodable_corpus_exits_2_naming_it(self, workspace, capsys):
+        utf16 = workspace["doc_corpus"].parent / "utf16.txt"
+        utf16.write_bytes(b"\xff\xfea\x00\n\x00")
+        code = main(
+            ["idf-build", "--corpus", str(workspace["doc_corpus"]), "--corpus", str(utf16),
+             "--unit", "doc", "--out", str(workspace["doc_idf"])]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: --corpus {utf16}: 'utf-8' codec can't decode byte 0xff in position 0"
+        )
+        assert not workspace["doc_idf"].exists()
+
     def test_empty_corpus_exits_2(self, workspace, capsys):
         empty = workspace["doc_corpus"].parent / "empty.txt"
         empty.write_text("", encoding="utf-8")
@@ -265,7 +278,10 @@ class TestIndexBuild:
             ]
         )
         assert code == 2
-        assert "duplicate" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: --docs {workspace['docs']}: line 2: duplicate doc_id 'd1'\n"
+        )
+        assert load_index(workspace["index"]).doc_index.keys() == {"d1", "d2"}
 
     def _index_build(self, workspace, out):
         return main(
@@ -460,7 +476,7 @@ class TestQuery:
             ]
         )
         assert code == 2
-        assert "dimension" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: --embeddings {other}: dimension")
 
     @pytest.mark.parametrize("docs", ["", ",", ",,"])
     @pytest.mark.parametrize("method", ["cd", "cd-idf", "cd-q", "rnd"])
@@ -934,7 +950,8 @@ class TestOverflow:
         ])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: passage 'd1#1': uniform centroid norm inf is not finite\n"
+            f"error: --embeddings {workspace['embeddings']}: "
+            "passage 'd1#1': uniform centroid norm inf is not finite\n"
         )
 
     def test_query_refuses_an_overflowing_question(self, workspace, capsys):

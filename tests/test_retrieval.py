@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from io import StringIO
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -27,10 +28,13 @@ from centroidrank import (
     tokenize,
 )
 from centroidrank import build_judgments, retrieval, semantic
+from centroidrank import text as text_module
 from centroidrank.ingest import Question
 from centroidrank.embeddings import EmbeddingTable
 from oracles import oracle_full_rank, oracle_rank
 from synth import make_instance, make_screen_instance
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture
@@ -95,6 +99,55 @@ class TestBuildIndex:
         assert not np.allclose(uniform, idf)
         assert small_index.uniform_norms[row] == pytest.approx(np.linalg.norm(uniform))
         assert small_index.idf_norms[row] == pytest.approx(np.linalg.norm(idf))
+
+    def test_mixed_script_index_equals_one_from_regex_tokens(self, tmp_path):
+        embeddings = load_embeddings(StringIO(
+            "alpha 1.0 0.0\nstraße 0.5 0.5\ncafé -1.0 2.0\nας 0.25 -4.0\n"
+            "i\u0307stanbul 3.0 1.0\nbeta 0.0 1.0\n"
+        ))
+        documents = [
+            ("a", "Alpha beta. Beta ALPHA alpha."),
+            ("b", "Straße café. ΑΣ alpha İstanbul. Plain beta text."),
+            ("c", "Café-au-lait\x0bALPHA_beta. İSTANBUL straße ΑΣ."),
+        ]
+        doc_idf = build_idf([tokenize(t) for _d, t in documents], "documents")
+
+        def regex_tokens(raw):
+            return tuple(m.group(0).lower() for m in text_module._TOKEN_RE.finditer(raw))
+
+        with mock.patch.object(retrieval, "tokenize", regex_tokens):
+            want = build_index(documents, embeddings, doc_idf)
+        got = build_index(documents, embeddings, doc_idf)
+        save_index(want, tmp_path / "want")
+        save_index(got, tmp_path / "got")
+        for name in ("uniform.npy", "idf.npy", "passages.jsonl"):
+            assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+        assert got.uniform.any(axis=1).all()
+
+    def test_build_peak_memory_holds(self):
+        """On the benchmark's build seed 0 (4 000 passages, 200-d), the
+        traced peak of build_index stays within 10% of 18.13 MB, its peak
+        when centroids read the token lists one at a time in Python.
+        Flattening every token list up front raised it to 23 MB."""
+        sys.path.insert(0, str(PERFBENCH))
+        try:
+            from gen import Sizes, generate
+        finally:
+            sys.path.remove(str(PERFBENCH))
+        inputs = generate(0, Sizes(n_docs=800, vocab=10000))
+        embeddings = EmbeddingTable(
+            vocab={token: row for row, token in enumerate(inputs.covered)},
+            matrix=inputs.components / 1000.0,
+        )
+        doc_idf = build_idf([tokenize(t) for _d, t in inputs.documents], "documents")
+        tracemalloc.start()
+        try:
+            index = build_index(inputs.documents, embeddings, doc_idf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(index) == 4000
+        assert peak <= 1.1 * 18.13e6
 
     def test_matrices_are_contiguous_and_read_only(self, small_index):
         for matrix in (small_index.uniform, small_index.idf):

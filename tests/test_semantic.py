@@ -249,3 +249,45 @@ def test_row_norms_are_numpys_bit_for_bit(n):
     matrix = gen.normal(size=(n, 37)) * 10.0 ** gen.uniform(-5, 5, size=(n, 1))
     matrix[::7] = 0.0
     assert semantic.row_norms(matrix).tobytes() == np.linalg.norm(matrix, axis=1).tobytes()
+
+
+def test_one_shot_generator_matches_the_per_token_loop():
+    gen = np.random.default_rng(3)
+    table = EmbeddingTable(vocab={w: i for i, w in enumerate("abcdef")},
+                           matrix=gen.normal(size=(6, 5)) * 10.0 ** gen.integers(-3, 4, (6, 1)))
+    # positive, zero, and +w / -w weights that cancel
+    weights = {"a": 2.5, "b": 0.0, "c": 7.0, "d": -7.0, "e": 1e-3, "f": 1.0, "zzz": 4.0}.__getitem__
+    rng = random.Random(5)
+    lists = [[rng.choice("abcdef") for _ in range(rng.randrange(0, 30))] for _ in range(600)]
+    lists += [["c", "zzz", "d"], ["b", "b"], ["zzz"], []]
+    consumed = []
+
+    def one_shot():
+        for tokens in lists:
+            consumed.append(tokens)
+            yield tokens
+
+    def halves(token):
+        return weights(token) / 2
+
+    with mock.patch.object(semantic, "_CHUNK_ROWS", 64):
+        uniform, weighted, halved, again = centroids(
+            one_shot(), table, [None, weights, halves, None]
+        )
+    assert consumed == lists
+    for row, tokens in enumerate(lists):
+        assert uniform[row].tobytes() == oracle_centroid(tokens, table, lambda _t: 1.0).tobytes()
+        assert weighted[row].tobytes() == oracle_centroid(tokens, table, weights).tobytes()
+        assert halved[row].tobytes() == oracle_centroid(tokens, table, halves).tobytes()
+    assert again.tobytes() == uniform.tobytes()
+    assert weighted[-4].tobytes() == np.zeros(5).tobytes()
+
+
+def test_tokens_sharing_an_embedding_row_keep_their_own_weights():
+    table = EmbeddingTable(vocab={"a": 0, "b": 0, "c": 1},
+                           matrix=np.array([[1.0, 2.0], [3.0, -1.0]]))
+    weights = {"a": 1.0, "b": 3.0, "c": 0.5}.__getitem__
+    lists = [["a", "b", "c"], ["b", "c"], ["a"]]
+    (weighted,) = centroids(lists, table, [weights])
+    for row, tokens in enumerate(lists):
+        assert weighted[row].tobytes() == oracle_centroid(tokens, table, weights).tobytes()

@@ -1,11 +1,12 @@
 import io
 import random
 import string
+from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from centroidrank import split_sentences, tokenize
+from centroidrank import split_sentences, text, tokenize
 from centroidrank.text import _TOKEN_RE, open_text
 
 from oracles import oracle_split_sentences
@@ -96,9 +97,37 @@ _TRICKY_CHARS = "İıßẞ_09٣²Σςǅ \t\u0301\u0307.-aZé"
         max_size=40,
     )
 )
+# Mixed scripts, where lowering the whole string would differ: İ becomes
+# two code points, and Σ lowers by its context.
+@example("İstanbul IS big")
+@example("STRASSE straße ẞ")
+@example("ΟΔΟΣ ΑΣ\u0301Α Σ")
+@example("Café au LAIT, é-É_e")
+@example("ASCII then é")
+@example("İ\x0bΣ\x1cß\x7fé")
 def test_tokenize_matches_finditer_lowering(raw):
     expected = tuple(m.group(0).lower() for m in _TOKEN_RE.finditer(raw))
     assert tokenize(raw).tokens == expected
+
+
+# Every ASCII code point, with the separators str.split knows besides " "
+# (\x0b, \x0c, \x1c-\x1f), DEL and "_" drawn more often.
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(
+    st.text(
+        alphabet=st.one_of(
+            st.sampled_from("\x0b\x0c\x1c\x1d\x1e\x1f\x7f_ \t\n"),
+            st.characters(min_codepoint=0, max_codepoint=127),
+        ),
+        max_size=60,
+    )
+)
+def test_ascii_tokens_match_finditer_lowering_without_the_regex(raw):
+    # The regex is not consulted for ASCII text.
+    with mock.patch.object(text, "_TOKEN_RE", None):
+        tokens = tokenize(raw)
+    assert tokens == tuple(m.group(0).lower() for m in _TOKEN_RE.finditer(raw))
+    assert type(tokens) is text.TokenSequence
 
 
 class TestSplitSentences:
