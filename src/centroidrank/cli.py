@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 computational failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import TYPE_CHECKING, Callable, TypeVar
 
@@ -136,6 +137,9 @@ def cmd_query(args: argparse.Namespace) -> int:
         if not candidate_docs:
             raise ValueError(f"--docs names no document id: {args.docs!r}")
     index, embeddings, doc_idf, question_idf = _load_artifacts(args)
+    if candidate_docs is not None and not candidate_docs <= index.doc_index.keys():
+        unknown = ", ".join(sorted(candidate_docs - index.doc_index.keys()))
+        raise ValueError(f"--docs {args.docs}: unknown doc_id(s) in candidate set: {unknown}")
     if args.method == Method.RND:
         ranking = random_baseline(index, candidate_docs, args.k, seed=args.seed)
     else:
@@ -203,7 +207,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: building it
+    costs a few ms, and ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="centroidrank",
         description="Weighted-centroid passage retrieval and evaluation.",

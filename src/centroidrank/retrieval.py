@@ -293,13 +293,8 @@ def rank(
     if rows is not None:
         matrix, norms = matrix[rows], norms[rows]
     distances = cosine_distances(matrix, norms, q, q_norm)
-    pool = np.arange(len(distances))
-    if k < len(distances):
-        # Only rows that beat or tie the k-th smallest distance can make the
-        # top k; flatnonzero keeps them in row order.
-        pool = np.flatnonzero(distances <= np.partition(distances, k - 1)[k - 1])
     # Rows are in passage-id order, so a stable sort breaks ties by id.
-    top = pool[np.argsort(distances[pool], kind="stable")[:k]]
+    top = np.argsort(distances, kind="stable")[:k]
     top_rows = top if rows is None else rows[top]
     return RankedList(
         question_id=question_id,

@@ -4,8 +4,8 @@ Sentences are the retrieval unit of this library, so the splitter is
 deliberately deterministic: no learned models, no locale tables, just
 terminator punctuation plus a short abbreviation list. ASCII text is
 tokenized by ``bytes`` methods, other text by a regex; both give the same
-tokens. The module also holds :func:`open_text`, the one path-or-stream
-opener every file reader and writer in the package goes through.
+tokens. The module also holds :func:`open_text`, the opener of every
+reader and writer that takes a path or a stream.
 """
 
 from __future__ import annotations
@@ -36,6 +36,14 @@ _BOUNDARY_RE = re.compile(r"([.!?])\s+(?=(\S))")
 
 #: Dot-abbreviations that never end a sentence.
 ABBREVIATIONS = frozenset({"fig", "al", "e.g", "i.e", "dr", "vs", "etc"})
+
+# A window of W characters before a '.' finds the whole text's token when
+# that token starts inside it, as the pattern reads nothing before its
+# start. A longer token is cut at the window's first alphanumeric, at most
+# one character in, and '$' may match before a final '\n', so the cut token
+# keeps at least W - 2 characters. With W - 2 above every abbreviation's
+# length, neither the cut nor the whole token is an abbreviation.
+_LOOK_BACK = max(map(len, ABBREVIATIONS)) + 3
 
 
 @contextmanager
@@ -79,14 +87,6 @@ def tokenize(raw: str) -> TokenSequence:
     return TokenSequence(map(str.lower, _TOKEN_RE.findall(raw)))
 
 
-def _preceding_token(text: str, end: int) -> str:
-    """Lowercased token immediately before position ``end``, '' if none."""
-    # abbreviations are short; a bounded window keeps the scan O(1)
-    window_start = max(0, end - 40)
-    m = _PRECEDING_TOKEN_RE.search(text, window_start, end)
-    return m.group(1).lower() if m else ""
-
-
 def split_sentences(document_text: str) -> list[tuple[str, int]]:
     """Split a document into (sentence_text, char_offset) pairs.
 
@@ -102,11 +102,11 @@ def split_sentences(document_text: str) -> list[tuple[str, int]]:
         terminator, nxt = m.groups()
         if not (nxt.isupper() or nxt.isdigit()):
             continue
-        if (
-            terminator == "."
-            and _preceding_token(document_text, m.start()) in ABBREVIATIONS
-        ):
-            continue
+        if terminator == ".":
+            end = m.start()
+            token = _PRECEDING_TOKEN_RE.search(document_text, max(0, end - _LOOK_BACK), end)
+            if token and token.group(1).lower() in ABBREVIATIONS:
+                continue
         starts.append(m.end())
 
     sentences: list[tuple[str, int]] = []

@@ -16,7 +16,7 @@ from centroidrank import (
     load_run,
     save_run,
 )
-from centroidrank import cli, embeddings, idf, retrieval
+from centroidrank import cli, embeddings, idf, retrieval, runs
 from centroidrank.cli import main
 from oracles import oracle_index_tsv
 
@@ -500,6 +500,29 @@ class TestQuery:
         assert captured.out == ""
         assert "--docs names no document id" in captured.err
 
+    @pytest.mark.parametrize("method", ["cd", "cd-idf", "cd-q", "rnd"])
+    def test_unknown_doc_names_docs_flag(self, workspace, capsys, method):
+        _build_artifacts(workspace)
+        capsys.readouterr()
+        code = main(
+            [
+                "query",
+                "--index", str(workspace["index"]),
+                "--embeddings", str(workspace["embeddings"]),
+                "--doc-idf", str(workspace["doc_idf"]),
+                "--question-idf", str(workspace["question_idf"]),
+                "--method", method,
+                "--question", "alpha",
+                "--docs", "d1,nosuchdoc",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --docs d1,nosuchdoc: unknown doc_id(s) in candidate set: nosuchdoc\n"
+        )
+
     def test_rnd_query_is_seeded(self, workspace, capsys):
         _build_artifacts(workspace)
         capsys.readouterr()
@@ -971,14 +994,30 @@ class TestOverflow:
 
 class TestEntryPoint:
     def test_unexpected_exception_exits_1(self, workspace, capsys, monkeypatch):
-        def fails(_args):
+        def fails(_path):
             raise RuntimeError("boom")
 
-        # main builds its parser on each call, so the patched command is the one run
-        monkeypatch.setattr(cli, "cmd_compare", fails)
+        # cmd_compare looks load_run up in runs on each call
+        monkeypatch.setattr(runs, "load_run", fails)
         code = main(["compare", "--run-a", str(workspace["run"]), "--run-b", str(workspace["run"])])
         assert code == 1
         assert capsys.readouterr().err == "internal error: boom\n"
+
+    def test_one_parser_serves_every_call(self, workspace, capsys):
+        corpus_b = workspace["doc_corpus"].parent / "corpus_b.txt"
+        corpus_b.write_text("zeta eta\nzeta\n", encoding="utf-8")
+        assert cli.build_parser() is cli.build_parser()
+        for corpus in (workspace["doc_corpus"], corpus_b):
+            argv = ["idf-build", "--corpus", str(corpus), "--unit", "doc",
+                    "--out", str(workspace["doc_idf"])]
+            assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "n_docs 2 vocab 2"
+        table = idf.load_idf(workspace["doc_idf"])
+        assert (table.n_docs, table.df) == (2, {"zeta": 2, "eta": 1})
+        with pytest.raises(SystemExit) as usage:
+            main(["idf-build", "--unit", "doc"])
+        assert usage.value.code == 2
+        assert "--corpus" in capsys.readouterr().err
 
     def test_module_invocation(self, workspace):
         result = subprocess.run(

@@ -13,7 +13,6 @@ import random
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
-from centroidrank import cli
 from centroidrank.cli import main
 
 from test_cli import FIXTURES, _build_fixture_artifacts
@@ -58,7 +57,7 @@ def _damaging(argv: list, flag: str) -> list:
     return [*argv[: at + 1], "@", *argv[at + 2 :]]
 
 
-def test_damaged_inputs_exit_0_or_2_naming_the_input(tmp_path, monkeypatch):
+def test_damaged_inputs_exit_0_or_2_naming_the_input(tmp_path):
     doc_idf, question_idf, index = _build_fixture_artifacts(tmp_path)
     embeddings, docs = FIXTURES / "embeddings.txt", FIXTURES / "docs.tsv"
     corpus, questions = FIXTURES / "question_corpus.txt", FIXTURES / "questions.json"
@@ -66,10 +65,6 @@ def test_damaged_inputs_exit_0_or_2_naming_the_input(tmp_path, monkeypatch):
     assert main(["eval", "--questions", str(questions),
                  "--index", str(index), "--embeddings", str(embeddings),
                  "--method", "cd", "--out", str(run_file)]) == 0
-    # One parser for every run: building it costs about as much as a run.
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
-
     # (input, flag, argv); the last value of the flag is replaced by the
     # damaged copy, and "OUT" by a fresh output path.
     index_build = ["index-build", "--docs", docs, "--embeddings", embeddings,

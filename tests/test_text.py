@@ -3,6 +3,7 @@ import random
 import string
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -159,6 +160,14 @@ class TestSplitSentences:
         assert len(split_sentences("Mice vs. Rats differ.")) == 1
         assert len(split_sentences("Cells, tissue, etc. Were sampled.")) == 1
 
+    @pytest.mark.parametrize(
+        "text", ["Go x.e.g. Now", "a.b.e.g. C", "Go x.e.g\n. Now", "Go a.b.e.g\n. Now"]
+    )
+    def test_token_longer_than_an_abbreviation_it_ends_with_is_a_boundary(self, text):
+        # "$" matches before a final "\n", so the token before ". Now" is
+        # "x.e.g" in both spellings.
+        assert len(split_sentences(text)) == 2
+
     def test_lowercase_continuation_is_not_a_boundary(self):
         assert len(split_sentences("He paused. then spoke again")) == 1
 
@@ -222,11 +231,13 @@ class TestSplitSentences:
 # Terminators; Unicode whitespace (vertical tab, file separator, no-break
 # and ideographic space); non-ASCII upper case and digits, with title-case
 # 'ǅ' (not isupper) and 'Ⓐ' (upper case, not alphanumeric); abbreviations,
-# words that only end like one, and a token longer than the 40-character
-# window before a '.'.
+# words that only end like one, tokens that the splitter's look-back before
+# a '.' cuts just short of an abbreviation, and a token longer than the
+# oracle's 40-character window.
 _SPLIT_PIECES = (
     list(".!?, \t\n\x0b\x1c\xa0\u3000") + list("ÉǅⅠⒶ²١")
     + ["e.g.", "Fig.", "et al.", "Dr.", "vs.", "etc.", "i.e.", "config.", "x.fig."]
+    + ["x.e.g.", "a.b.e.g.", "x..al.", "_al.", "é.al."]
     + ["q" * 37 + "fig."]
 )
 
