@@ -224,7 +224,7 @@ def build_index(
             passages.append(Passage(f"{doc_id}#{ordinal}", doc_id, sentence))
     passages.sort(key=lambda p: p.passage_id)
     uniform, idf = centroids(
-        (tokenize(passage.text) for passage in passages), embeddings, [None, doc_idf.weight]
+        (tokenize(passage.text) for passage in passages), embeddings, doc_idf.weight
     )
     return PassageIndex(passages, uniform, idf)
 

@@ -273,24 +273,33 @@ def _bounded(value: object, where: str, name: str, high: float) -> float:
     return float(value)
 
 
+def _identifier(value: object, where: str, name: str) -> str:
+    """``value`` if it is a non-empty string, or ValueError naming ``where``
+    and ``name``."""
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{where}: {name} {value!r} is not a non-empty string")
+    return value
+
+
 def load_run(source: PathOrIO) -> RunResult:
     """Parse a run file written by :func:`save_run`.
 
     Raises ValueError naming the question (or ``aggregates``) and the field
-    for a repeated question id, a value that is not a JSON number (``true``
-    and numeric strings are refused), an ``ap``, ``precision``, ``recall``
-    or aggregate outside [0, 1], or a ranking score outside [0, 2] (cosine
-    distances; ``rnd`` records 0.0). NaN and infinities are refused, as are
-    a file with no questions and aggregates other than :func:`aggregate` of
-    the per-question scores.
+    for a question id or ranking ``passage_id`` that is not a non-empty
+    string, a repeated question id, a value that is not a JSON number
+    (``true`` and numeric strings are refused), an ``ap``, ``precision``,
+    ``recall`` or aggregate outside [0, 1], or a ranking score outside
+    [0, 2] (cosine distances; ``rnd`` records 0.0). NaN and infinities are
+    refused, as are a file with no questions and aggregates other than
+    :func:`aggregate` of the per-question scores.
     """
     with open_text(source) as handle:
         data = json.load(handle)
     try:
         method = data["method"]
         run = RunResult(method=method)
-        for entry in data["questions"]:
-            qid = entry["id"]
+        for n, entry in enumerate(data["questions"]):
+            qid = _identifier(entry["id"], f"questions[{n}]", "id")
             where = f"question {qid!r}"
             if qid in run.per_question:
                 raise ValueError(f"run file repeats question {qid!r}")
@@ -302,7 +311,10 @@ def load_run(source: PathOrIO) -> RunResult:
                 question_id=qid,
                 method=Method(method),
                 items=[
-                    (r["passage_id"], _bounded(r["score"], where, f"ranking[{i}] score", 2.0))
+                    (
+                        _identifier(r["passage_id"], where, f"ranking[{i}] passage_id"),
+                        _bounded(r["score"], where, f"ranking[{i}] score", 2.0),
+                    )
                     for i, r in enumerate(entry["ranking"])
                 ],
             )

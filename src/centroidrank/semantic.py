@@ -10,9 +10,9 @@ Every centroid is summed the same way, with ``+=`` in token order:
 weight times vector added to a sum that starts at +0.0, the weights added
 to another, the zero vector when the weight sum is 0.0, and the division
 last. :func:`weighted_centroid` and :func:`centroid` do this one token at
-a time. :func:`centroids` does it for many sequences under several
-weightings at once: each distinct token's embedding row and weight are
-looked up once and gathered by NumPy, a uniform sum adds the vectors
+a time. :func:`centroids` does it for many sequences at once, uniform and
+weighted side by side: each distinct token's embedding row and weight are
+looked up once and gathered by NumPy, the uniform sum adds the vectors
 themselves, and token position ``j`` of up to ``_CHUNK_ROWS`` sequences
 is added in one step. No centroid depends on how NumPy orders a
 reduction.
@@ -39,15 +39,16 @@ Weight = Callable[[str], float]
 def centroids(
     token_lists: Iterable[Sequence[str]],
     embeddings: EmbeddingTable,
-    weights: Sequence[Weight | None],
-) -> list[np.ndarray]:
-    """One read-only ``(n, dim)`` matrix per entry of ``weights``, whose row
-    ``i`` is the centroid of the ``i``-th token sequence under that weight.
+    weight: Weight,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only ``(n, dim)`` matrices ``(uniform, weighted)``, whose
+    rows ``i`` are the centroids of the ``i``-th token sequence with every
+    token weighing 1.0 and under ``weight``.
 
-    A weight of None is the uniform weight 1.0: its sums add the vectors
-    themselves, since ``1.0 * v`` is ``v``, and its weight sum is the
-    covered token count, which adding 1.0 per token reaches exactly.
-    ``token_lists`` is read once, one sequence at a time.
+    The uniform sums add the vectors themselves, since ``1.0 * v`` is
+    ``v``, and divide by the covered token count, which adding 1.0 per
+    token reaches exactly. ``token_lists`` is read once, one sequence at a
+    time.
     """
     # Each distinct token gets a slot when first seen, inside the dict, so
     # reading a sequence makes no Python call per token.
@@ -73,20 +74,12 @@ def centroids(
     del covered
     # Each distinct covered token is weighed once, and its weight gathered
     # by slot: two tokens that share an embedding row keep their own weights.
-    token_weights = []
-    for weight in weights:
-        if weight is None:
-            token_weights.append(None)
-        else:
-            slot_weights = np.zeros(len(distinct))
-            slot_weights[covered_slots] = [
-                float(weight(distinct[s])) for s in covered_slots.tolist()
-            ]
-            token_weights.append(slot_weights[slots])
+    slot_weights = np.zeros(len(distinct))
+    slot_weights[covered_slots] = [float(weight(distinct[s])) for s in covered_slots.tolist()]
+    token_weights = slot_weights[slots]
     del slots, distinct
-    weighted = [i for i, w in enumerate(token_weights) if w is not None]
     dim = embeddings.dim
-    outs = [np.zeros((len(counts), dim)) for _ in weights]
+    uniform, weighted = np.zeros((len(counts), dim)), np.zeros((len(counts), dim))
 
     # Longest first, so that the sequences still running at a token
     # position are a prefix of their chunk; uncovered lists stay zero.
@@ -94,30 +87,20 @@ def centroids(
     for first in range(0, len(order), _CHUNK_ROWS):
         chunk = order[first : first + _CHUNK_ROWS]
         lengths, chunk_starts = counts[chunk], starts[chunk]
-        sums = [np.zeros((len(chunk), dim)) for _ in weights]
-        # Weight sums of the weighted sums; a uniform one is ``lengths``.
-        totals = [None if w is None else np.zeros(len(chunk)) for w in token_weights]
+        plain, scaled = np.zeros((len(chunk), dim)), np.zeros((len(chunk), dim))
+        total = np.zeros(len(chunk))
         for j in range(lengths[0]):
             at = chunk_starts[: np.count_nonzero(lengths > j)] + j
             m = len(at)
             vectors = embeddings.matrix[ids[at]]
-            for acc, token_weight in zip(sums, token_weights):
-                if token_weight is None:
-                    acc[:m] += vectors
-            for i in weighted:
-                w = token_weights[i][at]
-                totals[i][:m] += w
-                # The last weighting may scale the gathered vectors in place.
-                out = vectors if i == weighted[-1] else None
-                sums[i][:m] += np.multiply(vectors, w[:, None], out=out)
-        for out, acc, total in zip(outs, sums, totals):
-            if total is None:
-                out[chunk] = np.divide(acc, lengths[:, None], out=acc)
-            else:
-                out[chunk] = _divided(acc, total[:, None])
-    for out in outs:
-        out.flags.writeable = False
-    return outs
+            w = token_weights[at]
+            plain[:m] += vectors
+            total[:m] += w
+            scaled[:m] += np.multiply(vectors, w[:, None], out=vectors)
+        uniform[chunk] = np.divide(plain, lengths[:, None], out=plain)
+        weighted[chunk] = _divided(scaled, total[:, None])
+    uniform.flags.writeable = weighted.flags.writeable = False
+    return uniform, weighted
 
 
 def _divided(numerator: np.ndarray, divisor) -> np.ndarray:

@@ -27,9 +27,9 @@ _ASCII_TOKEN_BYTES = bytes(
     ord(c.lower()) if c.isalnum() else ord(" ") for c in map(chr, range(128))
 ) + bytes(128)
 
-# Token preceding a '.' candidate boundary, possibly with internal dots
+# Token right before a '.' candidate boundary, possibly with internal dots
 # ("e.g", "i.e").
-_PRECEDING_TOKEN_RE = re.compile(r"([A-Za-z0-9]+(?:\.[A-Za-z0-9]+)*)$")
+_PRECEDING_TOKEN_RE = re.compile(r"([A-Za-z0-9]+(?:\.[A-Za-z0-9]+)*)\Z")
 
 # A terminator, whitespace, and the next sentence's first character (not consumed).
 _BOUNDARY_RE = re.compile(r"([.!?])\s+(?=(\S))")
@@ -40,10 +40,10 @@ ABBREVIATIONS = frozenset({"fig", "al", "e.g", "i.e", "dr", "vs", "etc"})
 # A window of W characters before a '.' finds the whole text's token when
 # that token starts inside it, as the pattern reads nothing before its
 # start. A longer token is cut at the window's first alphanumeric, at most
-# one character in, and '$' may match before a final '\n', so the cut token
-# keeps at least W - 2 characters. With W - 2 above every abbreviation's
-# length, neither the cut nor the whole token is an abbreviation.
-_LOOK_BACK = max(map(len, ABBREVIATIONS)) + 3
+# one character in, so the cut token keeps at least W - 1 characters. With
+# W - 1 above every abbreviation's length, neither the cut nor the whole
+# token is an abbreviation.
+_LOOK_BACK = max(map(len, ABBREVIATIONS)) + 2
 
 
 @contextmanager

@@ -298,7 +298,7 @@ def oracle_load_embeddings(handle):
 
 # The sentence splitter's token and abbreviation rules, copied so that the
 # oracle below shares nothing with ``centroidrank.text``.
-_ORACLE_PRECEDING_TOKEN_RE = re.compile(r"([A-Za-z0-9]+(?:\.[A-Za-z0-9]+)*)$")
+_ORACLE_PRECEDING_TOKEN_RE = re.compile(r"([A-Za-z0-9]+(?:\.[A-Za-z0-9]+)*)\Z")
 _ORACLE_TERMINATORS = frozenset(".!?")
 _ORACLE_ABBREVIATIONS = frozenset({"fig", "al", "e.g", "i.e", "dr", "vs", "etc"})
 

@@ -789,6 +789,20 @@ class TestCompare:
             f"error: --run-b {run_b}: question 'q2': recall 'x' is not a number\n"
         )
 
+    def test_non_string_question_id_exit_2(self, workspace, capsys):
+        run_a = workspace["run"].parent / "a.json"
+        run_b = workspace["run"].parent / "b.json"
+        _write_run(run_a, "cd", {"q1": 0.5, "q2": 0.25})
+        _write_run(run_b, "cd", {"q1": 0.5, "q2": 0.25})
+        payload = json.loads(run_a.read_text(encoding="utf-8"))
+        payload["questions"][0]["id"] = 1
+        run_a.write_text(json.dumps(payload), encoding="utf-8")
+        code = main(["compare", "--run-a", str(run_a), "--run-b", str(run_b)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --run-a {run_a}: questions[0]: id 1 is not a non-empty string\n"
+        )
+
     def test_repeated_question_exit_2(self, workspace, capsys):
         run_a = workspace["run"].parent / "a.json"
         run_b = workspace["run"].parent / "b.json"

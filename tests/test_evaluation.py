@@ -834,6 +834,21 @@ class TestRunFiles:
         with pytest.raises(ValueError, match="repeats question 'q1'"):
             load_run(self._run_json({"id": "q1"}, {"id": "q2"}, {"id": "q1", "ap": 0.25}))
 
+    @pytest.mark.parametrize("value", [1, None, "", ["q2"], True])
+    def test_question_id_not_a_non_empty_string_rejected(self, value):
+        with pytest.raises(ValueError) as excinfo:
+            load_run(self._run_json({"id": "q1"}, {"id": value}))
+        assert str(excinfo.value) == f"questions[1]: id {value!r} is not a non-empty string"
+
+    @pytest.mark.parametrize("value", [1, None, "", {"id": "d#1"}, False])
+    def test_passage_id_not_a_non_empty_string_rejected(self, value):
+        ranking = [{"passage_id": "d#0", "score": 0.0}, {"passage_id": value, "score": 0.5}]
+        with pytest.raises(ValueError) as excinfo:
+            load_run(self._run_json({"id": "q1", "ranking": ranking}))
+        assert str(excinfo.value) == (
+            f"question 'q1': ranking[1] passage_id {value!r} is not a non-empty string"
+        )
+
     @pytest.mark.parametrize("field", ["ap", "precision", "recall"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 7.5, -0.25, 1.0000001])
     def test_score_outside_unit_interval_rejected(self, field, value):

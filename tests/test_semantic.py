@@ -214,7 +214,7 @@ def _centroid_cases(draw):
 def test_bulk_and_one_row_centroids_match_the_per_token_loop(chunk, case):
     table, weights, lists = case
     with mock.patch.object(semantic, "_CHUNK_ROWS", chunk):
-        uniform, weighted = centroids(lists, table, [None, weights.__getitem__])
+        uniform, weighted = centroids(lists, table, weights.__getitem__)
     assert uniform.shape == weighted.shape == (len(lists), table.dim)
     for row, tokens in enumerate(lists):
         want_uniform = oracle_centroid(tokens, table, lambda _t: 1.0).tobytes()
@@ -229,7 +229,7 @@ def test_cancelling_weights_and_all_negative_zero_components():
     table = EmbeddingTable(vocab={"a": 0, "b": 1},
                            matrix=np.array([[-0.0, 1.0], [-0.0, 3.0]]))
     weights = {"a": 2.0, "b": -2.0, "zzz": 1.0}.__getitem__
-    uniform, weighted = centroids([["a", "b"], ["a", "zzz"]], table, [None, weights])
+    uniform, weighted = centroids([["a", "b"], ["a", "zzz"]], table, weights)
     # Summed from +0.0, a column of -0.0 components is +0.0.
     assert [np.signbit(v) for v in uniform[0]] == [False, False]
     assert weighted[0].tobytes() == np.zeros(2).tobytes()
@@ -267,19 +267,12 @@ def test_one_shot_generator_matches_the_per_token_loop():
             consumed.append(tokens)
             yield tokens
 
-    def halves(token):
-        return weights(token) / 2
-
     with mock.patch.object(semantic, "_CHUNK_ROWS", 64):
-        uniform, weighted, halved, again = centroids(
-            one_shot(), table, [None, weights, halves, None]
-        )
+        uniform, weighted = centroids(one_shot(), table, weights)
     assert consumed == lists
     for row, tokens in enumerate(lists):
         assert uniform[row].tobytes() == oracle_centroid(tokens, table, lambda _t: 1.0).tobytes()
         assert weighted[row].tobytes() == oracle_centroid(tokens, table, weights).tobytes()
-        assert halved[row].tobytes() == oracle_centroid(tokens, table, halves).tobytes()
-    assert again.tobytes() == uniform.tobytes()
     assert weighted[-4].tobytes() == np.zeros(5).tobytes()
 
 
@@ -288,6 +281,18 @@ def test_tokens_sharing_an_embedding_row_keep_their_own_weights():
                            matrix=np.array([[1.0, 2.0], [3.0, -1.0]]))
     weights = {"a": 1.0, "b": 3.0, "c": 0.5}.__getitem__
     lists = [["a", "b", "c"], ["b", "c"], ["a"]]
-    (weighted,) = centroids(lists, table, [weights])
+    _, weighted = centroids(lists, table, weights)
     for row, tokens in enumerate(lists):
         assert weighted[row].tobytes() == oracle_centroid(tokens, table, weights).tobytes()
+
+
+def test_each_covered_token_is_weighed_once():
+    table = EmbeddingTable(vocab={"a": 0, "b": 1, "c": 1}, matrix=np.eye(2))
+    asked = []
+
+    def weight(token):
+        asked.append(token)
+        return 2.0
+
+    centroids([["a", "b", "zzz", "a"], ["c", "b", "oov"], ["zzz"], []], table, weight)
+    assert sorted(asked) == ["a", "b", "c"]

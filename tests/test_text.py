@@ -164,9 +164,12 @@ class TestSplitSentences:
         "text", ["Go x.e.g. Now", "a.b.e.g. C", "Go x.e.g\n. Now", "Go a.b.e.g\n. Now"]
     )
     def test_token_longer_than_an_abbreviation_it_ends_with_is_a_boundary(self, text):
-        # "$" matches before a final "\n", so the token before ". Now" is
-        # "x.e.g" in both spellings.
+        # A look-back one character shorter reads "x.e.g" as "e.g".
         assert len(split_sentences(text)) == 2
+
+    def test_dot_beginning_a_line_after_an_abbreviation_is_a_boundary(self):
+        # The token read is the one right before the '.', and here there is none.
+        assert split_sentences("See e.g\n. Now") == [("See e.g\n.", 0), ("Now", 10)]
 
     def test_lowercase_continuation_is_not_a_boundary(self):
         assert len(split_sentences("He paused. then spoke again")) == 1
