@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from bisect import bisect_left
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, TypeVar
 
 # The parser needs only the numpy-free run names; each command imports the
@@ -153,9 +155,9 @@ def cmd_query(args: argparse.Namespace) -> int:
             question_idf=question_idf,
             candidate_docs=candidate_docs,
         )
-    texts = {p.passage_id: p.text for p in index.passages}
     for position, (passage_id, score) in enumerate(ranking.items, start=1):
-        print(f"{position}\t{passage_id}\t{score:.6f}\t{texts[passage_id]}")
+        row = bisect_left(index.passages, passage_id, key=attrgetter("passage_id"))
+        print(f"{position}\t{passage_id}\t{score:.6f}\t{index.passages[row].text}")
     return 0
 
 

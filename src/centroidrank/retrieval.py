@@ -24,6 +24,7 @@ import random
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib import format as npy
 
 from .embeddings import EmbeddingTable
 from .idf import IdfTable
@@ -48,17 +49,20 @@ def _frozen(matrix: np.ndarray) -> np.ndarray:
 class PassageIndex:
     """Sentence index whose data is immutable.
 
-    ``passages`` come in strictly ascending passage-id order (ValueError
-    otherwise), and row ``i`` of ``uniform`` and ``idf`` (C-contiguous
-    float64, shape ``(n, dim)``; ``dim`` is their width) holds the raw
-    centroids of ``passages[i]``. ``doc_index`` maps each document to the
-    ascending row indices of its passages; the rows of one document need
-    not be contiguous (``d#1`` sorts between ``d`` and ``d``'s later rows
-    when ``d#1`` is itself a document id). A row whose norm is not finite
-    raises ValueError naming its passage. The mutable parts are three memos
-    of data derived from that, never filled by building or loading: each
-    passage's tokens, filled by :meth:`passage_tokens` on first use; the
-    relevant passage ids per judged ``(t, gold snippets)``, filled by
+    Row ``i`` of ``uniform`` and ``idf`` (C-contiguous float64, shape
+    ``(n, dim)``; ``dim`` is their width) holds the raw centroids of
+    ``passages[i]``. ``doc_index`` maps each document to the ascending row
+    indices of its passages; the rows of one document need not be
+    contiguous (``d#1`` sorts between ``d`` and ``d``'s later rows when
+    ``d#1`` is itself a document id). The index checks its own data, built
+    or loaded alike, and raises ValueError for matrices that are not 2-d or
+    differ in shape, a passage count that differs from the rows, a passage
+    id that is not its ``<doc_id>#<n>`` (``n`` ASCII digits) or does not
+    sort after the one before it (naming ``passages[i]``), and a row whose
+    norm is not finite (naming its passage). The mutable parts are three
+    memos of data derived from that, never filled by building or loading:
+    each passage's tokens, filled by :meth:`passage_tokens` on first use;
+    the relevant passage ids per judged ``(t, gold snippets)``, filled by
     :func:`~centroidrank.evaluation.build_judgments`, which grows with the
     distinct snippet lists judged on the index; and the float32 screen of
     ``uniform`` or ``idf``, filled by :meth:`screen` when :func:`rank`
@@ -66,20 +70,33 @@ class PassageIndex:
     """
 
     def __init__(self, passages: list[Passage], uniform: np.ndarray, idf: np.ndarray) -> None:
-        for before, after in zip(passages, passages[1:]):
-            if after.passage_id <= before.passage_id:
-                raise ValueError(
-                    f"passage id {after.passage_id!r} does not sort after {before.passage_id!r}"
-                )
-        self.passages = passages
         self.uniform = _frozen(np.ascontiguousarray(uniform, dtype=np.float64))
-        self.dim = self.uniform.shape[1]
         self.idf = _frozen(np.ascontiguousarray(idf, dtype=np.float64))
+        if self.uniform.ndim != 2 or self.idf.shape != self.uniform.shape:
+            raise ValueError(
+                f"uniform shape {self.uniform.shape} and idf shape {self.idf.shape}: "
+                "expected two 2-d matrices of one shape"
+            )
+        if len(passages) != len(self.uniform):
+            raise ValueError(f"{len(passages)} passages, {len(self.uniform)} matrix rows")
+        rows: dict[str, list[int]] = {}
+        previous = ""  # sorts before every id, since an id holds a '#'
+        for row, (passage_id, doc_id, _text) in enumerate(passages):
+            head, sep, ordinal = passage_id.rpartition("#")
+            if not (sep and head == doc_id and ordinal.isascii() and ordinal.isdigit()):
+                raise ValueError(
+                    f"passages[{row}]: passage id {passage_id!r} is not {doc_id + '#<n>'!r}"
+                )
+            if passage_id <= previous:
+                raise ValueError(
+                    f"passages[{row}]: passage id {passage_id!r} does not sort after {previous!r}"
+                )
+            previous = passage_id
+            rows.setdefault(doc_id, []).append(row)
+        self.passages = passages
+        self.dim = self.uniform.shape[1]
         self.uniform_norms = _finite_norms(self.uniform, "uniform", passages)
         self.idf_norms = _finite_norms(self.idf, "idf", passages)
-        rows: dict[str, list[int]] = {}
-        for row, passage in enumerate(passages):
-            rows.setdefault(passage.doc_id, []).append(row)
         self.doc_index = {
             doc_id: _frozen(np.array(doc_rows, dtype=np.intp))
             for doc_id, doc_rows in rows.items()
@@ -357,34 +374,39 @@ def save_index(index: PassageIndex, directory: str | os.PathLike) -> None:
 
 
 def _load_matrix(directory: str | os.PathLike, name: str) -> np.ndarray:
-    try:
-        matrix = np.load(os.path.join(directory, name), allow_pickle=False)
-    except (ValueError, EOFError) as exc:
-        raise ValueError(f"{name}: not a readable .npy matrix ({exc})") from None
-    if not isinstance(matrix, np.ndarray) or matrix.ndim != 2 or matrix.dtype != np.float64:
-        raise ValueError(f"{name}: expected a 2-d float64 matrix")
-    if not np.isfinite(matrix).all():
-        raise ValueError(f"{name}: non-finite value")
-    return matrix
+    """The float64 array of ``.npy`` file ``name``, read without unpickling.
+    Another dtype, or a header shape that needs more data than the file
+    holds, is refused before anything is allocated."""
+    with open(os.path.join(directory, name), "rb") as handle:
+        try:
+            version = npy.read_magic(handle)  # 2.0 and 3.0 share one header layout
+            read = npy.read_array_header_1_0 if version == (1, 0) else npy.read_array_header_2_0
+            shape, _fortran_order, dtype = read(handle)
+            if dtype == np.float64:
+                need = math.prod(shape) * dtype.itemsize
+                held = os.fstat(handle.fileno()).st_size - handle.tell()
+                if need > held:
+                    raise ValueError(f"shape {shape} needs {need} bytes, the file holds {held}")
+                handle.seek(0)
+                return npy.read_array(handle, allow_pickle=False)
+        except (ValueError, EOFError) as exc:
+            raise ValueError(f"{name}: not a readable .npy matrix ({exc})") from None
+    raise ValueError(f"{name}: expected a float64 matrix, got {dtype}")
 
 
 def load_index(directory: str | os.PathLike) -> PassageIndex:
     """Read an index directory written by :func:`save_index`.
 
-    A missing file raises OSError. Raises ValueError naming the file for a
-    matrix file that is empty, truncated or not ``.npy``, a matrix that is
-    not 2-d float64 or holds a NaN or an infinity, matrices of different
-    shapes, a passage line that is not three strings, whose passage id is
-    not ``<doc_id>#<n>`` (``n`` ASCII digits) or does not sort after the
-    previous line's (naming the line), or a passage count that differs
-    from the matrix rows.
+    Only the files' format is checked here. A missing file raises OSError.
+    ValueError names the file for a matrix file that is empty, truncated,
+    not ``.npy`` or whose header shape needs more data than it holds, a
+    matrix that is not float64, or a passage line that is not a JSON array
+    of three strings (naming the line). The rest is
+    :class:`PassageIndex`'s to refuse, where ``passages[i]`` is line
+    ``i + 1`` of ``passages.jsonl``.
     """
     uniform = _load_matrix(directory, _UNIFORM)
     idf = _load_matrix(directory, _IDF)
-    if uniform.shape != idf.shape:
-        raise ValueError(
-            f"{_UNIFORM} shape {uniform.shape} differs from {_IDF} shape {idf.shape}"
-        )
     passages: list[Passage] = []
     with open(os.path.join(directory, _PASSAGES), encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -400,25 +422,5 @@ def load_index(directory: str | os.PathLike) -> PassageIndex:
                 raise ValueError(
                     f"{_PASSAGES} line {line_no}: expected [passage_id, doc_id, text]"
                 )
-            passage = Passage(*fields)
-            ordinal = passage.passage_id[len(passage.doc_id) + 1 :]
-            if not (
-                passage.passage_id == f"{passage.doc_id}#{ordinal}"
-                and ordinal.isascii()
-                and ordinal.isdigit()
-            ):
-                raise ValueError(
-                    f"{_PASSAGES} line {line_no}: passage id {passage.passage_id!r} "
-                    f"is not {passage.doc_id + '#<n>'!r}"
-                )
-            if passages and passage.passage_id <= passages[-1].passage_id:
-                raise ValueError(
-                    f"{_PASSAGES} line {line_no}: passage id {passage.passage_id!r} "
-                    f"does not sort after {passages[-1].passage_id!r}"
-                )
-            passages.append(passage)
-    if len(passages) != len(uniform):
-        raise ValueError(
-            f"{_PASSAGES} has {len(passages)} passages, the matrices {len(uniform)} rows"
-        )
+            passages.append(Passage(*fields))
     return PassageIndex(passages, uniform, idf)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import pathlib
 import subprocess
@@ -327,13 +328,19 @@ class TestQuery:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("damage", ["truncated", "empty", "not-npy"])
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "not-npy", "huge-shape"])
     def test_unreadable_matrix_file_exits_2_naming_it(self, workspace, capsys, damage):
         _build_artifacts(workspace)
         matrix = workspace["index"] / "uniform.npy"
         data = matrix.read_bytes()
+        # A header whose shape needs 16 PB: read as is, it raised MemoryError (exit 1).
+        huge = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            huge, {"descr": "<f8", "fortran_order": False, "shape": (10**15, 2)}
+        )
         matrix.write_bytes(
-            {"truncated": data[:-5], "empty": b"", "not-npy": b"#dim 2\n"}[damage]
+            {"truncated": data[:-5], "empty": b"", "not-npy": b"#dim 2\n",
+             "huge-shape": huge.getvalue() + np.load(matrix).tobytes()}[damage]
         )
         capsys.readouterr()
         code = main(
@@ -353,6 +360,8 @@ class TestQuery:
     @pytest.mark.parametrize("command", ["query", "eval"])
     def test_non_finite_matrix_exits_2_naming_it(self, workspace, capsys, command, name):
         _build_artifacts(workspace)
+        lines = (workspace["index"] / "passages.jsonl").read_text(encoding="utf-8")
+        first = json.loads(lines.splitlines()[0])[0]
         matrix = np.load(workspace["index"] / name)
         matrix[0, 0] = np.nan
         np.save(workspace["index"] / name, matrix)
@@ -365,7 +374,8 @@ class TestQuery:
             argv += ["--questions", str(workspace["questions"]), "--out", str(workspace["run"])]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
-            f"error: --index {workspace['index']}: {name}: non-finite value\n"
+            f"error: --index {workspace['index']}: passage {first!r}: "
+            f"{name.split('.')[0]} centroid norm nan is not finite\n"
         )
         assert not workspace["run"].exists()
 

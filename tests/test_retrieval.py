@@ -947,6 +947,9 @@ def _assert_bit_equal(reloaded, index):
         assert reloaded.doc_index[doc_id].tolist() == rows.tolist()
 
 
+_SHAPES = "expected two 2-d matrices of one shape"
+
+
 class TestIndexSerialization:
     def test_round_trip_preserves_ranking(self, small_index, tiny_embeddings, bundle):
         reloaded = load_index(bundle)
@@ -995,10 +998,14 @@ class TestIndexSerialization:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["uniform.npy", "idf.npy"])
     def test_non_finite_matrix_value_refused_naming_file(self, bundle, name, value):
+        # The row norm is not finite, and the index names its passage.
         matrix = np.load(bundle / name)
         matrix[-1, 0] = value
         np.save(bundle / name, matrix)
-        with pytest.raises(ValueError, match=f"^{name}: non-finite value$"):
+        label, norm = name.split(".")[0], "nan" if np.isnan(value) else "inf"
+        with pytest.raises(
+            ValueError, match=f"^passage 'd2#2': {label} centroid norm {norm} is not finite$"
+        ):
             load_index(bundle)
 
     @pytest.mark.parametrize("name", ["uniform.npy", "idf.npy", "passages.jsonl"])
@@ -1008,25 +1015,46 @@ class TestIndexSerialization:
             load_index(bundle)
 
     @pytest.mark.parametrize(
-        "matrix",
-        [np.zeros((5, 2), dtype=np.float32), np.zeros(10), np.zeros((5, 2, 1))],
+        "matrix, message",
+        [
+            (np.zeros((5, 2), np.float32), "idf.npy: expected a float64 matrix, got float32"),
+            (np.zeros(10), r"uniform shape \(5, 2\) and idf shape \(10,\): " + _SHAPES),
+            (np.zeros((5, 2, 1)), r"uniform shape \(5, 2\) and idf shape \(5, 2, 1\): " + _SHAPES),
+        ],
         ids=["float32", "1-d", "3-d"],
     )
-    def test_matrix_not_2d_float64_refused(self, bundle, matrix):
+    def test_matrix_not_2d_float64_refused(self, bundle, matrix, message):
         np.save(bundle / "idf.npy", matrix)
-        with pytest.raises(ValueError, match="idf.npy: expected a 2-d float64 matrix"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             load_index(bundle)
 
     def test_matrix_shapes_must_agree(self, bundle):
         np.save(bundle / "idf.npy", np.zeros((5, 3)))
-        with pytest.raises(ValueError, match=r"shape \(5, 2\) differs from idf.npy shape \(5, 3\)"):
+        with pytest.raises(
+            ValueError, match=r"^uniform shape \(5, 2\) and idf shape \(5, 3\): " + _SHAPES
+        ):
             load_index(bundle)
 
     @pytest.mark.parametrize("rows", [4, 6])
     def test_row_count_must_match_passage_lines(self, bundle, rows):
         np.save(bundle / "uniform.npy", np.zeros((rows, 2)))
         np.save(bundle / "idf.npy", np.zeros((rows, 2)))
-        with pytest.raises(ValueError, match=f"has 5 passages, the matrices {rows} rows"):
+        with pytest.raises(ValueError, match=f"^5 passages, {rows} matrix rows$"):
+            load_index(bundle)
+
+    def test_header_shape_beyond_the_file_refused_before_allocating(self, bundle):
+        # The header asks for 16 PB; reading it as is raised MemoryError.
+        matrix = np.load(bundle / "uniform.npy")
+        with open(bundle / "uniform.npy", "wb") as handle:
+            np.lib.format.write_array_header_1_0(
+                handle, {"descr": "<f8", "fortran_order": False, "shape": (10**15, 2)}
+            )
+            handle.write(matrix.tobytes())
+        with pytest.raises(
+            ValueError,
+            match=r"^uniform.npy: not a readable .npy matrix \(shape \(1000000000000000, 2\) "
+            r"needs 16000000000000000 bytes, the file holds 80\)$",
+        ):
             load_index(bundle)
 
     def test_object_matrix_refused_without_unpickling(self, bundle):
@@ -1057,7 +1085,7 @@ class TestIndexSerialization:
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text("".join(lines[:2] + lines[:1] + lines[3:]), encoding="utf-8")
         with pytest.raises(
-            ValueError, match="passages.jsonl line 3: passage id 'd1#0' does not sort after 'd1#1'"
+            ValueError, match="^passages\\[2\\]: passage id 'd1#0' does not sort after 'd1#1'$"
         ):
             load_index(bundle)
 
@@ -1077,7 +1105,7 @@ class TestIndexSerialization:
         path = bundle / "passages.jsonl"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text(json.dumps(fields) + "\n" + "".join(lines[1:]), encoding="utf-8")
-        with pytest.raises(ValueError, match=f"passages.jsonl line 1: {message}"):
+        with pytest.raises(ValueError, match=f"^passages\\[0\\]: {message}$"):
             load_index(bundle)
 
     def test_reversed_index_refused(self, bundle):
@@ -1088,7 +1116,7 @@ class TestIndexSerialization:
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text("".join(reversed(lines)), encoding="utf-8")
         with pytest.raises(
-            ValueError, match="passages.jsonl line 2: passage id 'd2#1' does not sort after 'd2#2'"
+            ValueError, match="^passages\\[1\\]: passage id 'd2#1' does not sort after 'd2#2'$"
         ):
             load_index(bundle)
 
@@ -1096,6 +1124,50 @@ class TestIndexSerialization:
         passages = small_index.passages[::-1]
         with pytest.raises(ValueError, match="passage id 'd2#1' does not sort after 'd2#2'"):
             retrieval.PassageIndex(passages, small_index.uniform[::-1], small_index.idf[::-1])
+
+
+class TestIndexChecksItsOwnData:
+    """An index built in code is refused as a loaded one is."""
+
+    @pytest.mark.parametrize("rows", [4, 6])
+    def test_row_count_must_match_passages(self, small_index, rows):
+        matrix = np.zeros((rows, 2))
+        with pytest.raises(ValueError, match=f"^5 passages, {rows} matrix rows$"):
+            retrieval.PassageIndex(small_index.passages, matrix, matrix)
+
+    def test_matrix_shapes_must_agree(self, small_index):
+        with pytest.raises(
+            ValueError, match=r"^uniform shape \(5, 2\) and idf shape \(5, 3\): " + _SHAPES + "$"
+        ):
+            retrieval.PassageIndex(small_index.passages, np.zeros((5, 2)), np.zeros((5, 3)))
+
+    def test_matrices_must_be_2d(self, small_index):
+        with pytest.raises(
+            ValueError, match=r"^uniform shape \(5,\) and idf shape \(5,\): " + _SHAPES + "$"
+        ):
+            retrieval.PassageIndex(small_index.passages, np.zeros(5), np.zeros(5))
+
+    def test_repeated_passage_id_refused(self, small_index):
+        passages = list(small_index.passages)
+        passages[1] = passages[0]
+        with pytest.raises(ValueError) as excinfo:
+            retrieval.PassageIndex(passages, small_index.uniform, small_index.idf)
+        assert str(excinfo.value) == "passages[1]: passage id 'd1#0' does not sort after 'd1#0'"
+
+    @pytest.mark.parametrize(
+        "passage_id, doc_id",
+        [("d1#0", "zzz"), ("d1#0", "d"), ("d1#x", "d1"), ("d1#", "d1"), ("d1#\u0663", "d1"),
+         ("d1-0", "d1"), ("0", "")],
+        ids=["other-doc", "doc-prefix", "not-digits", "no-ordinal", "non-ascii-digit",
+             "no-hash", "no-hash-empty-doc"],
+    )
+    def test_passage_id_must_be_doc_id_and_ordinal(self, small_index, passage_id, doc_id):
+        passages = list(small_index.passages)
+        passages[3] = retrieval.Passage(passage_id, doc_id, "Alpha.")
+        message = f"passages[3]: passage id {passage_id!r} is not {doc_id + '#<n>'!r}"
+        with pytest.raises(ValueError) as excinfo:
+            retrieval.PassageIndex(passages, small_index.uniform, small_index.idf)
+        assert str(excinfo.value) == message
 
 
 class TestPassageTokens:
