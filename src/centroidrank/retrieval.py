@@ -34,10 +34,9 @@ from .text import split_sentences, tokenize
 
 
 class Passage(NamedTuple):
-    """One indexed sentence; its centroids are its row in the index matrices."""
+    """One indexed sentence; its document is ``passage_id`` up to the last ``#``."""
 
     passage_id: str
-    doc_id: str
     text: str
 
 
@@ -49,20 +48,22 @@ def _frozen(matrix: np.ndarray) -> np.ndarray:
 class PassageIndex:
     """Sentence index whose data is immutable.
 
-    Row ``i`` of ``uniform`` and ``idf`` (C-contiguous float64, shape
-    ``(n, dim)``; ``dim`` is their width) holds the raw centroids of
-    ``passages[i]``. ``doc_index`` maps each document to the ascending row
-    indices of its passages; the rows of one document need not be
-    contiguous (``d#1`` sorts between ``d`` and ``d``'s later rows when
-    ``d#1`` is itself a document id). The index checks its own data, built
-    or loaded alike, and raises ValueError for matrices that are not 2-d or
-    differ in shape, a passage count that differs from the rows, a passage
-    id that is not its ``<doc_id>#<n>`` (``n`` ASCII digits) or does not
-    sort after the one before it (naming ``passages[i]``), and a row whose
-    norm is not finite (naming its passage). The mutable parts are three
-    memos of data derived from that, never filled by building or loading:
-    each passage's tokens, filled by :meth:`passage_tokens` on first use;
-    the relevant passage ids per judged ``(t, gold snippets)``, filled by
+    ``passages`` is a tuple, the index's own copy of the passages it is
+    given. Row ``i`` of ``uniform`` and ``idf`` (C-contiguous float64,
+    shape ``(n, dim)``; ``dim`` is their width) holds the raw centroids of
+    ``passages[i]``. ``doc_index`` maps each document, a passage id up to
+    its last ``#``, to the ascending row indices of its passages; the rows
+    of one document need not be contiguous (``d#1`` sorts between ``d`` and
+    ``d``'s later rows when ``d#1`` is itself a document id). The index
+    checks its own data, built or loaded alike, and raises ValueError for
+    matrices that are not 2-d or differ in shape, a passage count that
+    differs from the rows, a passage id that is not ``<doc_id>#<n>`` (``n``
+    ASCII digits) or does not sort after the one before it (naming
+    ``passages[i]``), and a row whose norm is not finite (naming its
+    passage). The mutable parts are three memos of data derived from that,
+    never filled by building or loading: each passage's tokens, filled by
+    :meth:`passage_tokens` on first use; the relevant passage ids per
+    judged ``(t, gold snippets)``, filled by
     :func:`~centroidrank.evaluation.build_judgments`, which grows with the
     distinct snippet lists judged on the index; and the float32 screen of
     ``uniform`` or ``idf``, filled by :meth:`screen` when :func:`rank`
@@ -81,11 +82,11 @@ class PassageIndex:
             raise ValueError(f"{len(passages)} passages, {len(self.uniform)} matrix rows")
         rows: dict[str, list[int]] = {}
         previous = ""  # sorts before every id, since an id holds a '#'
-        for row, (passage_id, doc_id, _text) in enumerate(passages):
-            head, sep, ordinal = passage_id.rpartition("#")
-            if not (sep and head == doc_id and ordinal.isascii() and ordinal.isdigit()):
+        for row, (passage_id, _text) in enumerate(passages):
+            doc_id, sep, ordinal = passage_id.rpartition("#")
+            if not (sep and ordinal.isascii() and ordinal.isdigit()):
                 raise ValueError(
-                    f"passages[{row}]: passage id {passage_id!r} is not {doc_id + '#<n>'!r}"
+                    f"passages[{row}]: passage id {passage_id!r} is not '<doc_id>#<n>'"
                 )
             if passage_id <= previous:
                 raise ValueError(
@@ -93,7 +94,7 @@ class PassageIndex:
                 )
             previous = passage_id
             rows.setdefault(doc_id, []).append(row)
-        self.passages = passages
+        self.passages = tuple(passages)
         self.dim = self.uniform.shape[1]
         self.uniform_norms = _finite_norms(self.uniform, "uniform", passages)
         self.idf_norms = _finite_norms(self.idf, "idf", passages)
@@ -238,7 +239,7 @@ def build_index(
             raise ValueError(f"duplicate doc_id {doc_id!r}")
         seen.add(doc_id)
         for ordinal, (sentence, _offset) in enumerate(split_sentences(text)):
-            passages.append(Passage(f"{doc_id}#{ordinal}", doc_id, sentence))
+            passages.append(Passage(f"{doc_id}#{ordinal}", sentence))
     passages.sort(key=lambda p: p.passage_id)
     uniform, idf = centroids(
         (tokenize(passage.text) for passage in passages), embeddings, doc_idf.weight
@@ -362,9 +363,9 @@ def save_index(index: PassageIndex, directory: str | os.PathLike) -> None:
     """Write the index as a directory of standard files.
 
     ``uniform.npy`` and ``idf.npy`` hold the two centroid matrices
-    (``np.save``); ``passages.jsonl`` holds one ``[passage_id, doc_id,
-    text]`` JSON array per row. The directory is created if needed, and
-    the files of an index already there are replaced.
+    (``np.save``); ``passages.jsonl`` holds one ``[passage_id, text]``
+    JSON array per row. The directory is created if needed, and the files
+    of an index already there are replaced.
     """
     os.makedirs(directory, exist_ok=True)
     np.save(os.path.join(directory, _UNIFORM), index.uniform)
@@ -401,9 +402,9 @@ def load_index(directory: str | os.PathLike) -> PassageIndex:
     ValueError names the file for a matrix file that is empty, truncated,
     not ``.npy`` or whose header shape needs more data than it holds, a
     matrix that is not float64, or a passage line that is not a JSON array
-    of three strings (naming the line). The rest is
-    :class:`PassageIndex`'s to refuse, where ``passages[i]`` is line
-    ``i + 1`` of ``passages.jsonl``.
+    of two strings (naming the line), such as each line of an index
+    written with a doc id field. The rest is :class:`PassageIndex`'s to
+    refuse, where ``passages[i]`` is line ``i + 1`` of ``passages.jsonl``.
     """
     uniform = _load_matrix(directory, _UNIFORM)
     idf = _load_matrix(directory, _IDF)
@@ -416,11 +417,9 @@ def load_index(directory: str | os.PathLike) -> PassageIndex:
                 fields = None
             if not (
                 isinstance(fields, list)
-                and len(fields) == 3
+                and len(fields) == 2
                 and all(isinstance(f, str) for f in fields)
             ):
-                raise ValueError(
-                    f"{_PASSAGES} line {line_no}: expected [passage_id, doc_id, text]"
-                )
+                raise ValueError(f"{_PASSAGES} line {line_no}: expected [passage_id, text]")
             passages.append(Passage(*fields))
     return PassageIndex(passages, uniform, idf)

@@ -158,7 +158,7 @@ def make_screen_instance(rng: random.Random) -> ScreenInstance:
         vector = anchor + 10.0 ** gen.uniform(-9, -3) * gen.normal(size=dim)
     else:
         vector = gen.normal(size=dim)
-    passages = [Passage(f"p{i:02d}#0", f"p{i:02d}", "") for i in range(n)]
+    passages = [Passage(f"p{i:02d}#0", "") for i in range(n)]
     index = PassageIndex(
         passages, _screen_rows(gen, n, dim, anchor), _screen_rows(gen, n, dim, anchor)
     )

@@ -216,8 +216,12 @@ class TestIndexBuild:
                      "--doc-idf", str(doc_idf), "--out", str(index)]) == 0
         assert "24 passages" in capsys.readouterr().out
         reloaded = load_index(index)
+        # oracle_index_tsv takes (passage_id, doc_id, text) triples.
+        triples = [
+            (p.passage_id, p.passage_id.rpartition("#")[0], p.text) for p in reloaded.passages
+        ]
         tsv = oracle_index_tsv(
-            reloaded.dim, reloaded.passages, reloaded.uniform.tolist(), reloaded.idf.tolist()
+            reloaded.dim, triples, reloaded.uniform.tolist(), reloaded.idf.tolist()
         )
         assert hashlib.sha256(tsv.encode("utf-8")).hexdigest() == (
             "5297c5205199f15dc48601672a77f731cacf5baf48ee3513ed93e533fe36a6f8"
@@ -300,7 +304,7 @@ class TestIndexBuild:
         workspace["docs"].write_text("d9\tGamma gamma.\n", encoding="utf-8")
         assert self._index_build(workspace, workspace["index"]) == 0
         reloaded = load_index(workspace["index"])
-        assert [tuple(p) for p in reloaded.passages] == [("d9#0", "d9", "Gamma gamma.")]
+        assert [tuple(p) for p in reloaded.passages] == [("d9#0", "Gamma gamma.")]
         assert reloaded.uniform.shape == reloaded.idf.shape == (1, 2)
 
     def test_out_onto_a_regular_file_exits_2_and_keeps_it(self, workspace, capsys):
@@ -376,6 +380,30 @@ class TestQuery:
         assert capsys.readouterr().err == (
             f"error: --index {workspace['index']}: passage {first!r}: "
             f"{name.split('.')[0]} centroid norm nan is not finite\n"
+        )
+        assert not workspace["run"].exists()
+
+    @pytest.mark.parametrize("command", ["query", "eval"])
+    def test_index_with_a_doc_id_field_exits_2(self, workspace, capsys, command):
+        # The layout written before the document became the id up to its last '#'.
+        _build_artifacts(workspace)
+        path = workspace["index"] / "passages.jsonl"
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        path.write_text(
+            "".join(json.dumps([pid, pid.rpartition("#")[0], text]) + "\n" for pid, text in rows),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        argv = [command, "--index", str(workspace["index"]),
+                "--embeddings", str(workspace["embeddings"])]
+        if command == "query":
+            argv += ["--question", "alpha"]
+        else:
+            argv += ["--questions", str(workspace["questions"]), "--out", str(workspace["run"])]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: --index {workspace['index']}: passages.jsonl line 1: "
+            "expected [passage_id, text]\n"
         )
         assert not workspace["run"].exists()
 
