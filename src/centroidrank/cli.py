@@ -23,8 +23,7 @@ from typing import TYPE_CHECKING, Callable, TypeVar
 # The parser needs only the numpy-free run names; each command imports the
 # rest of the library itself, so ``idf-build`` and ``compare`` never load
 # numpy.
-from .runs import DEFAULT_CUTOFF, OVERLAP_THRESHOLD, Method, check_method
-from .runs import _check_overlap_threshold
+from .runs import DEFAULT_CUTOFF, OVERLAP_THRESHOLD, Method, check_at_least_one, check_method
 
 if TYPE_CHECKING:
     from .embeddings import EmbeddingTable
@@ -50,18 +49,15 @@ def _load_artifacts(
     """Check the query/eval flags, then load the artifacts they name."""
     from .embeddings import load_embeddings
     from .idf import load_idf
-    from .retrieval import load_index
+    from .retrieval import _check_dim, load_index
 
     check_method(args.method, args.k, args.embeddings, args.doc_idf, args.question_idf)
     index = _load("--index", args.index, load_index)
     embeddings = (
-        _load("--embeddings", args.embeddings, load_embeddings) if args.embeddings else None
+        _load("--embeddings", args.embeddings, lambda p: _check_dim(index, load_embeddings(p)))
+        if args.embeddings
+        else None
     )
-    if embeddings is not None and embeddings.dim != index.dim:
-        raise ValueError(
-            f"--embeddings {args.embeddings}: dimension mismatch: index has dim "
-            f"{index.dim}, embeddings have dim {embeddings.dim}"
-        )
     doc_idf = _load("--doc-idf", args.doc_idf, load_idf) if args.doc_idf else None
     question_idf = (
         _load("--question-idf", args.question_idf, load_idf) if args.question_idf else None
@@ -130,7 +126,7 @@ def cmd_index_build(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    from .retrieval import random_baseline, rank
+    from .retrieval import _candidate_rows, random_baseline, rank
     from .text import tokenize
 
     candidate_docs = None
@@ -139,9 +135,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         if not candidate_docs:
             raise ValueError(f"--docs names no document id: {args.docs!r}")
     index, embeddings, doc_idf, question_idf = _load_artifacts(args)
-    if candidate_docs is not None and not candidate_docs <= index.doc_index.keys():
-        unknown = ", ".join(sorted(candidate_docs - index.doc_index.keys()))
-        raise ValueError(f"--docs {args.docs}: unknown doc_id(s) in candidate set: {unknown}")
+    _load("--docs", args.docs, lambda _docs: _candidate_rows(index, candidate_docs))
     if args.method == Method.RND:
         ranking = random_baseline(index, candidate_docs, args.k, seed=args.seed)
     else:
@@ -165,7 +159,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from .evaluation import evaluate_questions, save_run
     from .ingest import load_question_set
 
-    _check_overlap_threshold(args.overlap_threshold)
+    check_at_least_one("overlap threshold", args.overlap_threshold)
     index, embeddings, doc_idf, question_idf = _load_artifacts(args)
     questions = _load("--questions", args.questions, load_question_set)
     run = evaluate_questions(

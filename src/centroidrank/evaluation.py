@@ -17,6 +17,7 @@ numpy-free :mod:`centroidrank.runs`; the run-file functions and
 from __future__ import annotations
 
 import warnings
+import weakref
 import zlib
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -32,7 +33,7 @@ from .runs import (
     QuestionScore,
     RankedList,
     RunResult,
-    _check_overlap_threshold,
+    check_at_least_one,
     check_method,
 )
 from .runs import load_run, save_run, wilcoxon_signed_rank  # re-exported
@@ -111,7 +112,7 @@ def judge_relevance(
     :func:`build_judgments`, which prepares each snippet document once;
     one prepared for another threshold raises ValueError.
     """
-    _check_overlap_threshold(overlap_threshold)
+    check_at_least_one("overlap threshold", overlap_threshold)
     if not isinstance(snippets, _PreparedSnippets):
         snippets = _PreparedSnippets(snippets, overlap_threshold)
     elif snippets.t != overlap_threshold:
@@ -122,6 +123,11 @@ def judge_relevance(
     return snippets.match(passage_tokens)
 
 
+# Per index, while it lives: each judged passage's tokens by row, and the
+# relevant passage ids per judged ``(t, gold snippets)``.
+_MEMOS: weakref.WeakKeyDictionary[PassageIndex, tuple[dict, dict]] = weakref.WeakKeyDictionary()
+
+
 def build_judgments(
     index: PassageIndex,
     question: Question,
@@ -130,21 +136,21 @@ def build_judgments(
     """Materialize the question's gold snippets against the sentence index.
 
     Each snippet is tokenized and each snippet document prepared once per
-    question; passage tokens come from the index, which tokenizes each
-    passage once (:meth:`~centroidrank.retrieval.PassageIndex.passage_tokens`).
-    The index keeps the relevant ids per ``(t, gold snippets)``, so a
-    repeated call looks them up; threads that race on a key's first call
-    judge equal sets, and one of them is kept.
+    question. Kept per index for as long as it lives, each passage is
+    tokenized once, on its first judging, and the relevant ids once per
+    ``(t, gold snippets)``, so a repeated call looks them up; threads that
+    race on a first call compute equal values, and one of them is kept.
     """
-    _check_overlap_threshold(overlap_threshold)
+    check_at_least_one("overlap threshold", overlap_threshold)
+    tokens, judged = _MEMOS.setdefault(index, ({}, {}))
     key = (overlap_threshold, tuple((doc_id, text) for doc_id, text in question.gold_snippets))
-    judged = index._judged.get(key)
-    if judged is None:
-        judged = index._judged[key] = _judge(index, question, overlap_threshold)
-    return RelevanceJudgments(question_id=question.id, relevant_passage_ids=set(judged))
+    relevant = judged.get(key)
+    if relevant is None:
+        relevant = judged[key] = _judge(index, tokens, question, overlap_threshold)
+    return RelevanceJudgments(question_id=question.id, relevant_passage_ids=set(relevant))
 
 
-def _judge(index: PassageIndex, question: Question, overlap_threshold: int) -> frozenset[str]:
+def _judge(index: PassageIndex, tokens: dict, question: Question, t: int) -> frozenset[str]:
     snippets_by_doc: dict[str, list[tuple[str, ...]]] = {}
     for doc_id, snippet_text in question.gold_snippets:
         snippets_by_doc.setdefault(doc_id, []).append(tokenize(snippet_text))
@@ -152,9 +158,12 @@ def _judge(index: PassageIndex, question: Question, overlap_threshold: int) -> f
     for doc_id, snippets in snippets_by_doc.items():
         if doc_id not in index.doc_index:
             continue
-        prepared = _PreparedSnippets(snippets, overlap_threshold)
+        prepared = _PreparedSnippets(snippets, t)
         for row in index.doc_index[doc_id].tolist():
-            if judge_relevance(index.passage_tokens(row), prepared, overlap_threshold):
+            passage = tokens.get(row)
+            if passage is None:
+                passage = tokens[row] = tokenize(index.passages[row].text)
+            if judge_relevance(passage, prepared, t):
                 relevant.add(index.passages[row].passage_id)
     return frozenset(relevant)
 
@@ -165,8 +174,7 @@ def _judge(index: PassageIndex, question: Question, overlap_threshold: int) -> f
 
 def _hits(ranked: RankedList, judgments: RelevanceJudgments, k: int) -> list[bool]:
     """Whether each of the top k ranked passages is relevant, in rank order."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_at_least_one("k", k)
     return [pid in judgments.relevant_passage_ids for pid, _score in ranked.items[:k]]
 
 
@@ -234,7 +242,7 @@ def evaluate_questions(
     ids = [q.id for q in questions]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate question ids in the question set")
-    _check_overlap_threshold(overlap_threshold)
+    check_at_least_one("overlap threshold", overlap_threshold)
 
     result = RunResult(method=method.value)
     for question in questions:

@@ -28,7 +28,7 @@ from numpy.lib import format as npy
 
 from .embeddings import EmbeddingTable
 from .idf import IdfTable
-from .runs import Method, RankedList, check_method  # Method is also read from here
+from .runs import Method, RankedList, check_at_least_one, check_method  # Method is re-exported
 from .semantic import centroid, centroids, cosine_distances, row_norms
 from .text import split_sentences, tokenize
 
@@ -60,14 +60,10 @@ class PassageIndex:
     differs from the rows, a passage id that is not ``<doc_id>#<n>`` (``n``
     ASCII digits) or does not sort after the one before it (naming
     ``passages[i]``), and a row whose norm is not finite (naming its
-    passage). The mutable parts are three memos of data derived from that,
-    never filled by building or loading: each passage's tokens, filled by
-    :meth:`passage_tokens` on first use; the relevant passage ids per
-    judged ``(t, gold snippets)``, filled by
-    :func:`~centroidrank.evaluation.build_judgments`, which grows with the
-    distinct snippet lists judged on the index; and the float32 screen of
-    ``uniform`` or ``idf``, filled by :meth:`screen` when :func:`rank`
-    first scores the whole index with it.
+    passage). The one mutable part is a memo derived from that, never
+    filled by building or loading: the float32 screen of ``uniform`` or
+    ``idf``, filled by :meth:`screen` when :func:`rank` first scores the
+    whole index with it.
     """
 
     def __init__(self, passages: list[Passage], uniform: np.ndarray, idf: np.ndarray) -> None:
@@ -102,23 +98,10 @@ class PassageIndex:
             doc_id: _frozen(np.array(doc_rows, dtype=np.intp))
             for doc_id, doc_rows in rows.items()
         }
-        self._tokens: dict[int, tuple[str, ...]] = {}
-        self._judged: dict[tuple, frozenset[str]] = {}
         self._screens: dict[str, np.ndarray | None] = {}
 
     def __len__(self) -> int:
         return len(self.passages)
-
-    def passage_tokens(self, row: int) -> tuple[str, ...]:
-        """``tokenize(passages[row].text)``, computed on first use and kept.
-
-        Threads that share the index may each compute a row's first call;
-        they get equal tokens, and one of them is kept.
-        """
-        tokens = self._tokens.get(row)
-        if tokens is None:
-            tokens = self._tokens[row] = tokenize(self.passages[row].text)
-        return tokens
 
     def screen(self, name: str) -> np.ndarray | None:
         """Each row of matrix ``name`` (``"uniform"`` or ``"idf"``) over its
@@ -247,6 +230,15 @@ def build_index(
     return PassageIndex(passages, uniform, idf)
 
 
+def _check_dim(index: PassageIndex, embeddings: EmbeddingTable) -> EmbeddingTable:
+    """``embeddings``, once its width is known to be the index's."""
+    if embeddings.dim != index.dim:
+        raise ValueError(
+            f"dimension mismatch: index dim {index.dim}, embeddings dim {embeddings.dim}"
+        )
+    return embeddings
+
+
 def _candidate_rows(
     index: PassageIndex, candidate_docs: set[str] | None
 ) -> np.ndarray | None:
@@ -291,10 +283,7 @@ def rank(
     method = check_method(method, k, embeddings, doc_idf, question_idf)
     if method is Method.RND:
         raise ValueError("rnd has no distance ranking; use random_baseline()")
-    if embeddings.dim != index.dim:
-        raise ValueError(
-            f"dimension mismatch: index dim {index.dim}, embeddings dim {embeddings.dim}"
-        )
+    _check_dim(index, embeddings)
     idf = {Method.CD: None, Method.CD_IDF: doc_idf, Method.CD_Q: question_idf}[method]
     q = centroid(question, embeddings, idf)
     q_norm = float(np.linalg.norm(q))  # numpy warns when it overflows
@@ -337,8 +326,7 @@ def random_baseline(
     order (the tie rule for equal scores). Raises ValueError when the
     candidate set is empty or k < 1.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_at_least_one("k", k)
     rows = range(len(index)) if candidate_docs is None else _candidate_rows(index, candidate_docs)
     candidates = [index.passages[row].passage_id for row in rows]
     if not candidates:

@@ -27,9 +27,10 @@ OVERLAP_THRESHOLD = 5
 DEFAULT_CUTOFF = 10
 
 
-def _check_overlap_threshold(overlap_threshold: int) -> None:
-    if overlap_threshold < 1:
-        raise ValueError(f"overlap threshold must be >= 1, got {overlap_threshold}")
+def check_at_least_one(name: str, value: int) -> None:
+    """Raise ValueError ``<name> must be >= 1, got <value>`` below 1."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 class Method(str, Enum):
@@ -50,8 +51,7 @@ def check_method(
     without a question idf, naming the table and its CLI flag.
     """
     method = Method(method)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_at_least_one("k", k)
     if method is not Method.RND and embeddings is None:
         raise ValueError(f"{method.value} requires an embedding table (--embeddings)")
     if method is Method.CD_IDF and doc_idf is None:

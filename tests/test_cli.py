@@ -931,6 +931,19 @@ class TestCheckedInFixturePipeline:
         assert hashlib.sha256(run.read_bytes()).hexdigest() == self.PINNED_RUNS[method]
         assert load_run(run).method == method
 
+    # Each fixture question has 8 candidates, so at the default k = 10 rnd
+    # returns them all whatever its seed; at k = 3 the run pins its draws.
+    PINNED_RND_K3 = "062b76776bd380b2cd4199d55c59dbb4760bbdfacf438b6969a0b406d41bf513"
+
+    def test_rnd_draws_pinned_below_the_candidate_counts(self, tmp_path):
+        _doc_idf, _question_idf, index = _build_fixture_artifacts(tmp_path)
+        run = tmp_path / "run.json"
+        assert main(["eval", "--questions", str(FIXTURES / "questions.json"),
+                     "--index", str(index), "--method", "rnd", "--k", "3",
+                     "--out", str(run)]) == 0
+        assert all(len(q["ranking"]) == 3 for q in json.loads(run.read_text())["questions"])
+        assert hashlib.sha256(run.read_bytes()).hexdigest() == self.PINNED_RND_K3
+
     def test_cd_q_improvement_is_significant(self, tmp_path, capsys):
         doc_idf, question_idf, index = _build_fixture_artifacts(tmp_path)
         run_cd = tmp_path / "run_cd.json"

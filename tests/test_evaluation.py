@@ -1,8 +1,11 @@
+import gc
 import json
 import random
 import warnings
+import weakref
 from dataclasses import asdict
 from io import StringIO
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +24,13 @@ from centroidrank import (
     build_judgments,
     evaluate_questions,
     judge_relevance,
+    load_index,
     load_run,
     precision_at_k,
+    random_baseline,
+    rank,
     recall_at_k,
+    save_index,
     save_run,
     tokenize,
     wilcoxon_signed_rank,
@@ -333,6 +340,80 @@ class TestBuildJudgments:
         )
         with pytest.raises(ValueError, match="overlap threshold must be >= 1, got 0"):
             build_judgments(index, question, overlap_threshold=0)
+
+
+class TestJudgingMemos:
+    """What ``build_judgments`` keeps per index: passage tokens and judgments."""
+
+    DOCS = [
+        ("d1", "Alpha beta gamma. Delta epsilon here."),
+        ("d2", "Beta beta. Gamma alone. Alpha delta epsilon."),
+    ]
+    FIRST = Question(
+        id="q1", body="x", reference_docs=["d1", "d2"],
+        gold_snippets=[("d1", "beta gamma"), ("d2", "gamma alone")],
+    )
+
+    @staticmethod
+    def _every_passage(index):
+        # Each passage's own text as a snippet of its document.
+        return Question(
+            id="q", body="x", reference_docs=sorted(index.doc_index),
+            gold_snippets=[(p.passage_id.rpartition("#")[0], p.text) for p in index.passages],
+        )
+
+    def test_tokens_of_every_row_of_built_and_loaded_index(
+        self, tiny_embeddings, tiny_doc_idf, tmp_path
+    ):
+        built = build_index(self.DOCS, tiny_embeddings, tiny_doc_idf)
+        save_index(built, tmp_path / "index")
+        for index in (built, load_index(tmp_path / "index")):
+            judgments = build_judgments(index, self._every_passage(index), 1)
+            assert judgments.relevant_passage_ids == {p.passage_id for p in index.passages}
+            tokens, _judged = evaluation._MEMOS[index]
+            assert tokens == {row: tokenize(p.text) for row, p in enumerate(index.passages)}
+
+    def test_tokenized_once_through_the_module_and_kept(self, tiny_embeddings, tiny_doc_idf):
+        index = build_index(self.DOCS, tiny_embeddings, tiny_doc_idf)
+        second = Question(
+            id="q2", body="x", reference_docs=["d1", "d2"],
+            gold_snippets=[("d1", "epsilon here"), ("d2", "alpha delta")],
+        )
+        with mock.patch.object(evaluation, "tokenize", wraps=tokenize) as counted:
+            build_judgments(index, self.FIRST)
+            assert counted.call_count == 2 + len(index)
+            first = dict(evaluation._MEMOS[index][0])
+            # other snippets, so judged afresh: only the snippets are tokenized
+            build_judgments(index, second)
+            assert counted.call_count == 2 + len(index) + 2
+        again = evaluation._MEMOS[index][0]
+        assert again.keys() == first.keys() == set(range(len(index)))
+        assert all(again[row] is first[row] for row in first)
+
+    def test_load_and_rank_leave_the_memo_empty(self, tiny_embeddings, tiny_doc_idf, tmp_path):
+        save_index(build_index(self.DOCS, tiny_embeddings, tiny_doc_idf), tmp_path / "index")
+        index = load_index(tmp_path / "index")
+        rank(index, ["alpha", "gamma"], "cd", 3, tiny_embeddings)
+        rank(index, ["alpha"], "cd", 2, tiny_embeddings, candidate_docs={"d2"})
+        random_baseline(index, {"d1"}, 2, seed=0)
+        assert index not in evaluation._MEMOS
+        with mock.patch.object(evaluation, "tokenize", wraps=tokenize) as counted:
+            build_judgments(index, self._every_passage(index))
+        # each passage once as a snippet, then once as a passage
+        assert counted.call_count == 2 * len(index)
+
+    def test_memos_live_as_long_as_their_index(self, tiny_embeddings, tiny_doc_idf):
+        index = build_index(self.DOCS, tiny_embeddings, tiny_doc_idf)
+        judged = build_judgments(index, self.FIRST)
+        with mock.patch.object(evaluation, "tokenize", wraps=tokenize) as counted:
+            assert build_judgments(index, self.FIRST) == judged
+        assert counted.call_count == 0
+        memos = evaluation._MEMOS[index]
+        alive = weakref.ref(index)
+        del index
+        gc.collect()
+        assert alive() is None
+        assert all(kept is not memos for kept in evaluation._MEMOS.values())
 
 
 class TestPrecisionRecall:

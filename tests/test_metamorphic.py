@@ -277,3 +277,33 @@ def test_reversed_question_set_gives_the_same_entries(base, tmp_path, world):
             json.dumps(q) for q in forward["questions"]
         ]
         assert json.dumps(backward["aggregates"]) == json.dumps(forward["aggregates"])
+
+
+@pytest.mark.parametrize("world", sorted(WORLDS))
+def test_reversed_repeated_documents_and_reversed_snippets_give_the_same_runs(
+    base, tmp_path, world
+):
+    # A question's candidates are a set of documents, and its judgments
+    # depend on the set of its snippets: neither order nor a repeat counts.
+    _directory, want = base(world)
+    original = WORLDS[world]()
+    questions = tuple(
+        {**q, "documents": [*q["documents"][::-1], q["documents"][0]],
+         "snippets": q["snippets"][::-1]}
+        for q in original.questions
+    )
+    got = _pipeline(dataclasses.replace(original, questions=questions), tmp_path / "repeated")
+    _assert_same(got, want, METHODS)
+
+
+@pytest.mark.parametrize("world", sorted(WORLDS))
+def test_reordered_repeated_query_docs_give_the_same_output(base, world):
+    directory, _want = base(world)
+    original = WORLDS[world]()
+    first, second = (line.split("\t", 1)[0] for line in original.docs[:2])
+    question = original.questions[0]["body"]
+    for method in METHODS:
+        flags = [*_flags(directory, method), "--k", 10, "--question", question]
+        assert _run("query", *flags, "--docs", f"{second},{first},{second}") == _run(
+            "query", *flags, "--docs", f"{first},{second}"
+        )

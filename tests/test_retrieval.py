@@ -27,7 +27,7 @@ from centroidrank import (
     save_index,
     tokenize,
 )
-from centroidrank import build_judgments, retrieval, semantic
+from centroidrank import build_judgments, evaluation, retrieval, semantic
 from centroidrank import text as text_module
 from centroidrank.ingest import Question
 from centroidrank.embeddings import EmbeddingTable
@@ -908,10 +908,8 @@ class TestConcurrentReads:
                         )
                     )
                 assert concurrent == sequential * 4
-                assert all(
-                    index.passage_tokens(row) == tokenize(p.text)
-                    for row, p in enumerate(index.passages)
-                )
+                tokens, _judged = evaluation._MEMOS[index]
+                assert tokens == {row: tokenize(p.text) for row, p in enumerate(index.passages)}
         finally:
             sys.setswitchinterval(interval)
 
@@ -1188,28 +1186,3 @@ class TestIndexChecksItsOwnData:
         ranked = rank(index, ["alpha"], "cd", 5, tiny_embeddings)
         assert _ids(ranked) == _ids(rank(small_index, ["alpha"], "cd", 5, tiny_embeddings))
         assert "z#0" not in _ids(ranked)
-
-
-class TestPassageTokens:
-    def test_tokens_of_every_row_of_built_and_loaded_index(self, small_index, bundle):
-        for index in (small_index, load_index(bundle)):
-            for row, passage in enumerate(index.passages):
-                assert index.passage_tokens(row) == tokenize(passage.text)
-
-    def test_tokenized_once_through_the_module_and_kept(self, small_index):
-        with mock.patch.object(retrieval, "tokenize", wraps=tokenize) as counted:
-            first = [small_index.passage_tokens(row) for row in range(len(small_index))]
-            again = [small_index.passage_tokens(row) for row in range(len(small_index))]
-        assert counted.call_count == len(small_index)
-        assert all(a is b for a, b in zip(again, first))
-
-    def test_load_and_rank_leave_the_memo_empty(self, tiny_embeddings, bundle):
-        index = load_index(bundle)
-        rank(index, ["alpha", "gamma"], "cd", 3, tiny_embeddings)
-        rank(index, ["alpha"], "cd", 2, tiny_embeddings, candidate_docs={"d2"})
-        random_baseline(index, {"d1"}, 2, seed=0)
-        with mock.patch.object(retrieval, "tokenize", wraps=tokenize) as counted:
-            for row in range(len(index)):
-                index.passage_tokens(row)
-        # every row was tokenized now, so none was kept before
-        assert counted.call_count == len(index)
