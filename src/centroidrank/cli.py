@@ -36,7 +36,8 @@ _T = TypeVar("_T")
 
 
 def _load(flag: str, path: str, loader: Callable[[str], _T]) -> _T:
-    """``loader(path)``; a refusal (exit 2) names the flag and the path."""
+    """``loader(path)``, which reads or writes the file at ``path``; a
+    refusal (exit 2) names the flag and the path."""
     try:
         return loader(path)
     except (ValueError, OSError) as exc:
@@ -79,7 +80,7 @@ def cmd_idf_build(args: argparse.Namespace) -> int:
     for path in args.corpus:
         units += _load("--corpus", path, _read_units)
     table = build_idf(units, label=_UNIT_LABELS[args.unit])
-    save_idf(table, args.out)
+    _load("--out", args.out, lambda out: save_idf(table, out))
     print(f"n_docs {table.n_docs} vocab {len(table.df)}")
     return 0
 
@@ -118,7 +119,7 @@ def cmd_index_build(args: argparse.Namespace) -> int:
         # Duplicate documents are refused while reading, so this is a
         # centroid whose norm overflows: vectors too large for float64 sums.
         raise ValueError(f"--embeddings {args.embeddings}: {exc}") from None
-    save_index(index, args.out)
+    _load("--out", args.out, lambda out: save_index(index, out))
     if not documents:
         print("warning: empty document file, wrote an empty index", file=sys.stderr)
     print(f"{len(index)} passages")
@@ -173,7 +174,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         seed=args.seed,
         overlap_threshold=args.overlap_threshold,
     )
-    save_run(run, args.out)
+    _load("--out", args.out, lambda out: save_run(run, out))
     agg = run.aggregates
     print(
         f"MAP {agg.map:.3f} P {agg.precision:.3f} R {agg.recall:.3f} F1 {agg.f1:.3f}"

@@ -23,8 +23,6 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .text import PathOrIO, open_text
-
 # Lines parsed per np.loadtxt call. Small chunks keep the text and the
 # parsed block held at once small enough that a load's peak memory is
 # about the finished matrix; larger ones were no faster.
@@ -63,13 +61,13 @@ class EmbeddingTable:
         return len(self.vocab)
 
 
-def load_embeddings(source: PathOrIO) -> EmbeddingTable:
-    """Parse an embedding table from a path or text stream.
+def load_embeddings(source: str | os.PathLike) -> EmbeddingTable:
+    """Parse the embedding table file at ``source``.
 
     The first line is treated as a header when it consists of exactly two
     integers. Duplicate tokens keep the last occurrence. Raises ValueError
     naming the offending line for malformed floats, non-finite values or
-    inconsistent dimensions, and ValueError for a stream without vectors.
+    inconsistent dimensions, and ValueError for a file without vectors.
 
     Finite values can still overflow later: a vector whose norm passes
     about 1.3e154 (the square root of the largest float64), or values near
@@ -78,8 +76,8 @@ def load_embeddings(source: PathOrIO) -> EmbeddingTable:
     """
     tokens: list[str] = []
     matrix = np.empty((0, 0))
-    with open_text(source) as handle:
-        size = _file_size(handle)
+    with open(source, encoding="utf-8") as handle:
+        size = os.fstat(handle.fileno()).st_size
         for count, dim, line_nos, chunk_tokens, values in _chunks(handle):
             block = _parse_chunk(line_nos, values, dim)
             start = len(tokens)
@@ -103,14 +101,6 @@ def load_embeddings(source: PathOrIO) -> EmbeddingTable:
         vocab = dict(zip(vocab, range(len(vocab))))
     matrix.flags.writeable = False
     return EmbeddingTable(vocab, matrix)
-
-
-def _file_size(handle: IO[str]) -> int:
-    """Bytes in the file behind ``handle``; 0 for a stream without one."""
-    try:
-        return os.fstat(handle.fileno()).st_size
-    except (AttributeError, OSError):
-        return 0
 
 
 def _chunks(
@@ -201,9 +191,7 @@ def _parse_line(line_no: int, text: str, dim: int) -> np.ndarray:
     if len(fields) != dim:
         raise ValueError(f"line {line_no}: expected {dim} components, got {len(fields)}")
     try:
-        # One field per parsed line: NumPy refuses a carriage return inside
-        # a line, which str.split takes as whitespace.
-        vector = _parse(fields)[:, 0]
+        vector = _parse([text])[0]
     except ValueError:
         bad = next(value for value in fields if not _is_float(value))
         raise ValueError(
@@ -214,9 +202,9 @@ def _parse_line(line_no: int, text: str, dim: int) -> np.ndarray:
     return vector
 
 
-def save_embeddings(table: EmbeddingTable, sink: PathOrIO) -> None:
+def save_embeddings(table: EmbeddingTable, sink: str | os.PathLike) -> None:
     """Write ``table`` with a header line; tokens are sorted for stable output."""
-    with open_text(sink, "w") as handle:
+    with open(sink, "w", encoding="utf-8") as handle:
         handle.write(f"{len(table.vocab)} {table.dim}\n")
         for token in sorted(table.vocab):
             components = " ".join(repr(float(v)) for v in table.matrix[table.vocab[token]])

@@ -12,11 +12,10 @@ non-negative for every token, including unseen ones (df = 0).
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
-
-from .text import PathOrIO, open_text
 
 # A tab splits a row; "\n" and "\r" each end a line when the table is read.
 _UNWRITABLE = re.compile("[\t\n\r]")
@@ -61,7 +60,7 @@ def build_idf(corpus: Iterable[Sequence[str]], label: str = "") -> IdfTable:
     return IdfTable(n_docs=n_docs, df=df, corpus_label=label)
 
 
-def save_idf(table: IdfTable, sink: PathOrIO) -> None:
+def save_idf(table: IdfTable, sink: str | os.PathLike) -> None:
     """Write a table as '#n_docs <N> <label>' plus token<TAB>df lines."""
     # Checked before the sink is opened, so a refused table leaves it as it was.
     for text in (table.corpus_label, *table.df):
@@ -69,19 +68,19 @@ def save_idf(table: IdfTable, sink: PathOrIO) -> None:
             raise ValueError(f"idf label or token {text!r} contains a tab or line break")
     if "" in table.df:
         raise ValueError("empty idf token")
-    with open_text(sink, "w") as handle:
+    with open(sink, "w", encoding="utf-8") as handle:
         handle.write(f"#n_docs {table.n_docs} {table.corpus_label}\n")
         for token in sorted(table.df):
             handle.write(f"{token}\t{table.df[token]}\n")
 
 
-def load_idf(source: PathOrIO) -> IdfTable:
-    """Parse a table written by :func:`save_idf`.
+def load_idf(source: str | os.PathLike) -> IdfTable:
+    """Parse the table file at ``source``, as :func:`save_idf` writes it.
 
     Raises ValueError naming the line for malformed rows, counts that
     violate 1 <= df <= n_docs, or a token listed on an earlier line.
     """
-    with open_text(source) as handle:
+    with open(source, encoding="utf-8") as handle:
         header = handle.readline()
         if not header:
             raise ValueError("empty idf stream")

@@ -9,10 +9,11 @@ Unknown fields are ignored.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from dataclasses import dataclass, field
 
-from .text import PathOrIO, open_text
+from .runs import check_string
 
 
 @dataclass
@@ -30,22 +31,16 @@ def normalize_doc_id(value: str) -> str:
     return value
 
 
-def _not_a_string(field_name: str, value: object) -> ValueError:
-    return ValueError(f"{field_name} {value!r} is not a non-empty string")
-
-
-def _doc_id(field_name: str, value: object) -> str:
-    """``normalize_doc_id(value)``, or ValueError naming ``field_name`` when
-    ``value`` is not a non-empty string or normalizes to ``''``."""
-    if not isinstance(value, str) or not value:
-        raise _not_a_string(field_name, value)
-    doc_id = normalize_doc_id(value)
+def _doc_id(value: object, where: str, name: str) -> str:
+    """``normalize_doc_id(value)``, or ValueError naming ``where`` and
+    ``name`` when ``value`` is not a non-empty string or normalizes to ``''``."""
+    doc_id = normalize_doc_id(check_string(value, where, name))
     if not doc_id:
-        raise ValueError(f"{field_name} {value!r} is empty after URL normalization")
+        raise ValueError(f"{where}: {name} {value!r} is empty after URL normalization")
     return doc_id
 
 
-def load_question_set(source: PathOrIO) -> list[Question]:
+def load_question_set(source: str | os.PathLike) -> list[Question]:
     """Parse a question-set document.
 
     Raises ValueError for a missing ``questions`` array, entries without
@@ -55,7 +50,7 @@ def load_question_set(source: PathOrIO) -> list[Question]:
     naming the offending entry and field. A snippet whose document is not
     among the entry's reference documents is reported as a warning but kept.
     """
-    with open_text(source) as handle:
+    with open(source, encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, dict) or "questions" not in data:
         raise ValueError("question set is missing the top-level 'questions' array")
@@ -73,22 +68,22 @@ def load_question_set(source: PathOrIO) -> list[Question]:
         body = entry.get("body")
         if not isinstance(qid, str) or not qid:
             raise ValueError(f"{where}: missing or empty 'id'")
+        entry_where = f"{where} (id {qid!r})"
         if not isinstance(body, str):
-            raise ValueError(f"{where} (id {qid!r}): missing 'body'")
+            raise ValueError(f"{entry_where}: missing 'body'")
         if qid in seen:
             raise ValueError(f"{where}: duplicate question id {qid!r}")
         seen.add(qid)
 
         raw_docs = entry.get("documents", [])
         if not isinstance(raw_docs, list):
-            raise ValueError(f"{where} (id {qid!r}): 'documents' must be an array")
+            raise ValueError(f"{entry_where}: 'documents' must be an array")
         raw_snippets = entry.get("snippets", [])
         if not isinstance(raw_snippets, list):
-            raise ValueError(f"{where} (id {qid!r}): 'snippets' must be an array")
+            raise ValueError(f"{entry_where}: 'snippets' must be an array")
 
         reference_docs = [
-            _doc_id(f"{where} (id {qid!r}): documents[{i}]", doc)
-            for i, doc in enumerate(raw_docs)
+            _doc_id(doc, entry_where, f"documents[{i}]") for i, doc in enumerate(raw_docs)
         ]
         snippets: list[tuple[str, str]] = []
         for snip_pos, snippet in enumerate(raw_snippets):
@@ -98,14 +93,10 @@ def load_question_set(source: PathOrIO) -> list[Question]:
                 or "text" not in snippet
             ):
                 raise ValueError(
-                    f"{where} (id {qid!r}): snippets[{snip_pos}] needs "
-                    "'document' and 'text'"
+                    f"{entry_where}: snippets[{snip_pos}] needs 'document' and 'text'"
                 )
-            field_name = f"{where} (id {qid!r}): snippets[{snip_pos}]"
-            doc = _doc_id(f"{field_name}.document", snippet["document"])
-            text = snippet["text"]
-            if not isinstance(text, str) or not text:
-                raise _not_a_string(f"{field_name}.text", text)
+            doc = _doc_id(snippet["document"], entry_where, f"snippets[{snip_pos}].document")
+            text = check_string(snippet["text"], entry_where, f"snippets[{snip_pos}].text")
             if doc not in reference_docs:
                 warnings.warn(
                     f"question {qid!r}: snippet document {doc!r} is not in "

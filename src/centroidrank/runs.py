@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
-
-from .text import PathOrIO, open_text
 
 #: Minimum shared contiguous token run (t-gram) for snippet/passage relevance.
 OVERLAP_THRESHOLD = 5
@@ -224,7 +223,7 @@ class RunResult:
         return aggregate((s.ap, s.precision, s.recall) for s in self.per_question.values())
 
 
-def save_run(run: RunResult, sink: PathOrIO) -> None:
+def save_run(run: RunResult, sink: str | os.PathLike) -> None:
     """Write a run as JSON (schema: method, questions[], aggregates).
 
     Raises ValueError naming the question and the field for a NaN or an
@@ -258,7 +257,7 @@ def save_run(run: RunResult, sink: PathOrIO) -> None:
                 if not math.isfinite(value):
                     raise ValueError(f"question {qid!r}: {name} {value} is not finite") from None
         raise
-    with open_text(sink, "w") as handle:
+    with open(sink, "w", encoding="utf-8") as handle:
         handle.write(text)
 
 
@@ -273,7 +272,7 @@ def _bounded(value: object, where: str, name: str, high: float) -> float:
     return float(value)
 
 
-def _identifier(value: object, where: str, name: str) -> str:
+def check_string(value: object, where: str, name: str) -> str:
     """``value`` if it is a non-empty string, or ValueError naming ``where``
     and ``name``."""
     if not isinstance(value, str) or not value:
@@ -281,7 +280,7 @@ def _identifier(value: object, where: str, name: str) -> str:
     return value
 
 
-def load_run(source: PathOrIO) -> RunResult:
+def load_run(source: str | os.PathLike) -> RunResult:
     """Parse a run file written by :func:`save_run`.
 
     Raises ValueError naming the question (or ``aggregates``) and the field
@@ -293,13 +292,13 @@ def load_run(source: PathOrIO) -> RunResult:
     refused, as are a file with no questions and aggregates other than
     :func:`aggregate` of the per-question scores.
     """
-    with open_text(source) as handle:
+    with open(source, encoding="utf-8") as handle:
         data = json.load(handle)
     try:
         method = data["method"]
         run = RunResult(method=method)
         for n, entry in enumerate(data["questions"]):
-            qid = _identifier(entry["id"], f"questions[{n}]", "id")
+            qid = check_string(entry["id"], f"questions[{n}]", "id")
             where = f"question {qid!r}"
             if qid in run.per_question:
                 raise ValueError(f"run file repeats question {qid!r}")
@@ -312,7 +311,7 @@ def load_run(source: PathOrIO) -> RunResult:
                 method=Method(method),
                 items=[
                     (
-                        _identifier(r["passage_id"], where, f"ranking[{i}] passage_id"),
+                        check_string(r["passage_id"], where, f"ranking[{i}] passage_id"),
                         _bounded(r["score"], where, f"ranking[{i}] score", 2.0),
                     )
                     for i, r in enumerate(entry["ranking"])

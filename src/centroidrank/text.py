@@ -4,18 +4,12 @@ Sentences are the retrieval unit of this library, so the splitter is
 deliberately deterministic: no learned models, no locale tables, just
 terminator punctuation plus a short abbreviation list. ASCII text is
 tokenized by ``bytes`` methods, other text by a regex; both give the same
-tokens. The module also holds :func:`open_text`, the opener of every
-reader and writer that takes a path or a stream.
+tokens.
 """
 
 from __future__ import annotations
 
-import os
 import re
-from contextlib import contextmanager
-from typing import IO, Iterator, Union
-
-PathOrIO = Union[str, os.PathLike, IO[str]]
 
 # Maximal runs of alphanumeric characters (underscore excluded).
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -44,17 +38,6 @@ ABBREVIATIONS = frozenset({"fig", "al", "e.g", "i.e", "dr", "vs", "etc"})
 # W - 1 above every abbreviation's length, neither the cut nor the whole
 # token is an abbreviation.
 _LOOK_BACK = max(map(len, ABBREVIATIONS)) + 2
-
-
-@contextmanager
-def open_text(source: PathOrIO, mode: str = "r") -> Iterator[IO[str]]:
-    """Yield a caller's text stream as-is, left open; given a path, yield
-    the file opened as UTF-8 in ``mode`` and close it on exit."""
-    if hasattr(source, "write" if "w" in mode else "read"):
-        yield source  # type: ignore[misc]
-    else:
-        with open(source, mode, encoding="utf-8") as handle:
-            yield handle
 
 
 class TokenSequence(tuple):

@@ -1,10 +1,9 @@
 from __future__ import annotations
 
-from io import StringIO
-
 import pytest
 
 from centroidrank import build_idf, load_embeddings
+from textfile import from_text
 
 
 @pytest.fixture
@@ -20,7 +19,7 @@ def tiny_embeddings():
             "epsilon 0.8 -0.6",
         ]
     )
-    return load_embeddings(StringIO(text))
+    return from_text(load_embeddings, text)
 
 
 @pytest.fixture

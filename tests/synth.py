@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from io import StringIO
 
 import numpy as np
 
-from centroidrank import EmbeddingTable, IdfTable, build_idf, load_embeddings
+from centroidrank import EmbeddingTable, IdfTable, build_idf
 from centroidrank.retrieval import Passage, PassageIndex
 
 
@@ -62,13 +61,10 @@ def make_instance(rng: random.Random) -> Instance:
     if not covered:
         covered = vocab[:1]
 
-    lines = [f"{len(covered)} {dim}"]
-    vectors: dict[str, list[float]] = {}
-    for token in covered:
-        vec = [rng.uniform(-1.0, 1.0) for _ in range(dim)]
-        vectors[token] = vec
-        lines.append(token + " " + " ".join(repr(v) for v in vec))
-    embeddings = load_embeddings(StringIO("\n".join(lines)))
+    vectors = {token: [rng.uniform(-1.0, 1.0) for _ in range(dim)] for token in covered}
+    matrix = np.array(list(vectors.values()))
+    matrix.flags.writeable = False
+    embeddings = EmbeddingTable(dict(zip(vectors, range(len(vectors)))), matrix)
 
     documents: list[tuple[str, str]] = []
     passages: list[tuple[str, str, list[str]]] = []

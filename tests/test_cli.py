@@ -1023,6 +1023,79 @@ class TestLoaderRefusals:
         assert capsys.readouterr().err.startswith(f"error: {flag} {bad}: ")
 
 
+    @pytest.mark.parametrize(
+        ("command", "out", "error"),
+        [
+            ("idf-build", "no/doc_idf.tsv", "[Errno 2] No such file or directory"),
+            ("index-build", "docs.tsv", "[Errno 17] File exists"),
+            ("eval", "no/run.json", "[Errno 2] No such file or directory"),
+        ],
+    )
+    def test_failed_write_names_out(self, workspace, capsys, command, out, error):
+        _build_artifacts(workspace)
+        out = workspace["docs"].parent / out
+        argv = {
+            "idf-build": ["--corpus", workspace["doc_corpus"], "--unit", "doc"],
+            "index-build": [
+                "--docs", workspace["docs"], "--embeddings", workspace["embeddings"],
+                "--doc-idf", workspace["doc_idf"],
+            ],
+            "eval": [
+                "--index", workspace["index"], "--embeddings", workspace["embeddings"],
+                "--questions", workspace["questions"],
+            ],
+        }[command]
+        capsys.readouterr()
+        assert main([command, *map(str, argv), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --out {out}: {error}: {str(out)!r}\n"
+        assert workspace["docs"].read_text(encoding="utf-8") == DOCS_TSV
+
+
+class TestCarriageReturns:
+    """A file is read in text mode, where a lone "\\r" ends a line: the
+    library and the CLI read the same bytes the same way."""
+
+    def test_embedding_line_broken_by_a_carriage_return_refused(self, workspace, capsys):
+        _build_artifacts(workspace)
+        path = workspace["embeddings"].parent / "cr.txt"
+        path.write_bytes(b"a 1.0\r2.0\nb 3.0 4.0\n")
+        message = "line 2: expected '<token> <v1> ...', got '2.0'"
+        with pytest.raises(ValueError) as excinfo:
+            embeddings.load_embeddings(path)
+        assert str(excinfo.value) == message
+        for argv in (
+            ["index-build", "--docs", workspace["docs"], "--doc-idf", workspace["doc_idf"],
+             "--out", workspace["index"]],
+            ["query", "--index", workspace["index"], "--question", "alpha"],
+        ):
+            capsys.readouterr()
+            assert main([*map(str, argv), "--embeddings", str(path)]) == 2
+            assert capsys.readouterr().err == f"error: --embeddings {path}: {message}\n"
+
+    def test_idf_rows_split_by_a_carriage_return_read_as_two(self, workspace, capsys):
+        _build_artifacts(workspace)
+        cr, lf = workspace["doc_idf"].parent / "cr.tsv", workspace["doc_idf"].parent / "lf.tsv"
+        cr.write_bytes(b"#n_docs 2 docs\na\t1\rb\t2\n")
+        lf.write_bytes(b"#n_docs 2 docs\na\t1\nb\t2\n")
+        assert idf.load_idf(cr) == idf.load_idf(lf) == idf.IdfTable(2, {"a": 1, "b": 2}, "docs")
+        outputs = []
+        for path in (cr, lf):
+            index = workspace["index"].parent / f"index-{path.stem}"
+            assert main([
+                "index-build", "--docs", str(workspace["docs"]),
+                "--embeddings", str(workspace["embeddings"]), "--doc-idf", str(path),
+                "--out", str(index),
+            ]) == 0
+            capsys.readouterr()
+            assert main([
+                "query", "--index", str(index), "--embeddings", str(workspace["embeddings"]),
+                "--doc-idf", str(path), "--method", "cd-idf", "--question", "alpha beta",
+            ]) == 0
+            files = sorted(index.iterdir())
+            outputs.append(([f.read_bytes() for f in files], capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
+
 class TestOverflow:
     BIG = EMBEDDINGS.replace("5 2\n", "6 2\n") + "huge 1e200 1e200\n"
 

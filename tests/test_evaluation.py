@@ -4,7 +4,6 @@ import random
 import warnings
 import weakref
 from dataclasses import asdict
-from io import StringIO
 from unittest import mock
 
 import pytest
@@ -45,6 +44,7 @@ from oracles import (
     oracle_wilcoxon,
 )
 from synth import make_instance
+from textfile import from_text
 
 
 def _ranking(*passage_ids: str) -> RankedList:
@@ -810,7 +810,7 @@ class TestEvaluateQuestions:
 
 
 class TestRunFiles:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         ranking = RankedList(
             question_id="q1", method=Method.CD_Q, items=[("d1#0", 0.125), ("d2#1", 0.5)]
         )
@@ -820,10 +820,8 @@ class TestRunFiles:
                 "q1": QuestionScore(ranking=ranking, ap=1.0, precision=0.1, recall=0.5)
             },
         )
-        buffer = StringIO()
-        save_run(run_in, buffer)
-        buffer.seek(0)
-        run_out = load_run(buffer)
+        save_run(run_in, tmp_path / "run.json")
+        run_out = load_run(tmp_path / "run.json")
         assert run_out == run_in
 
     @staticmethod
@@ -844,14 +842,13 @@ class TestRunFiles:
             },
         )
 
-    def test_run_built_in_code_round_trips(self):
+    def test_run_built_in_code_round_trips(self, tmp_path):
         run_in = self._built_run()
         assert run_in.aggregates == aggregate([(0.25, 0.1, 0.5), (1.0, 0.1, 0.5), (0.25, 0.1, 0.5)])
-        buffer = StringIO()
-        save_run(run_in, buffer)
-        assert json.loads(buffer.getvalue())["aggregates"] == asdict(run_in.aggregates)
-        buffer.seek(0)
-        run_out = load_run(buffer)
+        path = tmp_path / "run.json"
+        save_run(run_in, path)
+        assert json.loads(path.read_text())["aggregates"] == asdict(run_in.aggregates)
+        run_out = load_run(path)
         assert run_out == run_in
         assert run_out.aggregates == run_in.aggregates
 
@@ -885,7 +882,7 @@ class TestRunFiles:
 
     def test_malformed_run_file(self):
         with pytest.raises(ValueError, match="malformed"):
-            load_run(StringIO('{"questions": []}'))
+            from_text(load_run, '{"questions": []}')
 
     @staticmethod
     def _run_json(*entries):
@@ -899,33 +896,34 @@ class TestRunFiles:
             )
         except TypeError:  # a non-number is refused before the aggregates are read
             aggregates = {"map": 0.5, "precision": 0.5, "recall": 0.5, "f1": 0.5}
-        return StringIO(
-            json.dumps({"method": "cd", "questions": questions, "aggregates": aggregates})
-        )
+        return json.dumps({"method": "cd", "questions": questions, "aggregates": aggregates})
+
+    def _load_run(self, *entries):
+        return from_text(load_run, self._run_json(*entries))
 
     def test_run_without_questions_rejected(self):
-        payload = json.loads(self._run_json({"id": "q1"}).getvalue())
+        payload = json.loads(self._run_json({"id": "q1"}))
         payload["questions"] = []
         with pytest.raises(ValueError, match="empty question set"):
-            load_run(StringIO(json.dumps(payload)))
+            from_text(load_run, json.dumps(payload))
 
     def test_repeated_question_rejected(self):
-        run = load_run(self._run_json({"id": "q1"}, {"id": "q2", "ap": 1}))
+        run = self._load_run({"id": "q1"}, {"id": "q2", "ap": 1})
         assert set(run.per_question) == {"q1", "q2"}
         with pytest.raises(ValueError, match="repeats question 'q1'"):
-            load_run(self._run_json({"id": "q1"}, {"id": "q2"}, {"id": "q1", "ap": 0.25}))
+            self._load_run({"id": "q1"}, {"id": "q2"}, {"id": "q1", "ap": 0.25})
 
     @pytest.mark.parametrize("value", [1, None, "", ["q2"], True])
     def test_question_id_not_a_non_empty_string_rejected(self, value):
         with pytest.raises(ValueError) as excinfo:
-            load_run(self._run_json({"id": "q1"}, {"id": value}))
+            self._load_run({"id": "q1"}, {"id": value})
         assert str(excinfo.value) == f"questions[1]: id {value!r} is not a non-empty string"
 
     @pytest.mark.parametrize("value", [1, None, "", {"id": "d#1"}, False])
     def test_passage_id_not_a_non_empty_string_rejected(self, value):
         ranking = [{"passage_id": "d#0", "score": 0.0}, {"passage_id": value, "score": 0.5}]
         with pytest.raises(ValueError) as excinfo:
-            load_run(self._run_json({"id": "q1", "ranking": ranking}))
+            self._load_run({"id": "q1", "ranking": ranking})
         assert str(excinfo.value) == (
             f"question 'q1': ranking[1] passage_id {value!r} is not a non-empty string"
         )
@@ -935,14 +933,14 @@ class TestRunFiles:
     def test_score_outside_unit_interval_rejected(self, field, value):
         entries = ({"id": "q1", field: 0.0}, {"id": "q2", field: value})
         with pytest.raises(ValueError, match=rf"question 'q2': {field} .* is not in \[0, 1\]"):
-            load_run(self._run_json(*entries))
+            self._load_run(*entries)
 
     @pytest.mark.parametrize("field", ["ap", "precision", "recall"])
     @pytest.mark.parametrize("value", ["x", None, [0.5], True, "0.5"])
     def test_non_numeric_score_rejected(self, field, value):
         entries = ({"id": "q1"}, {"id": "q2", field: value})
         with pytest.raises(ValueError, match=rf"question 'q2': {field} .* is not a number"):
-            load_run(self._run_json(*entries))
+            self._load_run(*entries)
 
     @pytest.mark.parametrize(
         "value", ["x", None, float("nan"), float("-inf"), -1e-9, 2.5, True, "0.5"]
@@ -950,11 +948,11 @@ class TestRunFiles:
     def test_bad_ranking_score_rejected(self, value):
         ranking = [{"passage_id": "d#0", "score": 0.0}, {"passage_id": "d#1", "score": value}]
         with pytest.raises(ValueError, match=r"question 'q1': ranking\[1\] score .* is not"):
-            load_run(self._run_json({"id": "q1", "ranking": ranking}))
+            self._load_run({"id": "q1", "ranking": ranking})
 
     def test_ranking_score_bounds_accepted(self):
         ranking = [{"passage_id": "d#0", "score": 0.0}, {"passage_id": "d#1", "score": 2.0}]
-        run = load_run(self._run_json({"id": "q1", "ranking": ranking}))
+        run = self._load_run({"id": "q1", "ranking": ranking})
         assert run.per_question["q1"].ranking.items == [("d#0", 0.0), ("d#1", 2.0)]
 
     @pytest.mark.parametrize("field", ["map", "precision", "recall", "f1"])
@@ -962,7 +960,7 @@ class TestRunFiles:
         "value", ["x", float("nan"), float("inf"), -0.5, 1.5, True, "0.5", 0.25]
     )
     def test_bad_aggregate_rejected(self, field, value):
-        payload = json.loads(self._run_json({"id": "q1"}).getvalue())
+        payload = json.loads(self._run_json({"id": "q1"}))
         payload["aggregates"][field] = value
         with pytest.raises(ValueError, match=rf"aggregates: {field} .* is not"):
-            load_run(StringIO(json.dumps(payload)))
+            from_text(load_run, json.dumps(payload))

@@ -1,10 +1,10 @@
 import math
 import random
-from io import StringIO
 
 import pytest
 
 from centroidrank import IdfTable, build_idf, load_idf, save_idf
+from textfile import from_text
 
 
 class TestBuild:
@@ -108,31 +108,27 @@ class TestSerialization:
         assert reloaded == table
 
     def test_load_example(self):
-        table = load_idf(StringIO("#n_docs 2 docs\na\t2\n"))
+        table = from_text(load_idf, "#n_docs 2 docs\na\t2\n")
         assert table.n_docs == 2
         assert table.df == {"a": 2}
         assert table.corpus_label == "docs"
 
-    def test_label_with_spaces_round_trips(self):
+    def test_label_with_spaces_round_trips(self, tmp_path):
         table = IdfTable(n_docs=3, df={"x": 1}, corpus_label="mixed question set")
-        buffer = StringIO()
-        save_idf(table, buffer)
-        buffer.seek(0)
-        assert load_idf(buffer).corpus_label == "mixed question set"
+        save_idf(table, tmp_path / "idf.tsv")
+        assert load_idf(tmp_path / "idf.tsv").corpus_label == "mixed question set"
 
-    def test_empty_label(self):
-        buffer = StringIO()
-        save_idf(IdfTable(n_docs=1, df={"x": 1}), buffer)
-        buffer.seek(0)
-        assert load_idf(buffer).corpus_label == ""
+    def test_empty_label(self, tmp_path):
+        save_idf(IdfTable(n_docs=1, df={"x": 1}), tmp_path / "idf.tsv")
+        assert load_idf(tmp_path / "idf.tsv").corpus_label == ""
 
     def test_df_above_n_docs_on_load(self):
         with pytest.raises(ValueError, match="line 2"):
-            load_idf(StringIO("#n_docs 2 docs\na\t5\n"))
+            from_text(load_idf, "#n_docs 2 docs\na\t5\n")
 
     def test_malformed_header(self):
         with pytest.raises(ValueError, match="line 1"):
-            load_idf(StringIO("n_docs 2\na\t1\n"))
+            from_text(load_idf, "n_docs 2\na\t1\n")
 
     @pytest.mark.parametrize(
         "text, message",
@@ -143,26 +139,28 @@ class TestSerialization:
     )
     def test_empty_stream_and_bad_document_count(self, text, message):
         with pytest.raises(ValueError) as excinfo:
-            load_idf(StringIO(text))
+            from_text(load_idf, text)
         assert str(excinfo.value) == message
 
     def test_malformed_row_names_line(self):
         with pytest.raises(ValueError, match="line 3"):
-            load_idf(StringIO("#n_docs 2 docs\na\t1\nb 2\n"))
+            from_text(load_idf, "#n_docs 2 docs\na\t1\nb 2\n")
         with pytest.raises(ValueError, match="line 2"):
-            load_idf(StringIO("#n_docs 2 docs\na\tx\n"))
+            from_text(load_idf, "#n_docs 2 docs\na\tx\n")
 
     def test_duplicate_token_names_line(self):
         with pytest.raises(ValueError, match="line 3: duplicate token 'a'"):
-            load_idf(StringIO("#n_docs 3 docs\na\t1\na\t3\n"))
+            from_text(load_idf, "#n_docs 3 docs\na\t1\na\t3\n")
 
-    def test_rejects_unwritable_tokens(self):
+    def test_rejects_unwritable_tokens(self, tmp_path):
         # "\r" ends a line on read just as "\n" does.
+        path = tmp_path / "idf.tsv"
         for bad in ["a\tb", "a\nb", "a\rb"]:
             with pytest.raises(ValueError, match="tab or line break"):
-                save_idf(IdfTable(n_docs=1, df={bad: 1}), StringIO())
+                save_idf(IdfTable(n_docs=1, df={bad: 1}), path)
             with pytest.raises(ValueError, match="tab or line break"):
-                save_idf(IdfTable(n_docs=1, df={"x": 1}, corpus_label=bad), StringIO())
+                save_idf(IdfTable(n_docs=1, df={"x": 1}, corpus_label=bad), path)
+        assert not path.exists()
 
     @pytest.mark.parametrize(
         "table",

@@ -1,13 +1,13 @@
 import json
-from io import StringIO
 
 import pytest
 
 from centroidrank import load_question_set, normalize_doc_id
+from textfile import from_text
 
 
 def _load(payload) -> list:
-    return load_question_set(StringIO(json.dumps(payload)))
+    return from_text(load_question_set, json.dumps(payload))
 
 
 def question_set_to_dict(questions: list) -> dict:

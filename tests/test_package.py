@@ -1,9 +1,30 @@
 import importlib
+import json
+import pathlib
 
 import pytest
 
 import centroidrank
-from centroidrank import evaluation, retrieval, runs
+from centroidrank import (
+    Method,
+    Question,
+    QuestionScore,
+    RankedList,
+    RunResult,
+    build_index,
+    evaluation,
+    load_embeddings,
+    load_idf,
+    load_index,
+    load_question_set,
+    load_run,
+    retrieval,
+    runs,
+    save_embeddings,
+    save_idf,
+    save_index,
+    save_run,
+)
 
 # Names that ``runs`` defines and ``evaluation`` / ``retrieval`` hold. The
 # first line of each is what the module uses itself. The second is what is
@@ -46,3 +67,36 @@ def test_unknown_name_raises_attribute_error():
 def test_run_names_are_reexported(module, name):
     assert getattr(module, name) is getattr(runs, name)
 
+
+
+@pytest.mark.parametrize("as_path", [str, pathlib.Path])
+def test_every_artifact_reader_and_writer_takes_either_path_type(
+    tmp_path, as_path, tiny_embeddings, tiny_doc_idf
+):
+    save_idf(tiny_doc_idf, as_path(tmp_path / "idf.tsv"))
+    assert load_idf(as_path(tmp_path / "idf.tsv")) == tiny_doc_idf
+
+    save_embeddings(tiny_embeddings, as_path(tmp_path / "vectors.txt"))
+    table = load_embeddings(as_path(tmp_path / "vectors.txt"))
+    assert table.vocab.keys() == tiny_embeddings.vocab.keys()
+    for token in table.vocab:  # saved in sorted order
+        assert table.lookup(token).tobytes() == tiny_embeddings.lookup(token).tobytes()
+
+    ranking = RankedList("q1", Method.CD, [("d1#0", 0.25)])
+    run = RunResult("cd", {"q1": QuestionScore(ranking, ap=1.0, precision=0.1, recall=1.0)})
+    save_run(run, as_path(tmp_path / "run.json"))
+    assert load_run(as_path(tmp_path / "run.json")) == run
+
+    index = build_index([("d1", "Alpha beta. Gamma delta.")], tiny_embeddings, tiny_doc_idf)
+    save_index(index, as_path(tmp_path / "index"))
+    loaded = load_index(as_path(tmp_path / "index"))
+    assert loaded.passages == index.passages
+    assert loaded.uniform.tobytes() == index.uniform.tobytes()
+    assert loaded.idf.tobytes() == index.idf.tobytes()
+
+    question = {"id": "q1", "body": "Alpha?", "documents": ["http://x/d1"],
+                "snippets": [{"document": "d1", "text": "Alpha beta."}]}
+    (tmp_path / "questions.json").write_text(json.dumps({"questions": [question]}))
+    assert load_question_set(as_path(tmp_path / "questions.json")) == [
+        Question("q1", "Alpha?", ["d1"], [("d1", "Alpha beta.")])
+    ]

@@ -4,7 +4,6 @@ import random
 import sys
 import tracemalloc
 from collections import Counter
-from io import StringIO
 from pathlib import Path
 from unittest import mock
 
@@ -33,6 +32,7 @@ from centroidrank.ingest import Question
 from centroidrank.embeddings import EmbeddingTable
 from oracles import oracle_full_rank, oracle_rank
 from synth import make_instance, make_screen_instance
+from textfile import from_text
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -101,10 +101,11 @@ class TestBuildIndex:
         assert small_index.idf_norms[row] == pytest.approx(np.linalg.norm(idf))
 
     def test_mixed_script_index_equals_one_from_regex_tokens(self, tmp_path):
-        embeddings = load_embeddings(StringIO(
+        embeddings = from_text(
+            load_embeddings,
             "alpha 1.0 0.0\nstraße 0.5 0.5\ncafé -1.0 2.0\nας 0.25 -4.0\n"
-            "i\u0307stanbul 3.0 1.0\nbeta 0.0 1.0\n"
-        ))
+            "i\u0307stanbul 3.0 1.0\nbeta 0.0 1.0\n",
+        )
         documents = [
             ("a", "Alpha beta. Beta ALPHA alpha."),
             ("b", "Straße café. ΑΣ alpha İstanbul. Plain beta text."),
@@ -260,8 +261,8 @@ class TestRank:
         # Embeddings chosen so a question-word-heavy passage wins under
         # uniform weighting but loses once question-corpus idf zeroes the
         # question word out.
-        embeddings = load_embeddings(
-            StringIO("what 1.0 0.0\ndegenerate 0.0 1.0\nprotein 0.0 0.9")
+        embeddings = from_text(
+            load_embeddings, "what 1.0 0.0\ndegenerate 0.0 1.0\nprotein 0.0 0.9"
         )
         doc_idf = build_idf([["degenerate", "protein"], ["what", "what"]], "documents")
         question_idf = IdfTable(
@@ -463,13 +464,11 @@ class TestRankEdgeCases:
         # different rows; every copy must get the bit-identical distance.
         rng = random.Random(5)
         words = [f"w{i}" for i in range(30)]
-        embeddings = load_embeddings(
-            StringIO(
-                "\n".join(
-                    w + " " + " ".join(repr(rng.uniform(-1, 1)) for _ in range(37))
-                    for w in words
-                )
-            )
+        embeddings = from_text(
+            load_embeddings,
+            "\n".join(
+                w + " " + " ".join(repr(rng.uniform(-1, 1)) for _ in range(37)) for w in words
+            ),
         )
         shared = "W1 w2 w3 w4 w5 w6 w7."
         documents = []
@@ -516,13 +515,11 @@ class TestRankEdgeCases:
         # the chunk does) or with shorter ones, and are summed alone.
         rng = random.Random(11)
         words = [f"w{i}" for i in range(30)]
-        embeddings = load_embeddings(
-            StringIO(
-                "\n".join(
-                    w + " " + " ".join(repr(rng.uniform(-1, 1)) for _ in range(5))
-                    for w in words
-                )
-            )
+        embeddings = from_text(
+            load_embeddings,
+            "\n".join(
+                w + " " + " ".join(repr(rng.uniform(-1, 1)) for _ in range(5)) for w in words
+            ),
         )
         shared = "W1 w2 w3 w4 w5 w6 w7."
         documents = []
@@ -553,7 +550,7 @@ class TestRankEdgeCases:
             assert [items[pos][0] for pos, _d in tied] == copies
 
     def test_dimension_mismatch_named(self, small_index):
-        wider = load_embeddings(StringIO("alpha 1.0 0.0 0.0"))
+        wider = from_text(load_embeddings, "alpha 1.0 0.0 0.0")
         with pytest.raises(
             ValueError, match="dimension mismatch: index dim 2, embeddings dim 3"
         ):
@@ -755,7 +752,7 @@ class TestFiniteNorms:
 
     @pytest.mark.parametrize("value", [1e200, 1e308])
     def test_overflowing_centroid_refused_naming_passage(self, value, tiny_doc_idf):
-        embeddings = load_embeddings(StringIO(f"alpha 1.0 0.0\nbig {value} {value}"))
+        embeddings = from_text(load_embeddings, f"alpha 1.0 0.0\nbig {value} {value}")
         with pytest.raises(ValueError) as excinfo, self._sum_warns(value):
             build_index([("a", "Alpha. Big big alpha.")], embeddings, tiny_doc_idf)
         assert str(excinfo.value) == "passage 'a#1': uniform centroid norm inf is not finite"
@@ -778,7 +775,7 @@ class TestFiniteNorms:
     @pytest.mark.parametrize("value", [1e200, 1e308])
     @pytest.mark.parametrize("question_id", ["", "q7"])
     def test_overflowing_question_refused(self, small_index, value, question_id):
-        embeddings = load_embeddings(StringIO(f"alpha 1.0 0.0\nbig {value} {value}"))
+        embeddings = from_text(load_embeddings, f"alpha 1.0 0.0\nbig {value} {value}")
         # numpy warns of the overflow of the question's norm, then rank refuses
         with pytest.raises(ValueError) as excinfo, pytest.warns(RuntimeWarning):
             rank(small_index, ["big", "big"], "cd", 2, embeddings, question_id=question_id)

@@ -1,6 +1,5 @@
 import math
 import random
-from io import StringIO
 from unittest import mock
 
 import numpy as np
@@ -20,11 +19,12 @@ from centroidrank import (
     weighted_centroid,
 )
 from oracles import oracle_centroid
+from textfile import from_text
 
 
 @pytest.fixture
 def ab_table():
-    return load_embeddings(StringIO("a 1.0 0.0\nb 0.0 1.0"))
+    return from_text(load_embeddings, "a 1.0 0.0\nb 0.0 1.0")
 
 
 class TestCentroid:

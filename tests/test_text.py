@@ -1,4 +1,3 @@
-import io
 import random
 import string
 from unittest import mock
@@ -8,24 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from centroidrank import split_sentences, text, tokenize
-from centroidrank.text import _TOKEN_RE, open_text
+from centroidrank.text import _TOKEN_RE
 
 from oracles import oracle_split_sentences
-
-
-def test_open_text_leaves_streams_open_and_closes_files(tmp_path):
-    stream = io.StringIO()
-    with open_text(stream, "w") as handle:
-        assert handle is stream
-    assert not stream.closed
-    path = tmp_path / "out.txt"
-    with open_text(path, "w") as handle:
-        handle.write("\u00e9\n")
-    assert handle.closed
-    assert path.read_bytes() == "\u00e9\n".encode("utf-8")
-    with open_text(str(path)) as handle:
-        assert handle.read() == "\u00e9\n"
-    assert handle.closed
 
 
 class TestTokenize:
