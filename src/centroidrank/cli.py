@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from bisect import bisect_left
 from operator import attrgetter
@@ -32,6 +33,11 @@ if TYPE_CHECKING:
 
 _UNIT_LABELS = {"doc": "documents", "question": "questions"}
 
+# The doc-idf table ``index-build`` weighed the passages with, written
+# beside ``save_index``'s files. Only the CLI writes and reads it, so a
+# library ``PassageIndex`` holds retrieval data alone.
+_DOC_IDF = "doc_idf.tsv"
+
 _T = TypeVar("_T")
 
 
@@ -46,20 +52,33 @@ def _load(flag: str, path: str, loader: Callable[[str], _T]) -> _T:
 
 def _load_artifacts(
     args: argparse.Namespace,
-) -> tuple[PassageIndex, EmbeddingTable | None, IdfTable | None, IdfTable | None]:
-    """Check the query/eval flags, then load the artifacts they name."""
+) -> tuple[PassageIndex, EmbeddingTable | None, IdfTable, IdfTable | None]:
+    """Check the query/eval flags, then load the artifacts they name; the
+    doc-idf table comes from the index, and ``--doc-idf`` must equal it."""
     from .embeddings import load_embeddings
     from .idf import load_idf
     from .retrieval import _check_dim, load_index
 
-    check_method(args.method, args.k, args.embeddings, args.doc_idf, args.question_idf)
+    # The index directory holds the doc-idf table, so cd-idf has one.
+    check_method(args.method, args.k, args.embeddings, args.index, args.question_idf)
     index = _load("--index", args.index, load_index)
+    try:  # named as load_index names uniform.npy
+        doc_idf = load_idf(os.path.join(args.index, _DOC_IDF))
+    except (ValueError, OSError) as exc:
+        raise ValueError(f"--index {args.index}: {_DOC_IDF}: {exc}") from None
     embeddings = (
         _load("--embeddings", args.embeddings, lambda p: _check_dim(index, load_embeddings(p)))
         if args.embeddings
         else None
     )
-    doc_idf = _load("--doc-idf", args.doc_idf, load_idf) if args.doc_idf else None
+    if args.doc_idf:
+        given = _load("--doc-idf", args.doc_idf, load_idf)
+        if (given.n_docs, given.df) != (doc_idf.n_docs, doc_idf.df):
+            field = "n_docs" if given.n_docs != doc_idf.n_docs else "df"
+            raise ValueError(
+                f"--doc-idf {args.doc_idf}: {field} differs from the table of "
+                f"--index {args.index} ({_DOC_IDF})"
+            )
     question_idf = (
         _load("--question-idf", args.question_idf, load_idf) if args.question_idf else None
     )
@@ -107,7 +126,7 @@ def _read_documents(path: str) -> list[tuple[str, str]]:
 
 def cmd_index_build(args: argparse.Namespace) -> int:
     from .embeddings import load_embeddings
-    from .idf import load_idf
+    from .idf import load_idf, save_idf
     from .retrieval import build_index, save_index
 
     documents = _load("--docs", args.docs, _read_documents)
@@ -120,6 +139,7 @@ def cmd_index_build(args: argparse.Namespace) -> int:
         # centroid whose norm overflows: vectors too large for float64 sums.
         raise ValueError(f"--embeddings {args.embeddings}: {exc}") from None
     _load("--out", args.out, lambda out: save_index(index, out))
+    _load("--out", args.out, lambda out: save_idf(doc_idf, os.path.join(out, _DOC_IDF)))
     if not documents:
         print("warning: empty document file, wrote an empty index", file=sys.stderr)
     print(f"{len(index)} passages")

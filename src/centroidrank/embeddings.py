@@ -92,7 +92,7 @@ def load_embeddings(source: str | os.PathLike) -> EmbeddingTable:
                 matrix.resize((rows, dim), refcheck=False)
             matrix[start : len(tokens)] = block
     if not tokens:
-        raise ValueError("empty embedding stream")
+        raise ValueError("empty embedding file")
     matrix.resize((len(tokens), dim), refcheck=False)
     vocab = dict(zip(tokens, range(len(tokens))))
     if len(vocab) < len(tokens):
@@ -203,7 +203,15 @@ def _parse_line(line_no: int, text: str, dim: int) -> np.ndarray:
 
 
 def save_embeddings(table: EmbeddingTable, sink: str | os.PathLike) -> None:
-    """Write ``table`` with a header line; tokens are sorted for stable output."""
+    """Write ``table`` with a header line; tokens are sorted for stable output.
+
+    Raises ValueError for a token that is empty or that ``str.split`` would
+    split (whitespace, a line break), before ``sink`` is opened, so a
+    refused table leaves a file already there as it was.
+    """
+    for token in table.vocab:
+        if token.split() != [token]:
+            raise ValueError(f"embedding token {token!r} is empty or holds whitespace")
     with open(sink, "w", encoding="utf-8") as handle:
         handle.write(f"{len(table.vocab)} {table.dim}\n")
         for token in sorted(table.vocab):

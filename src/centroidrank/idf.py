@@ -17,7 +17,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-# A tab splits a row; "\n" and "\r" each end a line when the table is read.
+# "\n" and "\r" each end a line when the table is read, and a tab splits a
+# row; the label is the rest of the header line, so a tab in it reads back.
+_LINE_BREAK = re.compile("[\n\r]")
 _UNWRITABLE = re.compile("[\t\n\r]")
 
 
@@ -63,9 +65,11 @@ def build_idf(corpus: Iterable[Sequence[str]], label: str = "") -> IdfTable:
 def save_idf(table: IdfTable, sink: str | os.PathLike) -> None:
     """Write a table as '#n_docs <N> <label>' plus token<TAB>df lines."""
     # Checked before the sink is opened, so a refused table leaves it as it was.
-    for text in (table.corpus_label, *table.df):
-        if _UNWRITABLE.search(text):
-            raise ValueError(f"idf label or token {text!r} contains a tab or line break")
+    if _LINE_BREAK.search(table.corpus_label):
+        raise ValueError(f"idf label {table.corpus_label!r} contains a line break")
+    for token in table.df:
+        if _UNWRITABLE.search(token):
+            raise ValueError(f"idf token {token!r} contains a tab or line break")
     if "" in table.df:
         raise ValueError("empty idf token")
     with open(sink, "w", encoding="utf-8") as handle:
@@ -83,7 +87,7 @@ def load_idf(source: str | os.PathLike) -> IdfTable:
     with open(source, encoding="utf-8") as handle:
         header = handle.readline()
         if not header:
-            raise ValueError("empty idf stream")
+            raise ValueError("empty idf file")
         header = header.rstrip("\n")
         parts = header.split(" ", 2)
         if len(parts) < 2 or parts[0] != "#n_docs":

@@ -230,6 +230,12 @@ def save_run(run: RunResult, sink: str | os.PathLike) -> None:
     infinity, before ``sink`` is opened, so a file already there keeps its
     bytes.
     """
+    for qid, entry in run.per_question.items():  # name the first NaN or infinity
+        named = [("ap", entry.ap), ("precision", entry.precision), ("recall", entry.recall)]
+        named += [(f"ranking[{i}] score", d) for i, (_, d) in enumerate(entry.ranking.items)]
+        for name, value in named:
+            if not math.isfinite(value):
+                raise ValueError(f"question {qid!r}: {name} {value} is not finite")
     payload = {
         "method": run.method,
         "questions": [
@@ -245,18 +251,9 @@ def save_run(run: RunResult, sink: str | os.PathLike) -> None:
             }
             for qid, score_entry in run.per_question.items()
         ],
+        "aggregates": asdict(run.aggregates),
     }
-    try:
-        payload["aggregates"] = asdict(run.aggregates)
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    except ValueError:  # a NaN or an infinity: name the first
-        for qid, entry in run.per_question.items():
-            named = [("ap", entry.ap), ("precision", entry.precision), ("recall", entry.recall)]
-            named += [(f"ranking[{i}] score", d) for i, (_, d) in enumerate(entry.ranking.items)]
-            for name, value in named:
-                if not math.isfinite(value):
-                    raise ValueError(f"question {qid!r}: {name} {value} is not finite") from None
-        raise
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     with open(sink, "w", encoding="utf-8") as handle:
         handle.write(text)
 

@@ -292,7 +292,7 @@ def oracle_load_embeddings(handle):
         entries[token] = vector
 
     if dim is None:
-        raise ValueError("empty embedding stream")
+        raise ValueError("empty embedding file")
     return dim, entries
 
 

@@ -580,6 +580,85 @@ class TestQuery:
             assert line.split("\t")[2] == "0.000000"
 
 
+class TestIndexDocIdf:
+    """``index-build`` keeps its doc-idf table in the index, as
+    ``doc_idf.tsv``; ``query`` and ``eval`` read it from there and refuse a
+    ``--doc-idf`` that differs from it."""
+
+    @staticmethod
+    def _argv(command, workspace, method, *extra):
+        argv = [command, "--index", workspace["index"], "--embeddings", workspace["embeddings"],
+                "--method", method, *extra]
+        if command == "query":
+            argv += ["--question", "alpha beta"]
+        else:
+            argv += ["--questions", workspace["questions"], "--out", workspace["run"]]
+        return [str(arg) for arg in argv]
+
+    def test_index_build_saves_the_table_it_used(self, workspace):
+        _build_artifacts(workspace)
+        stored = workspace["index"] / "doc_idf.tsv"
+        assert stored.read_bytes() == workspace["doc_idf"].read_bytes()
+
+    def test_table_with_a_tab_in_its_label_is_kept(self, workspace, capsys):
+        _build_artifacts(workspace)
+        text = workspace["doc_idf"].read_text(encoding="utf-8").replace("documents", "docu\tments")
+        workspace["doc_idf"].write_text(text, encoding="utf-8")
+        assert main(["index-build", "--docs", str(workspace["docs"]),
+                     "--embeddings", str(workspace["embeddings"]),
+                     "--doc-idf", str(workspace["doc_idf"]),
+                     "--out", str(workspace["index"])]) == 0
+        stored = idf.load_idf(workspace["index"] / "doc_idf.tsv")
+        assert stored == idf.load_idf(workspace["doc_idf"])
+        assert stored.corpus_label == "docu\tments"
+
+    @pytest.mark.parametrize("command", ["query", "eval"])
+    @pytest.mark.parametrize("field", ["df", "n_docs"])
+    def test_another_doc_idf_exits_2_naming_it_and_the_index(
+        self, workspace, capsys, command, field
+    ):
+        _build_artifacts(workspace)
+        table = idf.load_idf(workspace["doc_idf"])
+        if field == "df":
+            token = next(t for t, count in table.df.items() if count < table.n_docs)
+            table.df[token] += 1
+        else:
+            table.n_docs += 1
+        other = workspace["doc_idf"].parent / "other_idf.tsv"
+        idf.save_idf(table, other)
+        capsys.readouterr()
+        assert main(self._argv(command, workspace, "cd-idf", "--doc-idf", other)) == 2
+        assert capsys.readouterr().err == (
+            f"error: --doc-idf {other}: {field} differs from the table of "
+            f"--index {workspace['index']} (doc_idf.tsv)\n"
+        )
+        assert not workspace["run"].exists()
+
+    @pytest.mark.parametrize("command", ["query", "eval"])
+    def test_index_without_its_doc_idf_exits_2_naming_it(self, workspace, capsys, command):
+        # An index written before index-build kept the table; rebuild it.
+        _build_artifacts(workspace)
+        stored = workspace["index"] / "doc_idf.tsv"
+        stored.unlink()
+        capsys.readouterr()
+        assert main(self._argv(command, workspace, "cd")) == 2
+        assert capsys.readouterr().err == (
+            f"error: --index {workspace['index']}: doc_idf.tsv: "
+            f"[Errno 2] No such file or directory: {str(stored)!r}\n"
+        )
+        assert not workspace["run"].exists()
+
+    def test_unreadable_doc_idf_exits_2_naming_the_index_and_the_file(self, workspace, capsys):
+        _build_artifacts(workspace)
+        (workspace["index"] / "doc_idf.tsv").write_text("#n_docs 2 docs\na\t3\n")
+        capsys.readouterr()
+        assert main(self._argv("query", workspace, "cd-idf")) == 2
+        assert capsys.readouterr().err == (
+            f"error: --index {workspace['index']}: doc_idf.tsv: "
+            "line 2: df 3 outside [1, 2] for 'a'\n"
+        )
+
+
 class TestEval:
     def test_hand_computed_aggregates(self, workspace, capsys):
         _build_artifacts(workspace)
@@ -696,10 +775,6 @@ class TestEval:
             (["eval", "--overlap-threshold", "0"], "overlap threshold must be >= 1"),
             (["eval", "--k", "0"], "k must be >= 1, got 0"),
             (["query", "--k", "0", "--question", "alpha"], "k must be >= 1, got 0"),
-            (
-                ["query", "--method", "cd-idf", "--question", "alpha"],
-                "cd-idf requires a document idf table (--doc-idf)",
-            ),
             (["eval", "--method", "cd-q"], "cd-q requires a question idf table (--question-idf)"),
         ],
     )

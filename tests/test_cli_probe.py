@@ -1,11 +1,11 @@
 """Mutation probe of the command line: damaged inputs are refused, by name.
 
 Each input a user hands the CLI (the embedding table, both idf tables, the
-docs TSV, an ``idf-build`` corpus, the question set, a run file and an
-index's ``passages.jsonl``) is damaged a few hundred times from one fixed
-seed and given to the command that reads it, through ``main()``. Every run
-must exit 0 or 2, never 1, and every exit 2 must begin its message with the
-flag and the path of the damaged input.
+docs TSV, an ``idf-build`` corpus, the question set, a run file, and an
+index's ``passages.jsonl`` and ``doc_idf.tsv``) is damaged a few hundred
+times from one fixed seed and given to the command that reads it, through
+``main()``. Every run must exit 0 or 2, never 1, and every exit 2 must
+begin its message with the flag and the path of the damaged input.
 """
 
 import io
@@ -19,6 +19,7 @@ from test_cli import FIXTURES, _build_fixture_artifacts
 
 SEED = 2018
 MUTATIONS = 200
+INDEX_FILES = ("uniform.npy", "idf.npy", "passages.jsonl", "doc_idf.tsv")
 
 # Pieces spliced into an input: separators, number syntax, JSON syntax, a
 # lone UTF-8 lead byte, bytes that are never UTF-8, and non-ASCII text.
@@ -85,6 +86,9 @@ def test_damaged_inputs_exit_0_or_2_naming_the_input(tmp_path):
         "run": (run_file, "--run-b", ["compare", "--run-a", run_file, "--run-b", run_file]),
         "passages": (index / "passages.jsonl", "--index", [
             "query", "--index", index, "--embeddings", embeddings, "--question", "Which gene?"]),
+        "index doc idf": (index / "doc_idf.tsv", "--index", [
+            "query", "--index", index, "--embeddings", embeddings, "--method", "cd-idf",
+            "--question", "Which gene?"]),
     }
     rng = random.Random(SEED)
     exits = {}
@@ -96,12 +100,13 @@ def test_damaged_inputs_exit_0_or_2_naming_the_input(tmp_path):
             damaged = _mutate(rng, original)
             # Fresh names throughout: rewriting one file in place made the
             # probe wait on the disk.
-            if name == "passages":
-                path = tmp_path / f"index-{n}"
+            if source.parent == index:  # a copy of the index with one file damaged
+                path = tmp_path / f"index-{name.replace(' ', '-')}-{n}"
                 path.mkdir()
-                for matrix in ("uniform.npy", "idf.npy"):
-                    (path / matrix).symlink_to(index / matrix)
-                (path / "passages.jsonl").write_bytes(damaged)
+                for kept in INDEX_FILES:
+                    if kept != source.name:
+                        (path / kept).symlink_to(index / kept)
+                (path / source.name).write_bytes(damaged)
             else:
                 path = tmp_path / f"{n}-{source.name}"
                 path.write_bytes(damaged)

@@ -70,18 +70,18 @@ class TestLoad:
         with pytest.raises(ValueError, match="non-finite"):
             _load("a 1.0 inf")
 
-    def test_empty_stream(self):
+    def test_empty_file(self):
         with pytest.raises(ValueError, match="empty"):
             _load("")
         with pytest.raises(ValueError, match="empty"):
             _load("\n  \n")
 
     @pytest.mark.parametrize("text", ["", "\n  \n", "3 2\n", "\n3 2\n\n"])
-    def test_stream_without_vectors_refused_without_warnings(self, text):
+    def test_file_without_vectors_refused_without_warnings(self, text):
         # A header-only file was an empty table before the bulk parser.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(ValueError, match="^empty embedding stream$"):
+            with pytest.raises(ValueError, match="^empty embedding file$"):
                 _load(text)
         assert caught == []
 
@@ -198,6 +198,25 @@ class TestRoundTrip:
         save_embeddings(_load("a 1.0 2.0"), tmp_path / "emb.txt")
         assert (tmp_path / "emb.txt").read_text().splitlines()[0] == "1 2"
 
+    @pytest.mark.parametrize(
+        "token", ["", "a b", "a\tb", "a\nb", "a\rb", " a", "a\x0b", "a\x1c", "a\xa0", "\u3000"]
+    )
+    def test_token_the_loader_would_split_refused_before_opening(self, tmp_path, token):
+        table = EmbeddingTable({"z": 0, token: 1}, np.array([[1.0], [2.0]]))
+        path = tmp_path / "emb.txt"
+        with pytest.raises(ValueError) as excinfo:
+            save_embeddings(table, path)
+        assert str(excinfo.value) == f"embedding token {token!r} is empty or holds whitespace"
+        assert not path.exists()
+
+    def test_tokens_without_whitespace_round_trip(self, tmp_path):
+        tokens = ["a", "C++", "#", "7", "1.5", "\u00e9t\u00e9", "a\x00b", "\ufeff", "x\u200by"]
+        table = EmbeddingTable(
+            dict(zip(tokens, range(len(tokens)))), np.arange(2.0 * len(tokens)).reshape(-1, 2)
+        )
+        save_embeddings(table, tmp_path / "emb.txt")
+        _assert_same_table(load_embeddings(tmp_path / "emb.txt"), table)
+
 
 # Whitespace str.split splits on; a file read in text mode takes "\r" as a
 # line break, so the loader and the oracle both see it end the line.
@@ -264,7 +283,7 @@ def test_bulk_parse_matches_line_by_line_oracle(text, chunk_rows):
         assert got == expected
     elif not expected[1]:
         # Header only: the old loader returned an empty table.
-        assert got == "empty embedding stream"
+        assert got == "empty embedding file"
     else:
         dim, entries = expected
         assert isinstance(got, EmbeddingTable), got

@@ -307,3 +307,21 @@ def test_reordered_repeated_query_docs_give_the_same_output(base, world):
         assert _run("query", *flags, "--docs", f"{second},{first},{second}") == _run(
             "query", *flags, "--docs", f"{first},{second}"
         )
+
+
+@pytest.mark.parametrize("world", sorted(WORLDS))
+def test_doc_idf_flag_left_out_gives_the_same_runs_and_queries(base, tmp_path, world):
+    # The index keeps the doc-idf table it was built with, so a matching
+    # --doc-idf changes nothing, and no method needs it.
+    directory, want = base(world)
+    question = WORLDS[world]().questions[0]["body"]
+    for method in METHODS:
+        flags = _flags(directory, method)
+        at = flags.index("--doc-idf")
+        without = flags[:at] + flags[at + 2 :]
+        run = tmp_path / f"run_{method}.json"
+        _run("eval", *without, "--k", K, "--questions", directory / "questions.json", "--out", run)
+        assert run.read_bytes() == want[method]
+        assert _run("query", *without, "--k", 10, "--question", question) == _query(
+            directory, question, method, 10
+        )
