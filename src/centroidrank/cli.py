@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from bisect import bisect_left
 from operator import attrgetter
@@ -33,11 +32,6 @@ if TYPE_CHECKING:
 
 _UNIT_LABELS = {"doc": "documents", "question": "questions"}
 
-# The doc-idf table ``index-build`` weighed the passages with, written
-# beside ``save_index``'s files. Only the CLI writes and reads it, so a
-# library ``PassageIndex`` holds retrieval data alone.
-_DOC_IDF = "doc_idf.tsv"
-
 _T = TypeVar("_T")
 
 
@@ -52,20 +46,15 @@ def _load(flag: str, path: str, loader: Callable[[str], _T]) -> _T:
 
 def _load_artifacts(
     args: argparse.Namespace,
-) -> tuple[PassageIndex, EmbeddingTable | None, IdfTable, IdfTable | None]:
+) -> tuple[PassageIndex, EmbeddingTable | None, IdfTable | None]:
     """Check the query/eval flags, then load the artifacts they name; the
-    doc-idf table comes from the index, and ``--doc-idf`` must equal it."""
+    doc-idf table is the index's, and ``--doc-idf`` must equal it."""
     from .embeddings import load_embeddings
     from .idf import load_idf
-    from .retrieval import _check_dim, load_index
+    from .retrieval import _DOC_IDF, _check_dim, load_index
 
-    # The index directory holds the doc-idf table, so cd-idf has one.
-    check_method(args.method, args.k, args.embeddings, args.index, args.question_idf)
+    check_method(args.method, args.k, args.embeddings, args.question_idf)
     index = _load("--index", args.index, load_index)
-    try:  # named as load_index names uniform.npy
-        doc_idf = load_idf(os.path.join(args.index, _DOC_IDF))
-    except (ValueError, OSError) as exc:
-        raise ValueError(f"--index {args.index}: {_DOC_IDF}: {exc}") from None
     embeddings = (
         _load("--embeddings", args.embeddings, lambda p: _check_dim(index, load_embeddings(p)))
         if args.embeddings
@@ -73,8 +62,8 @@ def _load_artifacts(
     )
     if args.doc_idf:
         given = _load("--doc-idf", args.doc_idf, load_idf)
-        if (given.n_docs, given.df) != (doc_idf.n_docs, doc_idf.df):
-            field = "n_docs" if given.n_docs != doc_idf.n_docs else "df"
+        if (given.n_docs, given.df) != (index.doc_idf.n_docs, index.doc_idf.df):
+            field = "n_docs" if given.n_docs != index.doc_idf.n_docs else "df"
             raise ValueError(
                 f"--doc-idf {args.doc_idf}: {field} differs from the table of "
                 f"--index {args.index} ({_DOC_IDF})"
@@ -82,7 +71,7 @@ def _load_artifacts(
     question_idf = (
         _load("--question-idf", args.question_idf, load_idf) if args.question_idf else None
     )
-    return index, embeddings, doc_idf, question_idf
+    return index, embeddings, question_idf
 
 
 def _read_units(path: str) -> list[tuple[str, ...]]:
@@ -126,7 +115,7 @@ def _read_documents(path: str) -> list[tuple[str, str]]:
 
 def cmd_index_build(args: argparse.Namespace) -> int:
     from .embeddings import load_embeddings
-    from .idf import load_idf, save_idf
+    from .idf import load_idf
     from .retrieval import build_index, save_index
 
     documents = _load("--docs", args.docs, _read_documents)
@@ -139,7 +128,6 @@ def cmd_index_build(args: argparse.Namespace) -> int:
         # centroid whose norm overflows: vectors too large for float64 sums.
         raise ValueError(f"--embeddings {args.embeddings}: {exc}") from None
     _load("--out", args.out, lambda out: save_index(index, out))
-    _load("--out", args.out, lambda out: save_idf(doc_idf, os.path.join(out, _DOC_IDF)))
     if not documents:
         print("warning: empty document file, wrote an empty index", file=sys.stderr)
     print(f"{len(index)} passages")
@@ -155,7 +143,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         candidate_docs = {d for d in args.docs.split(",") if d}
         if not candidate_docs:
             raise ValueError(f"--docs names no document id: {args.docs!r}")
-    index, embeddings, doc_idf, question_idf = _load_artifacts(args)
+    index, embeddings, question_idf = _load_artifacts(args)
     _load("--docs", args.docs, lambda _docs: _candidate_rows(index, candidate_docs))
     if args.method == Method.RND:
         ranking = random_baseline(index, candidate_docs, args.k, seed=args.seed)
@@ -166,7 +154,6 @@ def cmd_query(args: argparse.Namespace) -> int:
             args.method,
             args.k,
             embeddings,
-            doc_idf=doc_idf,
             question_idf=question_idf,
             candidate_docs=candidate_docs,
         )
@@ -181,14 +168,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from .ingest import load_question_set
 
     check_at_least_one("overlap threshold", args.overlap_threshold)
-    index, embeddings, doc_idf, question_idf = _load_artifacts(args)
+    index, embeddings, question_idf = _load_artifacts(args)
     questions = _load("--questions", args.questions, load_question_set)
     run = evaluate_questions(
         index,
         questions,
         args.method,
         embeddings=embeddings,
-        doc_idf=doc_idf,
         question_idf=question_idf,
         k=args.k,
         seed=args.seed,

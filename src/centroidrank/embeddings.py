@@ -23,6 +23,8 @@ from typing import IO, Iterator
 
 import numpy as np
 
+from .runs import check_at_least_one
+
 # Lines parsed per np.loadtxt call. Small chunks keep the text and the
 # parsed block held at once small enough that a load's peak memory is
 # about the finished matrix; larger ones were no faster.
@@ -205,13 +207,18 @@ def _parse_line(line_no: int, text: str, dim: int) -> np.ndarray:
 def save_embeddings(table: EmbeddingTable, sink: str | os.PathLike) -> None:
     """Write ``table`` with a header line; tokens are sorted for stable output.
 
-    Raises ValueError for a token that is empty or that ``str.split`` would
-    split (whitespace, a line break), before ``sink`` is opened, so a
-    refused table leaves a file already there as it was.
+    Raises ValueError for what the loader would refuse, before ``sink`` is
+    opened so that a file already there keeps its bytes: no vectors, no
+    columns, or a token that is empty, holds whitespace or has a non-finite vector.
     """
-    for token in table.vocab:
+    check_at_least_one("embedding count", len(table.vocab))
+    check_at_least_one("embedding dimension", table.dim)
+    finite = np.isfinite(table.matrix).all(axis=1)
+    for token, row in table.vocab.items():
         if token.split() != [token]:
             raise ValueError(f"embedding token {token!r} is empty or holds whitespace")
+        if not finite[row]:
+            raise ValueError(f"embedding token {token!r} has a non-finite component")
     with open(sink, "w", encoding="utf-8") as handle:
         handle.write(f"{len(table.vocab)} {table.dim}\n")
         for token in sorted(table.vocab):

@@ -234,9 +234,10 @@ def evaluate_questions(
     reference documents are entirely absent is scored with an empty
     ranking (and a warning) but still counts toward the aggregates. The
     tables the method needs are checked up front, with
-    :func:`~centroidrank.runs.check_method`.
+    :func:`~centroidrank.runs.check_method`; ``doc_idf`` defaults to
+    ``index.doc_idf``, as in :func:`~centroidrank.retrieval.rank`.
     """
-    method = check_method(method, k, embeddings, doc_idf, question_idf)
+    method = check_method(method, k, embeddings, question_idf)
     if not questions:
         raise ValueError("empty question set")
     ids = [q.id for q in questions]

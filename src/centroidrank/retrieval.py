@@ -27,7 +27,7 @@ import numpy as np
 from numpy.lib import format as npy
 
 from .embeddings import EmbeddingTable
-from .idf import IdfTable
+from .idf import IdfTable, load_idf, save_idf
 from .runs import Method, RankedList, check_at_least_one, check_method  # Method is re-exported
 from .semantic import centroid, centroids, cosine_distances, row_norms
 from .text import split_sentences, tokenize
@@ -48,25 +48,28 @@ def _frozen(matrix: np.ndarray) -> np.ndarray:
 class PassageIndex:
     """Sentence index whose data is immutable.
 
-    ``passages`` is a tuple, the index's own copy of the passages it is
-    given. Row ``i`` of ``uniform`` and ``idf`` (C-contiguous float64,
-    shape ``(n, dim)``; ``dim`` is their width) holds the raw centroids of
-    ``passages[i]``. ``doc_index`` maps each document, a passage id up to
-    its last ``#``, to the ascending row indices of its passages; the rows
-    of one document need not be contiguous (``d#1`` sorts between ``d`` and
-    ``d``'s later rows when ``d#1`` is itself a document id). The index
-    checks its own data, built or loaded alike, and raises ValueError for
-    matrices that are not 2-d or differ in shape, a passage count that
-    differs from the rows, a passage id that is not ``<doc_id>#<n>`` (``n``
-    ASCII digits) or does not sort after the one before it (naming
-    ``passages[i]``), and a row whose norm is not finite (naming its
-    passage). The one mutable part is a memo derived from that, never
-    filled by building or loading: the float32 screen of ``uniform`` or
-    ``idf``, filled by :meth:`screen` when :func:`rank` first scores the
-    whole index with it.
+    ``passages`` is a tuple, the index's own copy, as :class:`Passage`, of
+    the ``[passage_id, text]`` pairs it is given. Row ``i`` of ``uniform``
+    and ``idf`` (C-contiguous float64, shape ``(n, dim)``; ``dim`` is their
+    width) holds the raw centroids of ``passages[i]``; ``doc_idf`` is the
+    table that weighed the ``idf`` rows. ``doc_index`` maps each document,
+    a passage id up to its last ``#``, to the ascending row indices of its
+    passages; the rows of one document need not be contiguous (``d#1``
+    sorts between ``d`` and ``d``'s later rows when ``d#1`` is itself a
+    document id). The index checks its own data, built or loaded alike, and
+    raises ValueError for matrices that are not 2-d or differ in shape, a
+    passage count that differs from the rows, a passage that is not two
+    strings or whose id is not ``<doc_id>#<n>`` (``n`` ASCII digits) or
+    does not sort after the one before (naming ``passages[i]``), and a row
+    whose norm is not finite (naming its passage). The one mutable part is
+    a memo derived from that, never filled by building or loading: the
+    float32 screen of ``uniform`` or ``idf``, filled by :meth:`screen` when
+    :func:`rank` first scores the whole index with it.
     """
 
-    def __init__(self, passages: list[Passage], uniform: np.ndarray, idf: np.ndarray) -> None:
+    def __init__(
+        self, passages: Sequence, uniform: np.ndarray, idf: np.ndarray, doc_idf: IdfTable
+    ) -> None:
         self.uniform = _frozen(np.ascontiguousarray(uniform, dtype=np.float64))
         self.idf = _frozen(np.ascontiguousarray(idf, dtype=np.float64))
         if self.uniform.ndim != 2 or self.idf.shape != self.uniform.shape:
@@ -78,7 +81,10 @@ class PassageIndex:
             raise ValueError(f"{len(passages)} passages, {len(self.uniform)} matrix rows")
         rows: dict[str, list[int]] = {}
         previous = ""  # sorts before every id, since an id holds a '#'
-        for row, (passage_id, _text) in enumerate(passages):
+        for row, entry in enumerate(passages):
+            if not (isinstance(entry, (list, tuple)) and list(map(type, entry)) == [str, str]):
+                raise ValueError(f"passages[{row}]: expected [passage_id, text]")
+            passage_id = entry[0]
             doc_id, sep, ordinal = passage_id.rpartition("#")
             if not (sep and ordinal.isascii() and ordinal.isdigit()):
                 raise ValueError(
@@ -90,10 +96,11 @@ class PassageIndex:
                 )
             previous = passage_id
             rows.setdefault(doc_id, []).append(row)
-        self.passages = tuple(passages)
+        self.passages = tuple(map(Passage._make, passages))
+        self.doc_idf = doc_idf
         self.dim = self.uniform.shape[1]
-        self.uniform_norms = _finite_norms(self.uniform, "uniform", passages)
-        self.idf_norms = _finite_norms(self.idf, "idf", passages)
+        self.uniform_norms = _finite_norms(self.uniform, "uniform", self.passages)
+        self.idf_norms = _finite_norms(self.idf, "idf", self.passages)
         self.doc_index = {
             doc_id: _frozen(np.array(doc_rows, dtype=np.intp))
             for doc_id, doc_rows in rows.items()
@@ -116,7 +123,7 @@ class PassageIndex:
         return self._screens[name]
 
 
-def _finite_norms(matrix: np.ndarray, name: str, passages: list[Passage]) -> np.ndarray:
+def _finite_norms(matrix: np.ndarray, name: str, passages: Sequence[Passage]) -> np.ndarray:
     with np.errstate(over="ignore"):  # refused below, naming the passage
         norms = row_norms(matrix)
     bad = np.flatnonzero(~np.isfinite(norms))
@@ -207,7 +214,8 @@ def build_index(
     embeddings: EmbeddingTable,
     doc_idf: IdfTable,
 ) -> PassageIndex:
-    """Sentence-split documents and precompute both centroids per passage.
+    """Sentence-split documents and precompute both centroids per passage;
+    the index keeps ``doc_idf``, which weighs the idf centroids.
 
     Passage ids are ``<doc_id>#<sentence_ordinal>``. Duplicate document ids
     raise ValueError, as does a centroid whose norm overflows, naming its
@@ -227,7 +235,7 @@ def build_index(
     uniform, idf = centroids(
         (tokenize(passage.text) for passage in passages), embeddings, doc_idf.weight
     )
-    return PassageIndex(passages, uniform, idf)
+    return PassageIndex(passages, uniform, idf, doc_idf)
 
 
 def _check_dim(index: PassageIndex, embeddings: EmbeddingTable) -> EmbeddingTable:
@@ -268,7 +276,9 @@ def rank(
 
     The question centroid follows the method (uniform for ``cd``, document
     idf for ``cd-idf``, question idf for ``cd-q``); the passage side uses
-    the uniform centroids for ``cd`` and the idf centroids otherwise. When
+    the uniform centroids for ``cd`` and the idf centroids otherwise;
+    ``doc_idf`` defaults to ``index.doc_idf``, and a given one is used
+    unchecked. When
     ``candidate_docs`` is given, only passages from those documents are
     scored; unknown ids raise ValueError, as do an embedding table whose
     dimension differs from the index's, a question centroid whose norm is
@@ -280,10 +290,12 @@ def rank(
     (kept on the index), and only they are scored. Ids and distances are
     those of scoring every row.
     """
-    method = check_method(method, k, embeddings, doc_idf, question_idf)
+    method = check_method(method, k, embeddings, question_idf)
     if method is Method.RND:
         raise ValueError("rnd has no distance ranking; use random_baseline()")
     _check_dim(index, embeddings)
+    if doc_idf is None:
+        doc_idf = index.doc_idf
     idf = {Method.CD: None, Method.CD_IDF: doc_idf, Method.CD_Q: question_idf}[method]
     q = centroid(question, embeddings, idf)
     q_norm = float(np.linalg.norm(q))  # numpy warns when it overflows
@@ -340,26 +352,24 @@ def random_baseline(
     )
 
 
-_UNIFORM, _IDF, _PASSAGES = "uniform.npy", "idf.npy", "passages.jsonl"
-
-# ``json.dumps(passage, ensure_ascii=False)``, with one encoder for every
-# line: given an option, ``json.dumps`` builds a new encoder per call.
-_PASSAGE_LINE = json.JSONEncoder(ensure_ascii=False)
+_UNIFORM, _IDF, _PASSAGES, _DOC_IDF = "uniform.npy", "idf.npy", "passages.json", "doc_idf.tsv"
 
 
 def save_index(index: PassageIndex, directory: str | os.PathLike) -> None:
     """Write the index as a directory of standard files.
 
     ``uniform.npy`` and ``idf.npy`` hold the two centroid matrices
-    (``np.save``); ``passages.jsonl`` holds one ``[passage_id, text]``
-    JSON array per row. The directory is created if needed, and the files
-    of an index already there are replaced.
+    (``np.save``), ``passages.json`` one JSON array of the rows'
+    ``[passage_id, text]`` pairs, and ``doc_idf.tsv`` ``index.doc_idf``
+    (``save_idf``, first, so a table it refuses replaces nothing). The
+    directory is created if needed, and an index already there is replaced.
     """
     os.makedirs(directory, exist_ok=True)
+    save_idf(index.doc_idf, os.path.join(directory, _DOC_IDF))
     np.save(os.path.join(directory, _UNIFORM), index.uniform)
     np.save(os.path.join(directory, _IDF), index.idf)
     with open(os.path.join(directory, _PASSAGES), "w", encoding="utf-8") as handle:
-        handle.writelines(_PASSAGE_LINE.encode(passage) + "\n" for passage in index.passages)
+        handle.write(json.dumps(index.passages, ensure_ascii=False, separators=(",", ":")))
 
 
 def _load_matrix(directory: str | os.PathLike, name: str) -> np.ndarray:
@@ -386,28 +396,25 @@ def _load_matrix(directory: str | os.PathLike, name: str) -> np.ndarray:
 def load_index(directory: str | os.PathLike) -> PassageIndex:
     """Read an index directory written by :func:`save_index`.
 
-    Only the files' format is checked here. A missing file raises OSError.
-    ValueError names the file for a matrix file that is empty, truncated,
-    not ``.npy`` or whose header shape needs more data than it holds, a
-    matrix that is not float64, or a passage line that is not a JSON array
-    of two strings (naming the line), such as each line of an index
-    written with a doc id field. The rest is :class:`PassageIndex`'s to
-    refuse, where ``passages[i]`` is line ``i + 1`` of ``passages.jsonl``.
+    Only the files' format is checked here. A missing matrix or passage
+    file raises OSError. ValueError names the file for a matrix file that
+    is empty, truncated, not ``.npy`` or whose header shape needs more data
+    than it holds, a matrix that is not float64, a passage file that is not
+    a JSON array, and a ``doc_idf.tsv`` that is missing or that ``load_idf``
+    refuses. The rest is :class:`PassageIndex`'s to refuse, naming entry
+    ``i`` of ``passages.json`` as ``passages[i]``.
     """
     uniform = _load_matrix(directory, _UNIFORM)
     idf = _load_matrix(directory, _IDF)
-    passages: list[Passage] = []
     with open(os.path.join(directory, _PASSAGES), encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            try:
-                fields = json.loads(line)
-            except json.JSONDecodeError:
-                fields = None
-            if not (
-                isinstance(fields, list)
-                and len(fields) == 2
-                and all(isinstance(f, str) for f in fields)
-            ):
-                raise ValueError(f"{_PASSAGES} line {line_no}: expected [passage_id, text]")
-            passages.append(Passage(*fields))
-    return PassageIndex(passages, uniform, idf)
+        try:
+            entries = json.load(handle)
+        except (ValueError, RecursionError):  # not UTF-8, not JSON, or nested too deep
+            entries = None
+    if not isinstance(entries, list):
+        raise ValueError(f"{_PASSAGES}: expected a JSON array of [passage_id, text]")
+    try:
+        doc_idf = load_idf(os.path.join(directory, _DOC_IDF))
+    except (ValueError, OSError) as exc:
+        raise ValueError(f"{_DOC_IDF}: {exc}") from None
+    return PassageIndex(entries, uniform, idf, doc_idf)

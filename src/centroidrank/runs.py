@@ -39,22 +39,19 @@ class Method(str, Enum):
     RND = "rnd"
 
 
-def check_method(
-    method: Method | str, k: int, embeddings: object, doc_idf: object, question_idf: object
-) -> Method:
+def check_method(method: Method | str, k: int, embeddings: object, question_idf: object) -> Method:
     """``method`` as a :class:`Method`, once it is known to have what it needs.
 
     Each table may be given loaded or as a path; None means not given.
     Raises ValueError for ``k < 1``, for any method but ``rnd`` without
-    embeddings, for ``cd-idf`` without a document idf and for ``cd-q``
-    without a question idf, naming the table and its CLI flag.
+    embeddings and for ``cd-q`` without a question idf, naming the table
+    and its CLI flag. ``cd-idf`` needs no table here: an index keeps the
+    document idf table it was built with.
     """
     method = Method(method)
     check_at_least_one("k", k)
     if method is not Method.RND and embeddings is None:
         raise ValueError(f"{method.value} requires an embedding table (--embeddings)")
-    if method is Method.CD_IDF and doc_idf is None:
-        raise ValueError("cd-idf requires a document idf table (--doc-idf)")
     if method is Method.CD_Q and question_idf is None:
         raise ValueError("cd-q requires a question idf table (--question-idf)")
     return method

@@ -155,12 +155,13 @@ def make_screen_instance(rng: random.Random) -> ScreenInstance:
     else:
         vector = gen.normal(size=dim)
     passages = [Passage(f"p{i:02d}#0", "") for i in range(n)]
+    doc_idf = build_idf([["x"]], label="documents")
     index = PassageIndex(
-        passages, _screen_rows(gen, n, dim, anchor), _screen_rows(gen, n, dim, anchor)
+        passages, _screen_rows(gen, n, dim, anchor), _screen_rows(gen, n, dim, anchor), doc_idf
     )
     return ScreenInstance(
         index=index,
         embeddings=EmbeddingTable({"q": 0}, vector[None, :]),
-        doc_idf=build_idf([["x"]], label="documents"),
+        doc_idf=doc_idf,
         question=question,
     )

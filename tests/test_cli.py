@@ -364,8 +364,8 @@ class TestQuery:
     @pytest.mark.parametrize("command", ["query", "eval"])
     def test_non_finite_matrix_exits_2_naming_it(self, workspace, capsys, command, name):
         _build_artifacts(workspace)
-        lines = (workspace["index"] / "passages.jsonl").read_text(encoding="utf-8")
-        first = json.loads(lines.splitlines()[0])[0]
+        text = (workspace["index"] / "passages.json").read_text(encoding="utf-8")
+        first = json.loads(text)[0][0]
         matrix = np.load(workspace["index"] / name)
         matrix[0, 0] = np.nan
         np.save(workspace["index"] / name, matrix)
@@ -385,11 +385,14 @@ class TestQuery:
 
     @pytest.mark.parametrize("command", ["query", "eval"])
     def test_index_with_a_doc_id_field_exits_2(self, workspace, capsys, command):
-        # The layout written before the document became the id up to its last '#'.
+        # An index of an earlier layout: passages.jsonl lines that still hold
+        # the doc id, which is now the id up to its last '#'. Rebuilt into
+        # the same directory, the index is read, and the old file is left.
         _build_artifacts(workspace)
-        path = workspace["index"] / "passages.jsonl"
-        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-        path.write_text(
+        path = workspace["index"] / "passages.json"
+        rows = json.loads(path.read_text(encoding="utf-8"))
+        path.unlink()
+        (workspace["index"] / "passages.jsonl").write_text(
             "".join(json.dumps([pid, pid.rpartition("#")[0], text]) + "\n" for pid, text in rows),
             encoding="utf-8",
         )
@@ -402,10 +405,16 @@ class TestQuery:
             argv += ["--questions", str(workspace["questions"]), "--out", str(workspace["run"])]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
-            f"error: --index {workspace['index']}: passages.jsonl line 1: "
-            "expected [passage_id, text]\n"
+            f"error: --index {workspace['index']}: "
+            f"[Errno 2] No such file or directory: {str(path)!r}\n"
         )
         assert not workspace["run"].exists()
+        assert main(["index-build", "--docs", str(workspace["docs"]),
+                     "--embeddings", str(workspace["embeddings"]),
+                     "--doc-idf", str(workspace["doc_idf"]),
+                     "--out", str(workspace["index"])]) == 0
+        assert main(argv) == 0
+        assert (workspace["index"] / "passages.jsonl").exists()
 
     @pytest.mark.parametrize("method", ["cd", "cd-idf", "cd-q"])
     def test_method_without_embeddings_exits_2(self, workspace, capsys, method):

@@ -209,6 +209,35 @@ class TestRoundTrip:
         assert str(excinfo.value) == f"embedding token {token!r} is empty or holds whitespace"
         assert not path.exists()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_refused_before_opening(self, tmp_path, value):
+        # The loader refuses it as a non-finite component.
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"1 2\nkept 1.0 2.0\n")
+        table = EmbeddingTable({"z": 0, "a": 1}, np.array([[1.0, 2.0], [value, 1.0]]))
+        with pytest.raises(ValueError) as excinfo:
+            save_embeddings(table, path)
+        assert str(excinfo.value) == "embedding token 'a' has a non-finite component"
+        assert path.read_bytes() == b"1 2\nkept 1.0 2.0\n"
+
+    def test_table_without_vectors_refused_before_opening(self, tmp_path):
+        # A header alone would be refused as an empty embedding file.
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"1 2\nkept 1.0 2.0\n")
+        with pytest.raises(ValueError) as excinfo:
+            save_embeddings(EmbeddingTable({}, np.zeros((0, 2))), path)
+        assert str(excinfo.value) == "embedding count must be >= 1, got 0"
+        assert path.read_bytes() == b"1 2\nkept 1.0 2.0\n"
+
+    def test_matrix_without_columns_refused_before_opening(self, tmp_path):
+        # A "1 0" header would be refused as a dimension below 1.
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"1 2\nkept 1.0 2.0\n")
+        with pytest.raises(ValueError) as excinfo:
+            save_embeddings(EmbeddingTable({"a": 0}, np.zeros((1, 0))), path)
+        assert str(excinfo.value) == "embedding dimension must be >= 1, got 0"
+        assert path.read_bytes() == b"1 2\nkept 1.0 2.0\n"
+
     def test_tokens_without_whitespace_round_trip(self, tmp_path):
         tokens = ["a", "C++", "#", "7", "1.5", "\u00e9t\u00e9", "a\x00b", "\ufeff", "x\u200by"]
         table = EmbeddingTable(

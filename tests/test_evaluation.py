@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centroidrank import (
+    IdfTable,
     Method,
     QuestionScore,
     RankedList,
@@ -739,6 +740,26 @@ class TestEvaluateQuestions:
         assert run.per_question["q3"].ranking.items == []
         assert run.per_question["q3"].ap == 0.0
 
+    def test_cd_idf_weighs_with_the_index_table_unless_given_one(
+        self, qa_setup, tiny_embeddings
+    ):
+        index, questions, doc_idf = qa_setup
+        given = evaluate_questions(
+            index, questions, "cd-idf", embeddings=tiny_embeddings, doc_idf=doc_idf
+        )
+        assert evaluate_questions(index, questions, "cd-idf", embeddings=tiny_embeddings) == given
+        flat = IdfTable(n_docs=2, df={"alpha": 2, "beta": 2})
+        other = evaluate_questions(
+            index, questions, "cd-idf", embeddings=tiny_embeddings, doc_idf=flat
+        )
+        by_q = evaluate_questions(
+            index, questions, "cd-q", embeddings=tiny_embeddings, question_idf=flat
+        )
+        assert other != given
+        assert [s.ranking.items for s in other.per_question.values()] == [
+            s.ranking.items for s in by_q.per_question.values()
+        ]
+
     def test_rnd_runs_are_seed_deterministic(self, qa_setup):
         index, questions, _doc_idf = qa_setup
         first = evaluate_questions(index, questions, "rnd", seed=5)
@@ -778,7 +799,6 @@ class TestEvaluateQuestions:
     @pytest.mark.parametrize(
         ("method", "message"),
         [
-            ("cd-idf", "cd-idf requires a document idf table (--doc-idf)"),
             ("cd-q", "cd-q requires a question idf table (--question-idf)"),
         ],
     )

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from centroidrank import build_index, load_embeddings, load_idf, save_index
 from centroidrank.cli import main
 from synth import make_instance, make_screen_instance
 
@@ -29,7 +30,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 METHODS = ("cd", "cd-idf", "cd-q", "rnd")
 # Below most candidate sets, so that rnd's draws depend on its seeds.
 K = "3"
-INDEX_FILES = ("uniform.npy", "idf.npy", "passages.jsonl")
+INDEX_FILES = ("uniform.npy", "idf.npy", "passages.json")
 OOV = " xyzzy plugh"
 
 
@@ -325,3 +326,29 @@ def test_doc_idf_flag_left_out_gives_the_same_runs_and_queries(base, tmp_path, w
         assert _run("query", *without, "--k", 10, "--question", question) == _query(
             directory, question, method, 10
         )
+
+
+@pytest.mark.parametrize("world", sorted(WORLDS))
+def test_library_saved_index_gives_the_same_runs_and_queries(base, tmp_path, world):
+    # build_index + save_index over what index-build reads: the command line
+    # reads the library's index as its own, doc-idf table included.
+    directory, want = base(world)
+    original = WORLDS[world]()
+    documents = [tuple(line.split("\t", 1)) for line in original.docs]
+    embeddings = load_embeddings(directory / "embeddings.txt")
+    library = tmp_path / "index"
+    save_index(build_index(documents, embeddings, load_idf(directory / "doc_idf.tsv")), library)
+    question = original.questions[0]["body"]
+    for method in METHODS:
+        flags = _flags(directory, method)
+        flags[flags.index("--index") + 1] = library
+        at = flags.index("--doc-idf")
+        flags[at : at + 2] = []
+        run = tmp_path / f"run_{method}.json"
+        _run("eval", *flags, "--k", K, "--questions", directory / "questions.json", "--out", run)
+        assert run.read_bytes() == want[method]
+        assert _run("query", *flags, "--k", 10, "--question", question) == _query(
+            directory, question, method, 10
+        )
+    for name in (*INDEX_FILES, "doc_idf.tsv"):
+        assert (library / name).read_bytes() == (directory / "index" / name).read_bytes()

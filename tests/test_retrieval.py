@@ -20,6 +20,7 @@ from centroidrank import (
     centroid,
     cosine_distance,
     load_embeddings,
+    load_idf,
     load_index,
     random_baseline,
     rank,
@@ -121,7 +122,7 @@ class TestBuildIndex:
         got = build_index(documents, embeddings, doc_idf)
         save_index(want, tmp_path / "want")
         save_index(got, tmp_path / "got")
-        for name in ("uniform.npy", "idf.npy", "passages.jsonl"):
+        for name in ("uniform.npy", "idf.npy", "passages.json"):
             assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
         assert got.uniform.any(axis=1).all()
 
@@ -252,10 +253,24 @@ class TestRank:
             rank(small_index, ["alpha"], Method.RND, 5, tiny_embeddings)
 
     def test_missing_idf_tables_rejected(self, small_index, tiny_embeddings):
-        with pytest.raises(ValueError, match="cd-idf"):
-            rank(small_index, ["alpha"], "cd-idf", 5, tiny_embeddings)
         with pytest.raises(ValueError, match="cd-q"):
             rank(small_index, ["alpha"], "cd-q", 5, tiny_embeddings)
+
+    def test_cd_idf_weighs_with_the_index_table_unless_given_one(
+        self, small_index, tiny_embeddings, tiny_doc_idf
+    ):
+        # Under `flat` alpha weighs 0 and every other token ln 5, so the
+        # question centroid turns away from alpha.
+        assert small_index.doc_idf is tiny_doc_idf
+        question = tokenize("Alpha beta gamma gamma.")
+        given = rank(small_index, question, "cd-idf", 5, tiny_embeddings, doc_idf=tiny_doc_idf)
+        assert rank(small_index, question, "cd-idf", 5, tiny_embeddings) == given
+        flat = IdfTable(n_docs=4, df={"alpha": 4})
+        other = rank(small_index, question, "cd-idf", 5, tiny_embeddings, doc_idf=flat)
+        assert other.items != given.items
+        assert other.items == rank(
+            small_index, question, "cd-q", 5, tiny_embeddings, question_idf=flat
+        ).items
 
     def test_question_side_weighting_changes_with_method(self):
         # Embeddings chosen so a question-word-heavy passage wins under
@@ -560,7 +575,10 @@ class TestRankEdgeCases:
         # Matrices narrower than the embeddings: the index cannot claim the
         # embeddings' width, so rank refuses before numpy broadcasts.
         narrow = retrieval.PassageIndex(
-            small_index.passages, small_index.uniform[:, :1], small_index.idf[:, :1]
+            small_index.passages,
+            small_index.uniform[:, :1],
+            small_index.idf[:, :1],
+            small_index.doc_idf,
         )
         assert narrow.dim == 1
         with pytest.raises(
@@ -648,7 +666,7 @@ def test_screened_rank_is_bit_equal_to_scoring_every_row(seed):
 
 def _index_of(rows):
     passages = [retrieval.Passage(f"p{i:03d}#0", "") for i in range(len(rows))]
-    return retrieval.PassageIndex(passages, rows, rows)
+    return retrieval.PassageIndex(passages, rows, rows, IdfTable(1))
 
 
 class TestScreen:
@@ -737,7 +755,7 @@ class TestFiniteNorms:
         passages = [retrieval.Passage(f"d#{i:04d}", "") for i in range(len(matrix))]
         tracemalloc.start()
         try:
-            index = retrieval.PassageIndex(passages, matrix, matrix)
+            index = retrieval.PassageIndex(passages, matrix, matrix, IdfTable(1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -765,7 +783,7 @@ class TestFiniteNorms:
             np.save(bundle / name, matrix)
             with pytest.raises(ValueError) as excinfo:
                 load_index(bundle)
-            passage = json.loads((bundle / "passages.jsonl").read_text().splitlines()[2])[0]
+            passage = json.loads((bundle / "passages.json").read_text())[2][0]
             label = name.split(".")[0]
             assert str(excinfo.value) == (
                 f"passage {passage!r}: {label} centroid norm inf is not finite"
@@ -953,16 +971,21 @@ class TestIndexSerialization:
         after = rank(reloaded, ["alpha", "gamma"], "cd", 5, tiny_embeddings)
         assert before.items == after.items
 
-    def test_bundle_is_two_matrices_and_passage_lines(self, small_index, bundle):
+    def test_bundle_is_two_matrices_passages_and_doc_idf(
+        self, small_index, tiny_doc_idf, bundle
+    ):
         assert sorted(p.name for p in bundle.iterdir()) == [
-            "idf.npy", "passages.jsonl", "uniform.npy",
+            "doc_idf.tsv", "idf.npy", "passages.json", "uniform.npy",
         ]
         uniform = np.load(bundle / "uniform.npy", allow_pickle=False)
         assert uniform.tobytes() == small_index.uniform.tobytes()
-        lines = (bundle / "passages.jsonl").read_text(encoding="utf-8").splitlines()
-        assert [json.loads(line) for line in lines] == [
-            list(p) for p in small_index.passages
-        ]
+        text = (bundle / "passages.json").read_text(encoding="utf-8")
+        assert text.startswith('[["d1#0","Alpha beta gamma."],["d1#1",')
+        assert json.loads(text) == [list(p) for p in small_index.passages]
+        assert load_idf(bundle / "doc_idf.tsv") == tiny_doc_idf
+        reloaded = load_index(bundle)
+        assert reloaded.doc_idf == tiny_doc_idf
+        assert all(type(p) is retrieval.Passage for p in reloaded.passages)
 
     def test_text_with_tabs_and_newlines_round_trips(
         self, tiny_embeddings, tiny_doc_idf, tmp_path
@@ -1003,11 +1026,34 @@ class TestIndexSerialization:
         ):
             load_index(bundle)
 
-    @pytest.mark.parametrize("name", ["uniform.npy", "idf.npy", "passages.jsonl"])
+    @pytest.mark.parametrize("name", ["uniform.npy", "idf.npy", "passages.json"])
     def test_missing_file_refused(self, bundle, name):
         (bundle / name).unlink()
         with pytest.raises(OSError):
             load_index(bundle)
+
+    def test_doc_idf_that_save_idf_refuses_leaves_the_index_there(self, small_index, bundle):
+        before = {path.name: path.read_bytes() for path in bundle.iterdir()}
+        table = IdfTable(n_docs=4, df={"alpha": 3}, corpus_label="docu\nments")
+        index = retrieval.PassageIndex(
+            small_index.passages, small_index.uniform[:, ::-1], small_index.idf, table
+        )
+        with pytest.raises(ValueError, match="contains a line break"):
+            save_index(index, bundle)
+        assert {path.name: path.read_bytes() for path in bundle.iterdir()} == before
+
+    def test_missing_or_unreadable_doc_idf_refused_naming_it(self, bundle):
+        path = bundle / "doc_idf.tsv"
+        path.write_text("#n_docs 2 docs\na\t3\n", encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            load_index(bundle)
+        assert str(excinfo.value) == "doc_idf.tsv: line 2: df 3 outside [1, 2] for 'a'"
+        path.unlink()
+        with pytest.raises(ValueError) as excinfo:
+            load_index(bundle)
+        assert str(excinfo.value) == (
+            f"doc_idf.tsv: [Errno 2] No such file or directory: {str(path)!r}"
+        )
 
     @pytest.mark.parametrize(
         "matrix, message",
@@ -1058,38 +1104,53 @@ class TestIndexSerialization:
             load_index(bundle)
         assert UNPICKLED == []
 
-    def test_malformed_lines_reported(self, bundle):
-        path = bundle / "passages.jsonl"
-        first = path.read_text(encoding="utf-8").splitlines(keepends=True)[0]
-        for bad in [
-            "not json\n",
-            "\n",
-            '["d1#9"]\n',
-            '["d1#9", "text", "extra"]\n',
-            '["d1#9", 3]\n',
-            '{"passage_id": "d1#9", "text": "t"}\n',
-        ]:
-            path.write_text(first + bad, encoding="utf-8")
-            with pytest.raises(
-                ValueError, match=r"passages.jsonl line 2: expected \[passage_id, text\]"
-            ):
-                load_index(bundle)
-
-    def test_index_with_a_doc_id_field_refused_at_line_1(self, bundle):
-        # The layout written before the document became the id up to its last '#'.
-        path = bundle / "passages.jsonl"
-        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-        old = [json.dumps([pid, pid.rpartition("#")[0], text]) + "\n" for pid, text in rows]
-        assert old[0] == '["d1#0", "d1", "Alpha beta gamma."]\n'
-        path.write_text("".join(old), encoding="utf-8")
+    @pytest.mark.parametrize(
+        "text",
+        ["not json", "", '{"passages": []}', '"d1#0"', "[]]", '[["d1#0", "t"],]', "[\xe9",
+         "[" * 100_000],
+        ids=["not-json", "empty", "object", "string", "trailing-bracket", "trailing-comma",
+             "not-utf8", "nested-too-deep"],
+    )
+    def test_passage_file_not_a_json_array_refused(self, bundle, text):
+        (bundle / "passages.json").write_bytes(text.encode("latin-1"))
         with pytest.raises(ValueError) as excinfo:
             load_index(bundle)
-        assert str(excinfo.value) == "passages.jsonl line 1: expected [passage_id, text]"
+        assert str(excinfo.value) == "passages.json: expected a JSON array of [passage_id, text]"
+
+    def test_malformed_entries_reported(self, bundle):
+        path = bundle / "passages.json"
+        rows = json.loads(path.read_text(encoding="utf-8"))
+        for bad in [
+            ["d1#9"],
+            ["d1#9", "text", "extra"],
+            ["d1#9", 3],
+            [None, "text"],
+            "d1#9",
+            None,
+            {"passage_id": "d1#9", "text": "t"},
+        ]:
+            path.write_text(json.dumps([rows[0], bad, *rows[2:]]), encoding="utf-8")
+            with pytest.raises(ValueError) as excinfo:
+                load_index(bundle)
+            assert str(excinfo.value) == "passages[1]: expected [passage_id, text]"
+
+    def test_index_in_an_earlier_layout_refused(self, bundle):
+        # Earlier versions wrote passages.jsonl, one [passage_id, text] per
+        # line (before that, with the doc id as a middle field); rebuild.
+        path = bundle / "passages.json"
+        rows = json.loads(path.read_text(encoding="utf-8"))
+        path.unlink()
+        (bundle / "passages.jsonl").write_text(
+            "".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8"
+        )
+        with pytest.raises(FileNotFoundError) as excinfo:
+            load_index(bundle)
+        assert excinfo.value.filename == str(path)
 
     def test_duplicate_passage_id_names_line(self, bundle):
-        path = bundle / "passages.jsonl"
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        path.write_text("".join(lines[:2] + lines[:1] + lines[3:]), encoding="utf-8")
+        path = bundle / "passages.json"
+        rows = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(rows[:2] + rows[:1] + rows[3:]), encoding="utf-8")
         with pytest.raises(
             ValueError, match="^passages\\[2\\]: passage id 'd1#0' does not sort after 'd1#1'$"
         ):
@@ -1106,19 +1167,19 @@ class TestIndexSerialization:
         ids=["not-digits", "no-ordinal", "non-ascii-digit", "no-hash"],
     )
     def test_passage_id_must_be_doc_id_and_ordinal(self, bundle, fields, message):
-        path = bundle / "passages.jsonl"
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        path.write_text(json.dumps(fields) + "\n" + "".join(lines[1:]), encoding="utf-8")
+        path = bundle / "passages.json"
+        rows = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps([fields] + rows[1:]), encoding="utf-8")
         with pytest.raises(ValueError, match=f"^passages\\[0\\]: {message}$"):
             load_index(bundle)
 
     def test_reversed_index_refused(self, bundle):
-        # Consistent but out of order: every line still matches its matrix rows.
+        # Consistent but out of order: every entry still matches its matrix rows.
         for name in ("uniform.npy", "idf.npy"):
             np.save(bundle / name, np.load(bundle / name)[::-1])
-        path = bundle / "passages.jsonl"
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        path.write_text("".join(reversed(lines)), encoding="utf-8")
+        path = bundle / "passages.json"
+        rows = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(rows[::-1]), encoding="utf-8")
         with pytest.raises(
             ValueError, match="^passages\\[1\\]: passage id 'd2#1' does not sort after 'd2#2'$"
         ):
@@ -1127,7 +1188,9 @@ class TestIndexSerialization:
     def test_unsorted_passages_refused_by_the_index(self, small_index):
         passages = small_index.passages[::-1]
         with pytest.raises(ValueError, match="passage id 'd2#1' does not sort after 'd2#2'"):
-            retrieval.PassageIndex(passages, small_index.uniform[::-1], small_index.idf[::-1])
+            retrieval.PassageIndex(
+                passages, small_index.uniform[::-1], small_index.idf[::-1], small_index.doc_idf
+            )
 
 
 class TestIndexChecksItsOwnData:
@@ -1137,25 +1200,31 @@ class TestIndexChecksItsOwnData:
     def test_row_count_must_match_passages(self, small_index, rows):
         matrix = np.zeros((rows, 2))
         with pytest.raises(ValueError, match=f"^5 passages, {rows} matrix rows$"):
-            retrieval.PassageIndex(small_index.passages, matrix, matrix)
+            retrieval.PassageIndex(small_index.passages, matrix, matrix, small_index.doc_idf)
 
     def test_matrix_shapes_must_agree(self, small_index):
         with pytest.raises(
             ValueError, match=r"^uniform shape \(5, 2\) and idf shape \(5, 3\): " + _SHAPES + "$"
         ):
-            retrieval.PassageIndex(small_index.passages, np.zeros((5, 2)), np.zeros((5, 3)))
+            retrieval.PassageIndex(
+                small_index.passages, np.zeros((5, 2)), np.zeros((5, 3)), small_index.doc_idf
+            )
 
     def test_matrices_must_be_2d(self, small_index):
         with pytest.raises(
             ValueError, match=r"^uniform shape \(5,\) and idf shape \(5,\): " + _SHAPES + "$"
         ):
-            retrieval.PassageIndex(small_index.passages, np.zeros(5), np.zeros(5))
+            retrieval.PassageIndex(
+                small_index.passages, np.zeros(5), np.zeros(5), small_index.doc_idf
+            )
 
     def test_repeated_passage_id_refused(self, small_index):
         passages = list(small_index.passages)
         passages[1] = passages[0]
         with pytest.raises(ValueError) as excinfo:
-            retrieval.PassageIndex(passages, small_index.uniform, small_index.idf)
+            retrieval.PassageIndex(
+                passages, small_index.uniform, small_index.idf, small_index.doc_idf
+            )
         assert str(excinfo.value) == "passages[1]: passage id 'd1#0' does not sort after 'd1#0'"
 
     @pytest.mark.parametrize(
@@ -1168,14 +1237,42 @@ class TestIndexChecksItsOwnData:
         passages[3] = retrieval.Passage(passage_id, "Alpha.")
         message = f"passages[3]: passage id {passage_id!r} is not '<doc_id>#<n>'"
         with pytest.raises(ValueError) as excinfo:
-            retrieval.PassageIndex(passages, small_index.uniform, small_index.idf)
+            retrieval.PassageIndex(
+                passages, small_index.uniform, small_index.idf, small_index.doc_idf
+            )
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "entry",
+        [("d1#9",), ("d1#9", "Alpha.", "extra"), ("d1#9", 3), (None, "Alpha."), "d1", None,
+         {"d1#9": "Alpha."}],
+        ids=["one-field", "three-fields", "text-not-str", "id-not-str", "str", "none", "dict"],
+    )
+    def test_passage_not_a_pair_of_strings_refused(self, small_index, entry):
+        passages = list(small_index.passages)
+        passages[3] = entry
+        with pytest.raises(ValueError) as excinfo:
+            retrieval.PassageIndex(
+                passages, small_index.uniform, small_index.idf, small_index.doc_idf
+            )
+        assert str(excinfo.value) == "passages[3]: expected [passage_id, text]"
+
+    def test_pairs_become_passages(self, small_index):
+        pairs = [list(p) for p in small_index.passages]
+        index = retrieval.PassageIndex(
+            pairs, small_index.uniform, small_index.idf, small_index.doc_idf
+        )
+        assert index.passages == small_index.passages
+        assert all(type(p) is retrieval.Passage for p in index.passages)
+        assert index.doc_idf is small_index.doc_idf
 
     def test_later_edits_of_the_callers_list_do_not_reach_the_index(
         self, small_index, tiny_embeddings
     ):
         passages = list(small_index.passages)
-        index = retrieval.PassageIndex(passages, small_index.uniform, small_index.idf)
+        index = retrieval.PassageIndex(
+            passages, small_index.uniform, small_index.idf, small_index.doc_idf
+        )
         passages.append(retrieval.Passage("d3#0", "Gamma."))
         passages[0] = retrieval.Passage("z#0", "Alpha beta gamma.")
         assert len(index) == len(index.uniform) == 5
