@@ -18,7 +18,7 @@ import functools
 import sys
 from bisect import bisect_left
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
 
 # The parser needs only the numpy-free run names; each command imports the
 # rest of the library itself, so ``idf-build`` and ``compare`` never load
@@ -45,18 +45,25 @@ def _load(flag: str, path: str, loader: Callable[[str], _T]) -> _T:
 
 
 def _load_artifacts(
-    args: argparse.Namespace,
+    args: argparse.Namespace, tokens: Iterable[str]
 ) -> tuple[PassageIndex, EmbeddingTable | None, IdfTable | None]:
-    """Check the query/eval flags, then load the artifacts they name; the
-    doc-idf table is the index's, and ``--doc-idf`` must equal it."""
+    """Load the artifacts the query/eval flags name. The embedding table
+    holds at least the rows of ``tokens``, and only them when it is the file
+    the index was built from; the doc-idf table is the index's, and
+    ``--doc-idf`` must equal it."""
     from .embeddings import load_embeddings
     from .idf import load_idf
     from .retrieval import _DOC_IDF, _check_dim, load_index
 
-    check_method(args.method, args.k, args.embeddings, args.question_idf)
     index = _load("--index", args.index, load_index)
     embeddings = (
-        _load("--embeddings", args.embeddings, lambda p: _check_dim(index, load_embeddings(p)))
+        _load(
+            "--embeddings",
+            args.embeddings,
+            lambda p: _check_dim(
+                index, load_embeddings(p, tokens, index.embeddings_fingerprint)
+            ),
+        )
         if args.embeddings
         else None
     )
@@ -143,14 +150,16 @@ def cmd_query(args: argparse.Namespace) -> int:
         candidate_docs = {d for d in args.docs.split(",") if d}
         if not candidate_docs:
             raise ValueError(f"--docs names no document id: {args.docs!r}")
-    index, embeddings, question_idf = _load_artifacts(args)
+    check_method(args.method, args.k, args.embeddings, args.question_idf)
+    question = tokenize(args.question)
+    index, embeddings, question_idf = _load_artifacts(args, question)
     _load("--docs", args.docs, lambda _docs: _candidate_rows(index, candidate_docs))
     if args.method == Method.RND:
         ranking = random_baseline(index, candidate_docs, args.k, seed=args.seed)
     else:
         ranking = rank(
             index,
-            tokenize(args.question),
+            question,
             args.method,
             args.k,
             embeddings,
@@ -166,10 +175,13 @@ def cmd_query(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     from .evaluation import evaluate_questions, save_run
     from .ingest import load_question_set
+    from .text import tokenize
 
     check_at_least_one("overlap threshold", args.overlap_threshold)
-    index, embeddings, question_idf = _load_artifacts(args)
+    check_method(args.method, args.k, args.embeddings, args.question_idf)
     questions = _load("--questions", args.questions, load_question_set)
+    tokens = {token for question in questions for token in tokenize(question.body)}
+    index, embeddings, question_idf = _load_artifacts(args, tokens)
     run = evaluate_questions(
         index,
         questions,

@@ -13,13 +13,21 @@ word count, the matrix is sized once from it, capped by the rows the file
 can hold; otherwise it grows chunk by chunk. Either way it is trimmed to
 the rows read, and a token given on more than one line keeps only the row
 of its last line.
+
+A table read in full records the fingerprint of the file it was read
+from, ``"sha256:"`` and the hex SHA-256 of the bytes parsed, hashed in the
+same read. Given that fingerprint, a later load of the same file parses
+only the lines of the tokens it is asked for: the file has been checked
+in full once, under exactly those bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import os
 from dataclasses import dataclass
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -37,11 +45,14 @@ class EmbeddingTable:
     ``matrix`` (shape ``(V, dim)``) that holds the token's vector.
 
     Vectors are finite; ``len`` counts tokens. A vocab row outside the
-    matrix raises IndexError.
+    matrix raises IndexError. ``fingerprint`` is that of the file the table
+    holds every row of, and None for a table built in memory or read in
+    part.
     """
 
     vocab: dict[str, int]
     matrix: np.ndarray
+    fingerprint: str | None = None
 
     def __post_init__(self) -> None:
         rows = self.vocab.values()
@@ -63,46 +74,139 @@ class EmbeddingTable:
         return len(self.vocab)
 
 
-def load_embeddings(source: str | os.PathLike) -> EmbeddingTable:
+def load_embeddings(
+    source: str | os.PathLike,
+    tokens: Iterable[str] | None = None,
+    fingerprint: str | None = None,
+) -> EmbeddingTable:
     """Parse the embedding table file at ``source``.
 
     The first line is treated as a header when it consists of exactly two
     integers. Duplicate tokens keep the last occurrence. Raises ValueError
     naming the offending line for malformed floats, non-finite values or
     inconsistent dimensions, and ValueError for a file without vectors.
+    The table records the file's fingerprint.
+
+    Given ``tokens`` and ``fingerprint``, the file is still read and hashed
+    in full, but when its fingerprint is ``fingerprint`` only the last line
+    of each of ``tokens`` is parsed, with the same checks: the table holds
+    those of ``tokens`` the file has, and no fingerprint. Any other file is
+    parsed and checked in full.
 
     Finite values can still overflow later: a vector whose norm passes
     about 1.3e154 (the square root of the largest float64), or values near
     1e308 that a centroid sums, give centroids whose norm is not finite.
     ``build_index`` refuses such a passage and ``rank`` such a question.
     """
-    tokens: list[str] = []
+    if tokens is not None and fingerprint is not None:
+        part = _part_of(source, set(tokens), fingerprint)
+        if part is not None:
+            return part
+    read: list[str] = []
     matrix = np.empty((0, 0))
-    with open(source, encoding="utf-8") as handle:
+    handle, reader = _open_hashed(source)
+    with handle:
         size = os.fstat(handle.fileno()).st_size
         for count, dim, line_nos, chunk_tokens, values in _chunks(handle):
             block = _parse_chunk(line_nos, values, dim)
-            start = len(tokens)
-            tokens += chunk_tokens
-            if len(tokens) > len(matrix):
+            start = len(read)
+            read += chunk_tokens
+            if len(read) > len(matrix):
                 # A row takes at least 2 * dim bytes (a digit and a
                 # separator per value), so a header count beyond what the
                 # file can hold is not trusted. realloc grows the matrix
                 # without a second full-size copy; no view of it exists
                 # until it is complete.
-                rows = max(len(tokens), min(count, size // (2 * dim)))
+                rows = max(len(read), min(count, size // (2 * dim)))
                 matrix.resize((rows, dim), refcheck=False)
-            matrix[start : len(tokens)] = block
-    if not tokens:
+            matrix[start : len(read)] = block
+    if not read:
         raise ValueError("empty embedding file")
-    matrix.resize((len(tokens), dim), refcheck=False)
-    vocab = dict(zip(tokens, range(len(tokens))))
-    if len(vocab) < len(tokens):
+    matrix.resize((len(read), dim), refcheck=False)
+    vocab = dict(zip(read, range(len(read))))
+    if len(vocab) < len(read):
         # Keep only the last row of a repeated token.
         matrix = matrix[list(vocab.values())]
         vocab = dict(zip(vocab, range(len(vocab))))
     matrix.flags.writeable = False
-    return EmbeddingTable(vocab, matrix)
+    return EmbeddingTable(vocab, matrix, reader.fingerprint)
+
+
+class _HashingReader(io.RawIOBase):
+    """An open binary file whose bytes are hashed with SHA-256 as they are read."""
+
+    def __init__(self, file: io.FileIO) -> None:
+        self.file = file
+        self.sha256 = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self.file.readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:count])
+        return count
+
+    def fileno(self) -> int:
+        return self.file.fileno()
+
+    def close(self) -> None:
+        super().close()
+        self.file.close()
+
+    @property
+    def fingerprint(self) -> str:
+        """The fingerprint of the bytes read so far: all of them, once the
+        text reader over this one has reached the end of the file."""
+        return "sha256:" + self.sha256.hexdigest()
+
+
+def _open_hashed(source: str | os.PathLike) -> tuple[IO[str], _HashingReader]:
+    """The file at ``source`` opened as ``open(source, encoding="utf-8")``
+    opens it, and the reader that hashes its bytes."""
+    reader = _HashingReader(open(source, "rb", buffering=0))
+    return io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8"), reader
+
+
+def _part_of(
+    source: str | os.PathLike, tokens: set[str], fingerprint: str
+) -> EmbeddingTable | None:
+    """The table of the last line of each of ``tokens`` in the file at
+    ``source``, when the file's fingerprint is ``fingerprint``; else None.
+
+    The other lines are only split off their token: a file with that
+    fingerprint has been checked in full. One that does not decode is not
+    that file, and its first fault is the full parse's to name.
+    """
+    dim: int | None = None
+    rows: dict[str, tuple[int, str]] = {}
+    handle, reader = _open_hashed(source)
+    try:
+        with handle:
+            for line_no, line in enumerate(handle, start=1):
+                parts = line.split(None, 1)
+                if len(parts) < 2:
+                    continue
+                if dim is None:
+                    header = _header(parts)
+                    dim = len(parts[1].split()) if header is None else header[1]
+                    if header is not None:
+                        continue
+                if parts[0] in tokens:
+                    rows[parts[0]] = (line_no, parts[1])
+    except UnicodeDecodeError:
+        return None
+    if reader.fingerprint != fingerprint:
+        return None
+    found = sorted(rows, key=rows.get)  # parsed in file order
+    values = [rows[token][1] for token in found]
+    matrix = (
+        _parse_chunk([rows[token][0] for token in found], values, dim)
+        if found
+        else np.empty((0, dim))
+    )
+    matrix.flags.writeable = False
+    return EmbeddingTable(dict(zip(found, range(len(found)))), matrix)
 
 
 def _chunks(
@@ -130,13 +234,13 @@ def _chunks(
             got = line.rstrip("\n")
             raise ValueError(f"line {line_no}: expected '<token> <v1> ...', got {got!r}")
         if dim is None:
-            fields = parts[1].split()
-            if len(fields) == 1 and _is_int(parts[0]) and _is_int(fields[0]):
-                count, dim = int(parts[0]), int(fields[0])
+            header = _header(parts)
+            if header is not None:
+                count, dim = header
                 if dim < 1:
                     raise ValueError(f"line {line_no}: header dimension must be >= 1, got {dim}")
                 continue
-            dim = len(fields)
+            dim = len(parts[1].split())
         line_nos.append(line_no)
         tokens.append(parts[0])
         values.append(parts[1])
@@ -145,6 +249,15 @@ def _chunks(
             line_nos, tokens, values = [], [], []
     if values:
         yield count, dim, line_nos, tokens, values
+
+
+def _header(parts: list[str]) -> tuple[int, int] | None:
+    """``(count, dim)`` when the first line, split into token and values as
+    ``parts``, is a header: exactly two integers."""
+    fields = parts[1].split()
+    if len(fields) == 1 and _is_int(parts[0]) and _is_int(fields[0]):
+        return int(parts[0]), int(fields[0])
+    return None
 
 
 def _is_int(text: str) -> bool:

@@ -21,6 +21,7 @@ import json
 import math
 import os
 import random
+import re
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -52,11 +53,13 @@ class PassageIndex:
     the ``[passage_id, text]`` pairs it is given. Row ``i`` of ``uniform``
     and ``idf`` (C-contiguous float64, shape ``(n, dim)``; ``dim`` is their
     width) holds the raw centroids of ``passages[i]``; ``doc_idf`` is the
-    table that weighed the ``idf`` rows. ``doc_index`` maps each document,
-    a passage id up to its last ``#``, to the ascending row indices of its
-    passages; the rows of one document need not be contiguous (``d#1``
-    sorts between ``d`` and ``d``'s later rows when ``d#1`` is itself a
-    document id). The index checks its own data, built or loaded alike, and
+    table that weighed the ``idf`` rows, and ``embeddings_fingerprint`` the
+    fingerprint of the embedding file whose vectors they sum, None when
+    unknown (see :func:`~centroidrank.embeddings.load_embeddings`).
+    ``doc_index`` maps each document, a passage id up to its last ``#``, to
+    the ascending row indices of its passages; the rows of one document
+    need not be contiguous (``d#1`` sorts between ``d`` and ``d``'s later
+    rows when ``d#1`` is itself a document id). The index checks its own data, built or loaded alike, and
     raises ValueError for matrices that are not 2-d or differ in shape, a
     passage count that differs from the rows, a passage that is not two
     strings or whose id is not ``<doc_id>#<n>`` (``n`` ASCII digits) or
@@ -68,7 +71,12 @@ class PassageIndex:
     """
 
     def __init__(
-        self, passages: Sequence, uniform: np.ndarray, idf: np.ndarray, doc_idf: IdfTable
+        self,
+        passages: Sequence,
+        uniform: np.ndarray,
+        idf: np.ndarray,
+        doc_idf: IdfTable,
+        embeddings_fingerprint: str | None = None,
     ) -> None:
         self.uniform = _frozen(np.ascontiguousarray(uniform, dtype=np.float64))
         self.idf = _frozen(np.ascontiguousarray(idf, dtype=np.float64))
@@ -98,6 +106,7 @@ class PassageIndex:
             rows.setdefault(doc_id, []).append(row)
         self.passages = tuple(map(Passage._make, passages))
         self.doc_idf = doc_idf
+        self.embeddings_fingerprint = embeddings_fingerprint
         self.dim = self.uniform.shape[1]
         self.uniform_norms = _finite_norms(self.uniform, "uniform", self.passages)
         self.idf_norms = _finite_norms(self.idf, "idf", self.passages)
@@ -215,7 +224,8 @@ def build_index(
     doc_idf: IdfTable,
 ) -> PassageIndex:
     """Sentence-split documents and precompute both centroids per passage;
-    the index keeps ``doc_idf``, which weighs the idf centroids.
+    the index keeps ``doc_idf``, which weighs the idf centroids, and the
+    fingerprint of ``embeddings``.
 
     Passage ids are ``<doc_id>#<sentence_ordinal>``. Duplicate document ids
     raise ValueError, as does a centroid whose norm overflows, naming its
@@ -235,7 +245,7 @@ def build_index(
     uniform, idf = centroids(
         (tokenize(passage.text) for passage in passages), embeddings, doc_idf.weight
     )
-    return PassageIndex(passages, uniform, idf, doc_idf)
+    return PassageIndex(passages, uniform, idf, doc_idf, embeddings.fingerprint)
 
 
 def _check_dim(index: PassageIndex, embeddings: EmbeddingTable) -> EmbeddingTable:
@@ -353,6 +363,8 @@ def random_baseline(
 
 
 _UNIFORM, _IDF, _PASSAGES, _DOC_IDF = "uniform.npy", "idf.npy", "passages.json", "doc_idf.tsv"
+_HEADER = "header.json"
+_FINGERPRINT = re.compile(r"sha256:[0-9a-f]{64}")
 
 
 def save_index(index: PassageIndex, directory: str | os.PathLike) -> None:
@@ -360,9 +372,11 @@ def save_index(index: PassageIndex, directory: str | os.PathLike) -> None:
 
     ``uniform.npy`` and ``idf.npy`` hold the two centroid matrices
     (``np.save``), ``passages.json`` one JSON array of the rows'
-    ``[passage_id, text]`` pairs, and ``doc_idf.tsv`` ``index.doc_idf``
-    (``save_idf``, first, so a table it refuses replaces nothing). The
-    directory is created if needed, and an index already there is replaced.
+    ``[passage_id, text]`` pairs, ``doc_idf.tsv`` ``index.doc_idf``
+    (``save_idf``, first, so a table it refuses replaces nothing), and
+    ``header.json`` the JSON object ``{"embeddings_fingerprint": ...}`` of
+    ``index.embeddings_fingerprint``. The directory is created if needed,
+    and an index already there is replaced.
     """
     os.makedirs(directory, exist_ok=True)
     save_idf(index.doc_idf, os.path.join(directory, _DOC_IDF))
@@ -370,6 +384,8 @@ def save_index(index: PassageIndex, directory: str | os.PathLike) -> None:
     np.save(os.path.join(directory, _IDF), index.idf)
     with open(os.path.join(directory, _PASSAGES), "w", encoding="utf-8") as handle:
         handle.write(json.dumps(index.passages, ensure_ascii=False, separators=(",", ":")))
+    with open(os.path.join(directory, _HEADER), "w", encoding="utf-8") as handle:
+        handle.write(json.dumps({"embeddings_fingerprint": index.embeddings_fingerprint}))
 
 
 def _load_matrix(directory: str | os.PathLike, name: str) -> np.ndarray:
@@ -400,9 +416,12 @@ def load_index(directory: str | os.PathLike) -> PassageIndex:
     file raises OSError. ValueError names the file for a matrix file that
     is empty, truncated, not ``.npy`` or whose header shape needs more data
     than it holds, a matrix that is not float64, a passage file that is not
-    a JSON array, and a ``doc_idf.tsv`` that is missing or that ``load_idf``
-    refuses. The rest is :class:`PassageIndex`'s to refuse, naming entry
-    ``i`` of ``passages.json`` as ``passages[i]``.
+    a JSON array, a ``doc_idf.tsv`` that is missing or that ``load_idf``
+    refuses, and a ``header.json`` that is not one JSON object whose one key
+    ``embeddings_fingerprint`` is null or ``"sha256:"`` and 64 hex digits;
+    an index without ``header.json``, written before it was, has no
+    fingerprint. The rest is :class:`PassageIndex`'s to refuse, naming
+    entry ``i`` of ``passages.json`` as ``passages[i]``.
     """
     uniform = _load_matrix(directory, _UNIFORM)
     idf = _load_matrix(directory, _IDF)
@@ -417,4 +436,24 @@ def load_index(directory: str | os.PathLike) -> PassageIndex:
         doc_idf = load_idf(os.path.join(directory, _DOC_IDF))
     except (ValueError, OSError) as exc:
         raise ValueError(f"{_DOC_IDF}: {exc}") from None
-    return PassageIndex(entries, uniform, idf, doc_idf)
+    return PassageIndex(entries, uniform, idf, doc_idf, _load_fingerprint(directory))
+
+
+def _load_fingerprint(directory: str | os.PathLike) -> str | None:
+    """The embeddings fingerprint of ``header.json``; None without the file."""
+    try:
+        with open(os.path.join(directory, _HEADER), encoding="utf-8") as handle:
+            header = json.load(handle)
+    except FileNotFoundError:
+        return None
+    except (ValueError, RecursionError):  # not UTF-8, not JSON, or nested too deep
+        header = None
+    if isinstance(header, dict) and header.keys() == {"embeddings_fingerprint"}:
+        fingerprint = header["embeddings_fingerprint"]
+        if fingerprint is None or (
+            isinstance(fingerprint, str) and _FINGERPRINT.fullmatch(fingerprint)
+        ):
+            return fingerprint
+    raise ValueError(
+        f'{_HEADER}: expected {{"embeddings_fingerprint": null or "sha256:<64 hex digits>"}}'
+    )

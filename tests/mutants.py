@@ -92,8 +92,8 @@ MUTANTS = (
     ),
     Mutant(
         "loaded-index-drops-its-doc-idf", "retrieval.py",
-        "return PassageIndex(entries, uniform, idf, doc_idf)",
-        "return PassageIndex(entries, uniform, idf, None)",
+        "return PassageIndex(entries, uniform, idf, doc_idf, _load_fingerprint(directory))",
+        "return PassageIndex(entries, uniform, idf, None, _load_fingerprint(directory))",
         (
             "tests/test_metamorphic.py::"
             "test_doc_idf_flag_left_out_gives_the_same_runs_and_queries",
@@ -229,6 +229,100 @@ MUTANTS = (
             "tests/test_cli.py::TestCheckedInFixturePipeline::test_run_file_bytes_pinned[cd-idf]",
         ),
         "CHANGES.md line 53",
+    ),
+    Mutant(
+        "fast-path-ignores-the-fingerprint", "embeddings.py",
+        "    if reader.fingerprint != fingerprint:\n        return None\n",
+        "",
+        (
+            "tests/test_embeddings.py::TestFingerprint::"
+            "test_another_fingerprint_parses_and_checks_every_line",
+            "tests/test_cli.py::TestEmbeddingsFingerprint::"
+            "test_an_unused_line_of_another_file_is_still_checked",
+        ),
+        "CHANGES.md line 55",
+    ),
+    Mutant(
+        "fast-path-keeps-the-first-duplicate", "embeddings.py",
+        "rows[parts[0]] = (line_no, parts[1])",
+        "rows.setdefault(parts[0], (line_no, parts[1]))",
+        (
+            "tests/test_embeddings.py::TestFingerprint::"
+            "test_a_repeated_token_keeps_its_last_lines_row",
+            "tests/test_embeddings.py::test_rows_under_the_own_fingerprint_match_the_full_load",
+        ),
+        "CHANGES.md line 55",
+    ),
+    Mutant(
+        "save-index-drops-the-fingerprint", "retrieval.py",
+        'json.dumps({"embeddings_fingerprint": index.embeddings_fingerprint})',
+        'json.dumps({"embeddings_fingerprint": None})',
+        (
+            "tests/test_retrieval.py::TestIndexSerialization::"
+            "test_embeddings_fingerprint_survives_save_and_load",
+            "tests/test_cli.py::TestEmbeddingsFingerprint::"
+            "test_the_index_file_gives_only_the_question_rows",
+        ),
+        "CHANGES.md line 55",
+    ),
+    Mutant(
+        "embedding-reader-splits-lines-at-newline-only", "embeddings.py",
+        'io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8")',
+        'io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8", newline="\\n")',
+        (
+            "tests/test_cli.py::TestCarriageReturns::"
+            "test_embedding_line_broken_by_a_carriage_return_refused",
+            "tests/test_embeddings.py::TestFingerprint::"
+            "test_a_repeated_token_keeps_its_last_lines_row[cr-no-header]",
+        ),
+        "CHANGES.md line 47",
+    ),
+    Mutant(
+        "idf-reader-splits-lines-at-newline-only", "idf.py",
+        'with open(source, encoding="utf-8") as handle:',
+        'with open(source, encoding="utf-8", newline="\\n") as handle:',
+        (
+            "tests/test_cli.py::TestCarriageReturns::"
+            "test_idf_rows_split_by_a_carriage_return_read_as_two",
+        ),
+        "CHANGES.md line 47",
+    ),
+    Mutant(
+        "judging-without-the-token-memo", "evaluation.py",
+        "            passage = tokens.get(row)\n"
+        "            if passage is None:\n"
+        "                passage = tokens[row] = tokenize(index.passages[row].text)\n",
+        "            passage = tokenize(index.passages[row].text)\n",
+        (
+            "tests/test_evaluation.py::TestJudgingMemos::"
+            "test_tokens_of_every_row_of_built_and_loaded_index",
+            "tests/test_evaluation.py::TestJudgingMemos::"
+            "test_tokenized_once_through_the_module_and_kept",
+            "tests/test_retrieval.py::TestConcurrentReads::"
+            "test_fresh_index_judges_identically_across_threads",
+        ),
+        "CHANGES.md line 46",
+    ),
+    Mutant(
+        "eval-candidate-documents-as-a-list", "evaluation.py",
+        "        candidate_docs = {\n"
+        "            d for d in question.reference_docs if d in index.doc_index\n"
+        "        }\n",
+        "        candidate_docs = [\n"
+        "            d for d in question.reference_docs if d in index.doc_index\n"
+        "        ]\n",
+        (
+            "tests/test_metamorphic.py::"
+            "test_reversed_repeated_documents_and_reversed_snippets_give_the_same_runs",
+        ),
+        "CHANGES.md line 46",
+    ),
+    Mutant(
+        "query-candidate-documents-as-a-list", "cli.py",
+        'candidate_docs = {d for d in args.docs.split(",") if d}',
+        'candidate_docs = [d for d in args.docs.split(",") if d]',
+        ("tests/test_metamorphic.py::test_reordered_repeated_query_docs_give_the_same_output",),
+        "CHANGES.md line 46",
     ),
 )
 

@@ -668,6 +668,99 @@ class TestIndexDocIdf:
         )
 
 
+class TestEmbeddingsFingerprint:
+    """``index-build`` records the fingerprint of its embedding file in the
+    index's ``header.json``; given that file again, ``query`` and ``eval``
+    parse only the rows of their questions' tokens, and any other file in
+    full."""
+
+    @staticmethod
+    def _argv(command, workspace):
+        argv = ["--index", workspace["index"], "--embeddings", workspace["embeddings"],
+                "--question-idf", workspace["question_idf"], "--method", "cd-q"]
+        if command == "query":
+            argv += ["--question", "Alpha?"]
+        else:
+            argv += ["--questions", workspace["questions"], "--out", workspace["run"]]
+        return [command, *map(str, argv)]
+
+    @staticmethod
+    def _run(argv, capsys, monkeypatch):
+        """(exit code, stdout, stderr, the tokens of the embedding table read)."""
+        read = []
+        load_embeddings = embeddings.load_embeddings
+
+        def recording(*args):
+            table = load_embeddings(*args)
+            read.append(sorted(table.vocab))
+            return table
+
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            patch.setattr(embeddings, "load_embeddings", recording)
+            code = main(argv)
+        out, err = capsys.readouterr()
+        run = pathlib.Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+        return code, out + (run.read_text(encoding="utf-8") if code == 0 and run else ""), err, read
+
+    @pytest.mark.parametrize(
+        ("command", "tokens"), [("query", ["alpha"]), ("eval", ["alpha", "beta", "gamma"])]
+    )
+    def test_the_index_file_gives_only_the_question_rows(
+        self, workspace, capsys, monkeypatch, command, tokens
+    ):
+        _build_artifacts(workspace)
+        header = json.loads((workspace["index"] / "header.json").read_text(encoding="utf-8"))
+        digest = hashlib.sha256(workspace["embeddings"].read_bytes()).hexdigest()
+        assert header == {"embeddings_fingerprint": f"sha256:{digest}"}
+        code, out, _err, read = self._run(self._argv(command, workspace), capsys, monkeypatch)
+        assert (code, read) == (0, [tokens])
+        (workspace["index"] / "header.json").unlink()
+        assert self._run(self._argv(command, workspace), capsys, monkeypatch) == (
+            0, out, "", [["alpha", "beta", "delta", "epsilon", "gamma"]]
+        )
+
+    @pytest.mark.parametrize("command", ["query", "eval"])
+    def test_an_unused_line_of_another_file_is_still_checked(
+        self, workspace, capsys, monkeypatch, command
+    ):
+        # No question uses delta: a bad delta line is refused, naming it,
+        # and a good one changes nothing.
+        _build_artifacts(workspace)
+        argv = self._argv(command, workspace)
+        code, want, _err, _read = self._run(argv, capsys, monkeypatch)
+        assert code == 0
+        path = workspace["embeddings"]
+        path.write_text(EMBEDDINGS.replace("delta -1.0 0.0", "delta -1.0 x"), encoding="utf-8")
+        workspace["run"].unlink(missing_ok=True)
+        assert self._run(argv, capsys, monkeypatch)[:3] == (2, "", (
+            f"error: --embeddings {path}: "
+            "line 5: malformed float (could not convert string to float: 'x')\n"
+        ))
+        assert not workspace["run"].exists()
+        path.write_text(EMBEDDINGS.replace("delta -1.0 0.0", "delta -1.5 0.25"), encoding="utf-8")
+        code, out, _err, read = self._run(argv, capsys, monkeypatch)
+        assert (code, out, len(read[0])) == (0, want, 5)
+
+    @pytest.mark.parametrize("command", ["query", "eval"])
+    def test_malformed_header_exits_2_naming_it(self, workspace, capsys, monkeypatch, command):
+        _build_artifacts(workspace)
+        (workspace["index"] / "header.json").write_text('{"embeddings_fingerprint": 7}')
+        assert self._run(self._argv(command, workspace), capsys, monkeypatch)[:3] == (2, "", (
+            f"error: --index {workspace['index']}: header.json: expected "
+            '{"embeddings_fingerprint": null or "sha256:<64 hex digits>"}\n'
+        ))
+
+    def test_eval_reads_the_questions_before_the_index(self, workspace, capsys, monkeypatch):
+        # Their tokens choose the embedding rows to parse.
+        _build_artifacts(workspace)
+        (workspace["index"] / "header.json").write_text("{")
+        workspace["questions"].write_text("[]", encoding="utf-8")
+        code, _out, err, _read = self._run(self._argv("eval", workspace), capsys, monkeypatch)
+        assert code == 2
+        assert err.startswith(f"error: --questions {workspace['questions']}: ")
+
+
 class TestEval:
     def test_hand_computed_aggregates(self, workspace, capsys):
         _build_artifacts(workspace)

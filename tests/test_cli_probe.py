@@ -2,7 +2,7 @@
 
 Each input a user hands the CLI (the embedding table, both idf tables, the
 docs TSV, an ``idf-build`` corpus, the question set, a run file, and an
-index's ``passages.json`` and ``doc_idf.tsv``) is damaged a few hundred
+index's ``passages.json``, ``doc_idf.tsv`` and ``header.json``) is damaged a few hundred
 times from one fixed seed and given to the command that reads it, through
 ``main()``. Every run must exit 0 or 2, never 1, and every exit 2 must
 begin its message with the flag and the path of the damaged input.
@@ -19,7 +19,7 @@ from test_cli import FIXTURES, _build_fixture_artifacts
 
 SEED = 2018
 MUTATIONS = 200
-INDEX_FILES = ("uniform.npy", "idf.npy", "passages.json", "doc_idf.tsv")
+INDEX_FILES = ("uniform.npy", "idf.npy", "passages.json", "doc_idf.tsv", "header.json")
 
 # Pieces spliced into an input: separators, number syntax, JSON syntax, a
 # lone UTF-8 lead byte, bytes that are never UTF-8, and non-ASCII text.
@@ -89,6 +89,8 @@ def test_damaged_inputs_exit_0_or_2_naming_the_input(tmp_path):
         "index doc idf": (index / "doc_idf.tsv", "--index", [
             "query", "--index", index, "--embeddings", embeddings, "--method", "cd-idf",
             "--question", "Which gene?"]),
+        "index header": (index / "header.json", "--index", [
+            "query", "--index", index, "--embeddings", embeddings, "--question", "Which gene?"]),
     }
     rng = random.Random(SEED)
     exits = {}

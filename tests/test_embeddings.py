@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 from unittest import mock
 
@@ -320,3 +321,83 @@ def test_bulk_parse_matches_line_by_line_oracle(text, chunk_rows):
         assert list(got.vocab) == list(entries)
         for token, vector in entries.items():
             assert got.lookup(token).tobytes() == np.array(vector, dtype=np.float64).tobytes()
+
+
+def _partial(text: str, tokens, fingerprint=None):
+    """The full table of ``text`` and its load for ``tokens`` under
+    ``fingerprint``, by default the file's own."""
+
+    def both(path):
+        full = load_embeddings(path)
+        return full, load_embeddings(path, tokens, fingerprint or full.fingerprint)
+
+    return from_text(both, text)
+
+
+class TestFingerprint:
+    def test_a_full_load_records_the_sha256_of_the_bytes(self, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_bytes("2 2\na 1.0 0.0\r\nb 0.0 1.0\nété 2.0 2.0".encode())
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert load_embeddings(path).fingerprint == f"sha256:{digest}"
+
+    def test_a_table_built_in_memory_has_none(self):
+        assert EmbeddingTable({"a": 0}, np.ones((1, 2))).fingerprint is None
+
+    def test_rows_under_the_own_fingerprint_are_the_full_loads(self):
+        full, part = _partial("3 2\na 1.0 0.0\nb 0.1 1e-300\nc -0.0 5.\n", ["c", "a", "a"])
+        assert part.fingerprint is None
+        assert list(part.vocab) == ["a", "c"]  # file order
+        assert part.dim == 2 and not part.matrix.flags.writeable
+        for token in part.vocab:
+            assert part.lookup(token).tobytes() == full.lookup(token).tobytes()
+
+    def test_a_token_the_file_lacks_stays_absent(self):
+        _full, part = _partial("a 1.0 0.0\nb 0.0 1.0\n", ["b", "zzz"])
+        assert list(part.vocab) == ["b"]
+        assert part.lookup("zzz") is None
+        _full, none = _partial("a 1.0 0.0\n", ["zzz"])
+        assert (len(none), none.dim) == (0, 2)
+
+    @pytest.mark.parametrize("header", ["", "3 2\n"], ids=["no-header", "header"])
+    @pytest.mark.parametrize("end", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_a_repeated_token_keeps_its_last_lines_row(self, header, end):
+        text = header + end.join(["a 1.0 0.0", "b 3.0 3.0", "a 2.0 0.5"]) + end
+        full, part = _partial(text, ["a"])
+        assert part.lookup("a").tolist() == full.lookup("a").tolist() == [2.0, 0.5]
+        assert list(part.vocab) == ["a"]
+
+    def test_another_fingerprint_parses_and_checks_every_line(self):
+        text = "a 1.0 0.0\nb 0.0 x\n"
+        with pytest.raises(ValueError, match="^line 2: malformed float"):
+            _partial(text, ["a"], fingerprint="sha256:" + "0" * 64)
+        good = "a 1.0 0.0\nb 0.0 1.0\n"
+        full = from_text(load_embeddings, good)
+        other = from_text(lambda p: load_embeddings(p, ["a"], "sha256:" + "0" * 64), good)
+        assert other.fingerprint == full.fingerprint
+        assert other.vocab == full.vocab
+
+    def test_an_undecodable_file_names_its_first_fault_as_a_full_load_does(self, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_bytes(b"a 1.0 0.0\nb 0.0 x\n" + b"c 1.0 1.0\n" * 2000 + b"\xff 1.0 1.0\n")
+        with pytest.raises(ValueError) as full:
+            load_embeddings(path)
+        with pytest.raises(ValueError) as part:
+            load_embeddings(path, ["a"], "sha256:" + "0" * 64)
+        assert str(part.value) == str(full.value) == (
+            "line 2: malformed float (could not convert string to float: 'x')"
+        )
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(text=_tables(), tokens=st.sets(st.sampled_from(["a", "b", "c", "7", "été", "z"])))
+def test_rows_under_the_own_fingerprint_match_the_full_load(text, tokens):
+    try:
+        full, part = _partial(text, tokens)
+    except ValueError:  # the full load refuses the file
+        return
+    assert part.fingerprint is None
+    assert part.dim == full.dim
+    assert set(part.vocab) == tokens & set(full.vocab)
+    for token in part.vocab:
+        assert part.lookup(token).tobytes() == full.lookup(token).tobytes()

@@ -18,6 +18,7 @@ import dataclasses
 import io
 import json
 import random
+import shutil
 from pathlib import Path
 
 import pytest
@@ -350,5 +351,25 @@ def test_library_saved_index_gives_the_same_runs_and_queries(base, tmp_path, wor
         assert _run("query", *flags, "--k", 10, "--question", question) == _query(
             directory, question, method, 10
         )
-    for name in (*INDEX_FILES, "doc_idf.tsv"):
+    for name in (*INDEX_FILES, "doc_idf.tsv", "header.json"):
         assert (library / name).read_bytes() == (directory / "index" / name).read_bytes()
+
+
+@pytest.mark.parametrize("world", sorted(WORLDS))
+def test_index_without_its_header_gives_the_same_runs_and_queries(base, tmp_path, world):
+    # Without header.json the index vouches for no embedding file, so query
+    # and eval parse the whole table, not only their questions' rows.
+    directory, want = base(world)
+    index = tmp_path / "index"
+    shutil.copytree(directory / "index", index)
+    (index / "header.json").unlink()
+    question = WORLDS[world]().questions[0]["body"]
+    for method in METHODS:
+        flags = _flags(directory, method)
+        flags[flags.index("--index") + 1] = index
+        run = tmp_path / f"run_{method}.json"
+        _run("eval", *flags, "--k", K, "--questions", directory / "questions.json", "--out", run)
+        assert run.read_bytes() == want[method]
+        assert _run("query", *flags, "--k", 10, "--question", question) == _query(
+            directory, question, method, 10
+        )

@@ -975,8 +975,11 @@ class TestIndexSerialization:
         self, small_index, tiny_doc_idf, bundle
     ):
         assert sorted(p.name for p in bundle.iterdir()) == [
-            "doc_idf.tsv", "idf.npy", "passages.json", "uniform.npy",
+            "doc_idf.tsv", "header.json", "idf.npy", "passages.json", "uniform.npy",
         ]
+        assert json.loads((bundle / "header.json").read_text(encoding="utf-8")) == {
+            "embeddings_fingerprint": small_index.embeddings_fingerprint
+        }
         uniform = np.load(bundle / "uniform.npy", allow_pickle=False)
         assert uniform.tobytes() == small_index.uniform.tobytes()
         text = (bundle / "passages.json").read_text(encoding="utf-8")
@@ -1041,6 +1044,54 @@ class TestIndexSerialization:
         with pytest.raises(ValueError, match="contains a line break"):
             save_index(index, bundle)
         assert {path.name: path.read_bytes() for path in bundle.iterdir()} == before
+
+    def test_embeddings_fingerprint_survives_save_and_load(
+        self, small_index, tiny_embeddings, bundle
+    ):
+        assert tiny_embeddings.fingerprint.startswith("sha256:")
+        assert small_index.embeddings_fingerprint == tiny_embeddings.fingerprint
+        assert load_index(bundle).embeddings_fingerprint == tiny_embeddings.fingerprint
+
+    def test_index_of_a_table_built_in_memory_has_no_fingerprint(
+        self, tiny_embeddings, tiny_doc_idf, tmp_path
+    ):
+        table = type(tiny_embeddings)(tiny_embeddings.vocab, tiny_embeddings.matrix)
+        index = build_index([("d", "Alpha beta.")], table, tiny_doc_idf)
+        assert index.embeddings_fingerprint is None
+        save_index(index, tmp_path / "index")
+        assert (tmp_path / "index" / "header.json").read_text(encoding="utf-8") == (
+            '{"embeddings_fingerprint": null}'
+        )
+        assert load_index(tmp_path / "index").embeddings_fingerprint is None
+
+    def test_index_without_a_header_has_no_fingerprint(self, small_index, bundle):
+        (bundle / "header.json").unlink()
+        reloaded = load_index(bundle)
+        assert reloaded.embeddings_fingerprint is None
+        _assert_bit_equal(reloaded, small_index)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "{",
+            "null",
+            "[]",
+            '["embeddings_fingerprint"]',
+            "{}",
+            '{"embeddings_fingerprint": 1}',
+            '{"embeddings_fingerprint": "md5:00"}',
+            '{"embeddings_fingerprint": "sha256:' + "A" * 64 + '"}',
+            '{"embeddings_fingerprint": null, "dim": 2}',
+        ],
+    )
+    def test_malformed_header_refused_naming_it(self, bundle, text):
+        (bundle / "header.json").write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            load_index(bundle)
+        assert str(excinfo.value) == (
+            'header.json: expected {"embeddings_fingerprint": null or "sha256:<64 hex digits>"}'
+        )
 
     def test_missing_or_unreadable_doc_idf_refused_naming_it(self, bundle):
         path = bundle / "doc_idf.tsv"
