@@ -9,20 +9,23 @@ refused as non-finite) except underscores (``1_0``) and non-ASCII digits.
 
 A table is a ``vocab`` dict from token to row plus one read-only
 ``(V, dim)`` float64 matrix of those rows. When a file's header states a
-word count, the matrix is sized once from it, capped by the rows the file
-can hold; otherwise it grows chunk by chunk. Either way it is trimmed to
-the rows read, and a token given on more than one line keeps only the row
-of its last line.
+word count, a full read sizes the matrix once from it, capped by the rows
+the file can hold; otherwise it grows chunk by chunk. Either way it is
+trimmed to the rows read, and a token given on more than one line keeps
+only the row of its last line.
 
 A table read in full records the fingerprint of the file it was read
 from, ``"sha256:"`` and the hex SHA-256 of the bytes parsed, hashed in the
 same read. Given that fingerprint, a later load of the same file parses
 only the lines of the tokens it is asked for: the file has been checked
-in full once, under exactly those bytes.
+in full once, under exactly those bytes. One reader serves both loads,
+so they split lines alike and a repeated token keeps its last row in
+either.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import os
@@ -87,11 +90,13 @@ def load_embeddings(
     inconsistent dimensions, and ValueError for a file without vectors.
     The table records the file's fingerprint.
 
-    Given ``tokens`` and ``fingerprint``, the file is still read and hashed
-    in full, but when its fingerprint is ``fingerprint`` only the last line
-    of each of ``tokens`` is parsed, with the same checks: the table holds
-    those of ``tokens`` the file has, and no fingerprint. Any other file is
-    parsed and checked in full.
+    Given ``tokens`` and ``fingerprint``, the same reader first parses only
+    the lines of ``tokens``, with the same checks, and still splits and
+    hashes every line. When the file's fingerprint is ``fingerprint``, the
+    table holds those of ``tokens`` the file has, a repeated one its last
+    line's row, and no fingerprint. Any other file, or one that this read
+    refuses, is read again and parsed and checked in full, so the error
+    names its first fault.
 
     Finite values can still overflow later: a vector whose norm passes
     about 1.3e154 (the square root of the largest float64), or values near
@@ -99,29 +104,35 @@ def load_embeddings(
     ``build_index`` refuses such a passage and ``rank`` such a question.
     """
     if tokens is not None and fingerprint is not None:
-        part = _part_of(source, set(tokens), fingerprint)
-        if part is not None:
-            return part
+        with contextlib.suppress(ValueError):  # UnicodeDecodeError too
+            part = _read(source, set(tokens))
+            if part.fingerprint == fingerprint:
+                return EmbeddingTable(part.vocab, part.matrix)
+    return _read(source, None)
+
+
+def _read(source: str | os.PathLike, keep: set[str] | None) -> EmbeddingTable:
+    """The table of the file at ``source``, or of its lines whose token is
+    in ``keep``, with the fingerprint of the whole file."""
     read: list[str] = []
     matrix = np.empty((0, 0))
-    handle, reader = _open_hashed(source)
-    with handle:
+    reader = _HashingReader(open(source, "rb", buffering=0))
+    with io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8") as handle:
         size = os.fstat(handle.fileno()).st_size
-        for count, dim, line_nos, chunk_tokens, values in _chunks(handle):
-            block = _parse_chunk(line_nos, values, dim)
+        for count, dim, line_nos, chunk_tokens, values in _chunks(handle, keep):
             start = len(read)
             read += chunk_tokens
             if len(read) > len(matrix):
                 # A row takes at least 2 * dim bytes (a digit and a
                 # separator per value), so a header count beyond what the
-                # file can hold is not trusted. realloc grows the matrix
-                # without a second full-size copy; no view of it exists
-                # until it is complete.
-                rows = max(len(read), min(count, size // (2 * dim)))
-                matrix.resize((rows, dim), refcheck=False)
-            matrix[start : len(read)] = block
-    if not read:
-        raise ValueError("empty embedding file")
+                # file can hold is not trusted, and one that counts the
+                # lines a filtered read drops is not used. realloc grows
+                # the matrix without a second full-size copy; no view of
+                # it exists until it is complete.
+                cap = min(count, size // (2 * dim)) if keep is None else 0
+                matrix.resize((max(len(read), cap), dim), refcheck=False)
+            if values:
+                matrix[start : len(read)] = _parse_chunk(line_nos, values, dim)
     matrix.resize((len(read), dim), refcheck=False)
     vocab = dict(zip(read, range(len(read))))
     if len(vocab) < len(read):
@@ -161,103 +172,53 @@ class _HashingReader(io.RawIOBase):
         return "sha256:" + self.sha256.hexdigest()
 
 
-def _open_hashed(source: str | os.PathLike) -> tuple[IO[str], _HashingReader]:
-    """The file at ``source`` opened as ``open(source, encoding="utf-8")``
-    opens it, and the reader that hashes its bytes."""
-    reader = _HashingReader(open(source, "rb", buffering=0))
-    return io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8"), reader
-
-
-def _part_of(
-    source: str | os.PathLike, tokens: set[str], fingerprint: str
-) -> EmbeddingTable | None:
-    """The table of the last line of each of ``tokens`` in the file at
-    ``source``, when the file's fingerprint is ``fingerprint``; else None.
-
-    The other lines are only split off their token: a file with that
-    fingerprint has been checked in full. One that does not decode is not
-    that file, and its first fault is the full parse's to name.
-    """
-    dim: int | None = None
-    rows: dict[str, tuple[int, str]] = {}
-    handle, reader = _open_hashed(source)
-    try:
-        with handle:
-            for line_no, line in enumerate(handle, start=1):
-                parts = line.split(None, 1)
-                if len(parts) < 2:
-                    continue
-                if dim is None:
-                    header = _header(parts)
-                    dim = len(parts[1].split()) if header is None else header[1]
-                    if header is not None:
-                        continue
-                if parts[0] in tokens:
-                    rows[parts[0]] = (line_no, parts[1])
-    except UnicodeDecodeError:
-        return None
-    if reader.fingerprint != fingerprint:
-        return None
-    found = sorted(rows, key=rows.get)  # parsed in file order
-    values = [rows[token][1] for token in found]
-    matrix = (
-        _parse_chunk([rows[token][0] for token in found], values, dim)
-        if found
-        else np.empty((0, dim))
-    )
-    matrix.flags.writeable = False
-    return EmbeddingTable(dict(zip(found, range(len(found)))), matrix)
-
-
 def _chunks(
-    handle: IO[str],
+    handle: IO[str], keep: set[str] | None
 ) -> Iterator[tuple[int, int, list[int], list[str], list[str]]]:
     """Yield ``(header count, dim, line numbers, tokens, value texts)`` for
     up to ``_CHUNK_ROWS`` data lines at a time, leaving the values unparsed.
+    The last chunk is yielded even when empty, so that ``dim`` is known.
 
-    Skips blank lines and the header; the count is 0 without a header. A
-    line without values is refused only after the lines before it are
-    yielded, so that the first bad line of the file is the one named.
+    Skips blank lines, the header and, given ``keep``, the data lines whose
+    token is not in it; the count is 0 without a header. Refuses a file
+    without data lines. A line without values is refused only after the
+    lines before it are yielded, so that the first bad line of the file is
+    the one named.
     """
     count = 0
-    dim: int | None = None
+    header: int | None = None
+    dim: int | None = None  # set by the first data line
     line_nos: list[int] = []
     tokens: list[str] = []
     values: list[str] = []
     for line_no, line in enumerate(handle, start=1):
         parts = line.split(None, 1)
-        if not parts:
-            continue
-        if len(parts) == 1:
+        if len(parts) < 2:
+            if not parts:
+                continue
             if values:
                 yield count, dim, line_nos, tokens, values
             got = line.rstrip("\n")
             raise ValueError(f"line {line_no}: expected '<token> <v1> ...', got {got!r}")
         if dim is None:
-            header = _header(parts)
-            if header is not None:
-                count, dim = header
-                if dim < 1:
-                    raise ValueError(f"line {line_no}: header dimension must be >= 1, got {dim}")
+            fields = parts[1].split()
+            if header is None and len(fields) == 1 and _is_int(parts[0]) and _is_int(fields[0]):
+                count, header = int(parts[0]), int(fields[0])
+                if header < 1:
+                    raise ValueError(f"line {line_no}: header dimension must be >= 1, got {header}")
                 continue
-            dim = len(parts[1].split())
+            dim = len(fields) if header is None else header
+        if keep is not None and parts[0] not in keep:
+            continue
         line_nos.append(line_no)
         tokens.append(parts[0])
         values.append(parts[1])
         if len(values) == _CHUNK_ROWS:
             yield count, dim, line_nos, tokens, values
             line_nos, tokens, values = [], [], []
-    if values:
-        yield count, dim, line_nos, tokens, values
-
-
-def _header(parts: list[str]) -> tuple[int, int] | None:
-    """``(count, dim)`` when the first line, split into token and values as
-    ``parts``, is a header: exactly two integers."""
-    fields = parts[1].split()
-    if len(fields) == 1 and _is_int(parts[0]) and _is_int(fields[0]):
-        return int(parts[0]), int(fields[0])
-    return None
+    if dim is None:
+        raise ValueError("empty embedding file")
+    yield count, dim, line_nos, tokens, values
 
 
 def _is_int(text: str) -> bool:

@@ -232,26 +232,44 @@ MUTANTS = (
     ),
     Mutant(
         "fast-path-ignores-the-fingerprint", "embeddings.py",
-        "    if reader.fingerprint != fingerprint:\n        return None\n",
-        "",
+        "            if part.fingerprint == fingerprint:\n",
+        "            if True:\n",
         (
             "tests/test_embeddings.py::TestFingerprint::"
             "test_another_fingerprint_parses_and_checks_every_line",
             "tests/test_cli.py::TestEmbeddingsFingerprint::"
             "test_an_unused_line_of_another_file_is_still_checked",
         ),
-        "CHANGES.md line 55",
+        "CHANGES.md line 55, restated for the one reader in line 57",
     ),
     Mutant(
         "fast-path-keeps-the-first-duplicate", "embeddings.py",
-        "rows[parts[0]] = (line_no, parts[1])",
-        "rows.setdefault(parts[0], (line_no, parts[1]))",
+        "        if keep is not None and parts[0] not in keep:\n            continue\n",
+        "        if keep is not None and parts[0] not in keep:\n            continue\n"
+        "        if keep is not None:\n            keep.remove(parts[0])\n",
         (
             "tests/test_embeddings.py::TestFingerprint::"
             "test_a_repeated_token_keeps_its_last_lines_row",
             "tests/test_embeddings.py::test_rows_under_the_own_fingerprint_match_the_full_load",
         ),
-        "CHANGES.md line 55",
+        "CHANGES.md line 55, restated for the one reader in line 57",
+    ),
+    Mutant(
+        "filtered-load-pre-sizes-from-the-header-count", "embeddings.py",
+        " if keep is None else 0\n",
+        "\n",
+        ("tests/test_embeddings.py::TestFingerprint::test_a_filtered_load_holds_no_full_matrix",),
+        "CHANGES.md line 57",
+    ),
+    Mutant(
+        "filtered-load-skips-the-empty-file-rule", "embeddings.py",
+        '    if dim is None:\n        raise ValueError("empty embedding file")',
+        '    if dim is None and keep is None:\n        raise ValueError("empty embedding file")',
+        (
+            "tests/test_cli.py::TestEmbeddingsFingerprint::"
+            "test_a_file_without_vectors_under_its_own_fingerprint_exits_2",
+        ),
+        "CHANGES.md line 57",
     ),
     Mutant(
         "save-index-drops-the-fingerprint", "retrieval.py",

@@ -742,6 +742,23 @@ class TestEmbeddingsFingerprint:
         code, out, _err, read = self._run(argv, capsys, monkeypatch)
         assert (code, out, len(read[0])) == (0, want, 5)
 
+    @pytest.mark.parametrize("text", ["", "5 2\n"], ids=["empty", "header-only"])
+    @pytest.mark.parametrize("command", ["query", "eval"])
+    def test_a_file_without_vectors_under_its_own_fingerprint_exits_2(
+        self, workspace, capsys, monkeypatch, command, text
+    ):
+        _build_artifacts(workspace)
+        path = workspace["embeddings"]
+        path.write_text(text, encoding="utf-8")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        (workspace["index"] / "header.json").write_text(
+            json.dumps({"embeddings_fingerprint": f"sha256:{digest}"})
+        )
+        assert self._run(self._argv(command, workspace), capsys, monkeypatch)[:3] == (
+            2, "", f"error: --embeddings {path}: empty embedding file\n"
+        )
+        assert not workspace["run"].exists()
+
     @pytest.mark.parametrize("command", ["query", "eval"])
     def test_malformed_header_exits_2_naming_it(self, workspace, capsys, monkeypatch, command):
         _build_artifacts(workspace)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -138,7 +139,8 @@ class TestLoad:
 
 
 class TestHeaderCount:
-    """A header count sizes the matrix once; the table read is the one the
+    """A header count sizes the matrix of a full load once, and a load
+    under the file's own fingerprint ignores it; both read the table the
     file gives without a header, which grows the matrix chunk by chunk."""
 
     BODY = "".join(f"w{i} {i}.5 -{i}.25\n" for i in range(5))
@@ -147,11 +149,12 @@ class TestHeaderCount:
     @pytest.mark.parametrize("chunk_rows", [2, 256])
     def test_count_changes_nothing(self, count, chunk_rows):
         with mock.patch.object(embeddings, "_CHUNK_ROWS", chunk_rows):
-            table = _load(f"{count} 2\n" + self.BODY)
+            tables = _partial(f"{count} 2\n" + self.BODY, [f"w{i}" for i in range(5)])
             grown = _load(self.BODY)
-        _assert_same_table(table, grown)
-        assert table.matrix.shape == (5, 2)
-        assert table.matrix.tobytes() == grown.matrix.tobytes()
+        for table in tables:  # the full load and the one under its own fingerprint
+            _assert_same_table(table, grown)
+            assert table.matrix.shape == (5, 2)
+            assert table.matrix.tobytes() == grown.matrix.tobytes()
 
     @pytest.mark.parametrize("count", [2, 5, 10**15])
     def test_bad_line_message_ignores_the_count(self, count):
@@ -376,6 +379,23 @@ class TestFingerprint:
         other = from_text(lambda p: load_embeddings(p, ["a"], "sha256:" + "0" * 64), good)
         assert other.fingerprint == full.fingerprint
         assert other.vocab == full.vocab
+
+    def test_a_filtered_load_holds_no_full_matrix(self, tmp_path):
+        # The header counts every row; the rows of two tokens are parsed.
+        rows, dim = 20_000, 50
+        path = tmp_path / "table.txt"
+        path.write_text(f"{rows} {dim}\n" + "".join(
+            f"w{i}" + " 0.5" * dim + "\n" for i in range(rows)
+        ), encoding="utf-8")
+        fingerprint = "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+        tracemalloc.start()
+        try:
+            part = load_embeddings(path, ["w7", "w19999"], fingerprint)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(part.vocab) == ["w7", "w19999"]
+        assert peak < 0.05 * rows * dim * 8
 
     def test_an_undecodable_file_names_its_first_fault_as_a_full_load_does(self, tmp_path):
         path = tmp_path / "table.txt"
