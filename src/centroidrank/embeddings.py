@@ -120,6 +120,8 @@ def _read(source: str | os.PathLike, keep: set[str] | None) -> EmbeddingTable:
     with io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8") as handle:
         size = os.fstat(handle.fileno()).st_size
         for count, dim, line_nos, chunk_tokens, values in _chunks(handle, keep):
+            # Parsed first, so a bad width is refused before the matrix grows to it.
+            block = _parse_chunk(line_nos, values, dim) if values else None
             start = len(read)
             read += chunk_tokens
             if len(read) > len(matrix):
@@ -132,7 +134,7 @@ def _read(source: str | os.PathLike, keep: set[str] | None) -> EmbeddingTable:
                 cap = min(count, size // (2 * dim)) if keep is None else 0
                 matrix.resize((max(len(read), cap), dim), refcheck=False)
             if values:
-                matrix[start : len(read)] = _parse_chunk(line_nos, values, dim)
+                matrix[start : len(read)] = block
     matrix.resize((len(read), dim), refcheck=False)
     vocab = dict(zip(read, range(len(read))))
     if len(vocab) < len(read):
@@ -186,7 +188,7 @@ def _chunks(
     the one named.
     """
     count = 0
-    header: int | None = None
+    header_dim: int | None = None
     dim: int | None = None  # set by the first data line
     line_nos: list[int] = []
     tokens: list[str] = []
@@ -202,12 +204,12 @@ def _chunks(
             raise ValueError(f"line {line_no}: expected '<token> <v1> ...', got {got!r}")
         if dim is None:
             fields = parts[1].split()
-            if header is None and len(fields) == 1 and _is_int(parts[0]) and _is_int(fields[0]):
-                count, header = int(parts[0]), int(fields[0])
-                if header < 1:
-                    raise ValueError(f"line {line_no}: header dimension must be >= 1, got {header}")
+            if header_dim is None and len(fields) == 1 and _is_int(parts[0]) and _is_int(fields[0]):
+                count, header_dim = int(parts[0]), int(fields[0])
+                if header_dim < 1:
+                    raise ValueError(f"line {line_no}: header dimension must be >= 1, got {header_dim}")
                 continue
-            dim = len(fields) if header is None else header
+            dim = len(fields) if header_dim is None else header_dim
         if keep is not None and parts[0] not in keep:
             continue
         line_nos.append(line_no)

@@ -262,6 +262,17 @@ MUTANTS = (
         "CHANGES.md line 57",
     ),
     Mutant(
+        "matrix-grows-before-the-chunk-is-parsed", "embeddings.py",
+        "            block = _parse_chunk(line_nos, values, dim) if values else None\n",
+        "            matrix.resize((len(read) + len(values), dim), refcheck=False)\n"
+        "            block = _parse_chunk(line_nos, values, dim) if values else None\n",
+        (
+            "tests/test_embeddings.py::TestHeaderCount::"
+            "test_a_header_width_no_line_has_is_refused_before_any_allocation",
+        ),
+        "CHANGES.md line 58",
+    ),
+    Mutant(
         "filtered-load-skips-the-empty-file-rule", "embeddings.py",
         '    if dim is None:\n        raise ValueError("empty embedding file")',
         '    if dim is None and keep is None:\n        raise ValueError("empty embedding file")',

@@ -164,6 +164,15 @@ class TestHeaderCount:
                 _load(header + self.BODY + "bad 1.0\n")
             assert str(excinfo.value) == "line 7: expected 2 components, got 1"
 
+    def test_a_header_width_no_line_has_is_refused_before_any_allocation(self):
+        # Growing the matrix before the line is parsed asks for 8 TB.
+        text = "1 1000000000000\na 1.0\n"
+        fingerprint = "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+        for load in (load_embeddings, lambda path: load_embeddings(path, ["a"], fingerprint)):
+            with pytest.raises(ValueError) as excinfo:
+                from_text(load, text)
+            assert str(excinfo.value) == "line 2: expected 1000000000000 components, got 1"
+
 
 class TestLookup:
     def test_out_of_vocabulary_is_none(self, tiny_embeddings):
