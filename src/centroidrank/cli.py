@@ -36,8 +36,8 @@ _T = TypeVar("_T")
 
 
 def _load(flag: str, path: str, loader: Callable[[str], _T]) -> _T:
-    """``loader(path)``, which reads or writes the file at ``path``; a
-    refusal (exit 2) names the flag and the path."""
+    """``loader(path)``; a refusal (exit 2) names the flag and its value,
+    whether or not ``loader`` reads or writes the file at that path."""
     try:
         return loader(path)
     except (ValueError, OSError) as exc:
@@ -88,7 +88,7 @@ def _read_units(path: str) -> list[tuple[str, ...]]:
         return [tokenize(line) for line in handle if line.strip()]
 
 
-def cmd_idf_build(args: argparse.Namespace) -> int:
+def cmd_idf_build(args: argparse.Namespace) -> None:
     from .idf import build_idf, save_idf
 
     units = []
@@ -97,7 +97,6 @@ def cmd_idf_build(args: argparse.Namespace) -> int:
     table = build_idf(units, label=_UNIT_LABELS[args.unit])
     _load("--out", args.out, lambda out: save_idf(table, out))
     print(f"n_docs {table.n_docs} vocab {len(table.df)}")
-    return 0
 
 
 def _read_documents(path: str) -> list[tuple[str, str]]:
@@ -120,7 +119,7 @@ def _read_documents(path: str) -> list[tuple[str, str]]:
     return documents
 
 
-def cmd_index_build(args: argparse.Namespace) -> int:
+def cmd_index_build(args: argparse.Namespace) -> None:
     from .embeddings import load_embeddings
     from .idf import load_idf
     from .retrieval import build_index, save_index
@@ -128,20 +127,18 @@ def cmd_index_build(args: argparse.Namespace) -> int:
     documents = _load("--docs", args.docs, _read_documents)
     embeddings = _load("--embeddings", args.embeddings, load_embeddings)
     doc_idf = _load("--doc-idf", args.doc_idf, load_idf)
-    try:
-        index = build_index(documents, embeddings, doc_idf)
-    except ValueError as exc:
-        # Duplicate documents are refused while reading, so this is a
-        # centroid whose norm overflows: vectors too large for float64 sums.
-        raise ValueError(f"--embeddings {args.embeddings}: {exc}") from None
+    # Duplicate documents are refused while reading, so a refusal here is a
+    # centroid whose norm overflows: vectors too large for float64 sums.
+    index = _load(
+        "--embeddings", args.embeddings, lambda _path: build_index(documents, embeddings, doc_idf)
+    )
     _load("--out", args.out, lambda out: save_index(index, out))
     if not documents:
         print("warning: empty document file, wrote an empty index", file=sys.stderr)
     print(f"{len(index)} passages")
-    return 0
 
 
-def cmd_query(args: argparse.Namespace) -> int:
+def cmd_query(args: argparse.Namespace) -> None:
     from .retrieval import _candidate_rows, random_baseline, rank
     from .text import tokenize
 
@@ -169,10 +166,9 @@ def cmd_query(args: argparse.Namespace) -> int:
     for position, (passage_id, score) in enumerate(ranking.items, start=1):
         row = bisect_left(index.passages, passage_id, key=attrgetter("passage_id"))
         print(f"{position}\t{passage_id}\t{score:.6f}\t{index.passages[row].text}")
-    return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> None:
     from .evaluation import evaluate_questions, save_run
     from .ingest import load_question_set
     from .text import tokenize
@@ -197,10 +193,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     print(
         f"MAP {agg.map:.3f} P {agg.precision:.3f} R {agg.recall:.3f} F1 {agg.f1:.3f}"
     )
-    return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> None:
     from .runs import load_run, wilcoxon_signed_rank
 
     run_a = _load("--run-a", args.run_a, load_run)
@@ -219,7 +214,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     result = wilcoxon_signed_rank(a_scores, b_scores, alpha=args.alpha)
     verdict = "significant" if result.significant else "not significant"
     print(f"W {result.statistic:g} p {result.p_value:.4f} {verdict}")
-    return 0
 
 
 @functools.cache
@@ -285,13 +279,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # unexpected: computational failure
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

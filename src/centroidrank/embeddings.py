@@ -118,21 +118,25 @@ def _read(source: str | os.PathLike, keep: set[str] | None) -> EmbeddingTable:
     matrix = np.empty((0, 0))
     reader = _HashingReader(open(source, "rb", buffering=0))
     with io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8") as handle:
-        size = os.fstat(handle.fileno()).st_size
+        size = os.fstat(reader.file.fileno()).st_size
         for count, dim, line_nos, chunk_tokens, values in _chunks(handle, keep):
             # Parsed first, so a bad width is refused before the matrix grows to it.
             block = _parse_chunk(line_nos, values, dim) if values else None
             start = len(read)
             read += chunk_tokens
-            if len(read) > len(matrix):
+            if not len(matrix):
                 # A row takes at least 2 * dim bytes (a digit and a
                 # separator per value), so a header count beyond what the
                 # file can hold is not trusted, and one that counts the
-                # lines a filtered read drops is not used. realloc grows
-                # the matrix without a second full-size copy; no view of
-                # it exists until it is complete.
+                # lines a filtered read drops is not used. Rows of the
+                # first block that no line fills are never written, so
+                # they never become resident; resize would zero-fill them.
                 cap = min(count, size // (2 * dim)) if keep is None else 0
-                matrix.resize((max(len(read), cap), dim), refcheck=False)
+                matrix = np.empty((max(len(read), cap), dim))
+            elif len(read) > len(matrix):
+                # realloc may move and copy the matrix, which then is held
+                # twice; no view of it exists until it is complete.
+                matrix.resize((len(read), dim), refcheck=False)
             if values:
                 matrix[start : len(read)] = block
     matrix.resize((len(read), dim), refcheck=False)
@@ -159,9 +163,6 @@ class _HashingReader(io.RawIOBase):
         count = self.file.readinto(buffer)
         self.sha256.update(memoryview(buffer)[:count])
         return count
-
-    def fileno(self) -> int:
-        return self.file.fileno()
 
     def close(self) -> None:
         super().close()

@@ -107,8 +107,7 @@ def _divided(numerator: np.ndarray, divisor) -> np.ndarray:
     """``numerator / divisor``, but +0.0 where the divisor is 0.0: a
     centroid whose weights cancel is zero, and so is the similarity of a
     zero vector."""
-    nonzero = divisor != 0.0
-    return np.where(nonzero, numerator / np.where(nonzero, divisor, 1.0), 0.0)
+    return np.divide(numerator, divisor, out=np.zeros_like(numerator), where=divisor != 0.0)
 
 
 def weighted_centroid(

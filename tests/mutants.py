@@ -170,13 +170,13 @@ MUTANTS = (
     ),
     Mutant(
         "absolute-norm-cut-off", "semantic.py",
-        "    nonzero = divisor != 0.0\n",
-        "    nonzero = divisor > 1e-40\n",
+        "where=divisor != 0.0)",
+        "where=divisor > 1e-40)",
         (
             "tests/test_metamorphic.py::test_scaled_embeddings_give_the_same_runs_and_queries",
             "tests/test_metamorphic.py::test_scaled_near_ties_give_the_same_full_index_queries",
         ),
-        "CHANGES.md line 44",
+        "CHANGES.md line 44, restated for the masked divide in line 59",
     ),
     Mutant(
         "memos-in-a-plain-dict", "evaluation.py",
@@ -271,6 +271,16 @@ MUTANTS = (
             "test_a_header_width_no_line_has_is_refused_before_any_allocation",
         ),
         "CHANGES.md line 58",
+    ),
+    Mutant(
+        "first-allocation-zero-filled", "embeddings.py",
+        "                matrix = np.empty((max(len(read), cap), dim))\n",
+        "                matrix.resize((max(len(read), cap), dim), refcheck=False)\n",
+        (
+            "tests/test_embeddings.py::TestHeaderCount::"
+            "test_an_overstated_count_makes_nothing_resident",
+        ),
+        "CHANGES.md line 59",
     ),
     Mutant(
         "filtered-load-skips-the-empty-file-rule", "embeddings.py",

@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -172,6 +175,31 @@ class TestHeaderCount:
             with pytest.raises(ValueError) as excinfo:
                 from_text(load, text)
             assert str(excinfo.value) == "line 2: expected 1000000000000 components, got 1"
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    def test_an_overstated_count_makes_nothing_resident(self, tmp_path):
+        # Rows of 9-character values, as in pretrained tables, so the count
+        # is capped at about five times the rows; zero-filled, those rows
+        # would be resident. Each load runs in a fresh interpreter, whose
+        # VmHWM, unlike its ru_maxrss, leaves out the peak of this one.
+        rows, dim = 20_000, 50
+        body = "".join(f"w{i}" + " 0.1234567" * dim + "\n" for i in range(rows))
+        probe = (
+            "import sys\n"
+            "from centroidrank import load_embeddings\n"
+            "load_embeddings(sys.argv[1])\n"
+            "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"  # kB
+        )
+        peaks = []
+        for header in (f"{10**9} {dim}\n", ""):
+            path = tmp_path / "table.txt"
+            path.write_text(header + body, encoding="utf-8")
+            result = subprocess.run(
+                [sys.executable, "-c", probe, str(path)], capture_output=True, text=True
+            )
+            assert result.returncode == 0, result.stderr
+            peaks.append(int(result.stdout) * 1024)
+        assert abs(peaks[0] - peaks[1]) < rows * dim * 8 / 4, peaks
 
 
 class TestLookup:
