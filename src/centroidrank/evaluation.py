@@ -55,7 +55,8 @@ class RelevanceJudgments:
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Iterator[tuple[str, ...]]:
-    return zip(*[tokens[i:] for i in range(n)])
+    # Past len(tokens) every slice is empty, and the first empty one ends zip.
+    return zip(*[tokens[i:] for i in range(min(n, len(tokens) + 1))])
 
 
 def _padded(tokens: Sequence[str]) -> str:
@@ -108,18 +109,12 @@ def judge_relevance(
     matches the passage: one contains the other as a contiguous run, or the
     two share an ``overlap_threshold``-gram.
 
-    ``snippets`` may also be a set prepared for ``overlap_threshold`` by
-    :func:`build_judgments`, which prepares each snippet document once;
-    one prepared for another threshold raises ValueError.
+    ``snippets`` may also be the set :func:`build_judgments` prepared for
+    ``overlap_threshold``; a threshold past the texts' length costs no more.
     """
     check_at_least_one("overlap threshold", overlap_threshold)
     if not isinstance(snippets, _PreparedSnippets):
         snippets = _PreparedSnippets(snippets, overlap_threshold)
-    elif snippets.t != overlap_threshold:
-        raise ValueError(
-            f"snippets prepared for overlap threshold {snippets.t}, "
-            f"judged at {overlap_threshold}"
-        )
     return snippets.match(passage_tokens)
 
 

@@ -34,6 +34,10 @@ class IdfTable:
     def __post_init__(self) -> None:
         if self.n_docs < 1:
             raise ValueError(f"n_docs must be >= 1, got {self.n_docs}")
+        try:
+            float(self.n_docs + 1)  # the numerator of every weight
+        except OverflowError:
+            raise ValueError("n_docs + 1 has no float value") from None
         for token, count in self.df.items():
             if not 1 <= count <= self.n_docs:
                 raise ValueError(
@@ -81,8 +85,9 @@ def save_idf(table: IdfTable, sink: str | os.PathLike) -> None:
 def load_idf(source: str | os.PathLike) -> IdfTable:
     """Parse the table file at ``source``, as :func:`save_idf` writes it.
 
-    Raises ValueError naming the line for malformed rows, counts that
-    violate 1 <= df <= n_docs, or a token listed on an earlier line.
+    Raises ValueError naming the line for malformed rows, a document count
+    N for which N + 1 has no float value, counts that violate
+    1 <= df <= n_docs, or a token listed on an earlier line.
     """
     with open(source, encoding="utf-8") as handle:
         header = handle.readline()
@@ -94,8 +99,11 @@ def load_idf(source: str | os.PathLike) -> IdfTable:
             raise ValueError(f"line 1: expected '#n_docs <N> <label>', got {header!r}")
         try:
             n_docs = int(parts[1])
+            float(n_docs + 1)  # the numerator of every weight
         except ValueError:
             raise ValueError(f"line 1: malformed document count {parts[1]!r}") from None
+        except OverflowError:
+            raise ValueError("line 1: document count N + 1 has no float value") from None
         label = parts[2] if len(parts) == 3 else ""
 
         df: dict[str, int] = {}

@@ -43,15 +43,19 @@ def _doc_id(value: object, where: str, name: str) -> str:
 def load_question_set(source: str | os.PathLike) -> list[Question]:
     """Parse a question-set document.
 
-    Raises ValueError for a missing ``questions`` array, entries without
-    ``id``/``body``, malformed snippets, a document id, snippet document or
-    snippet text that is not a non-empty string, a document id or snippet
-    document that normalizes to ``''`` (such as ``"/"``), or duplicate ids,
-    naming the offending entry and field. A snippet whose document is not
-    among the entry's reference documents is reported as a warning but kept.
+    Raises ValueError for JSON nested too deep to parse, a missing
+    ``questions`` array, entries without ``id``/``body``, malformed
+    snippets, a document id, snippet document or snippet text that is not a
+    non-empty string, a document id or snippet document that normalizes to
+    ``''`` (such as ``"/"``), or duplicate ids, naming the offending entry
+    and field. A snippet whose document is not among the entry's reference
+    documents is reported as a warning but kept.
     """
     with open(source, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError as exc:  # nested deeper than the parser recurses
+            raise ValueError(f"malformed question set: {exc}") from None
     if not isinstance(data, dict) or "questions" not in data:
         raise ValueError("question set is missing the top-level 'questions' array")
     raw_questions = data["questions"]

@@ -283,12 +283,12 @@ def load_run(source: str | os.PathLike) -> RunResult:
     (``true`` and numeric strings are refused), an ``ap``, ``precision``,
     ``recall`` or aggregate outside [0, 1], or a ranking score outside
     [0, 2] (cosine distances; ``rnd`` records 0.0). NaN and infinities are
-    refused, as are a file with no questions and aggregates other than
-    :func:`aggregate` of the per-question scores.
+    refused, as are JSON nested too deep to parse, a file with no questions
+    and aggregates other than :func:`aggregate` of the per-question scores.
     """
-    with open(source, encoding="utf-8") as handle:
-        data = json.load(handle)
     try:
+        with open(source, encoding="utf-8") as handle:
+            data = json.load(handle)  # RecursionError: nested deeper than the parser recurses
         method = data["method"]
         run = RunResult(method=method)
         for n, entry in enumerate(data["questions"]):
@@ -317,7 +317,7 @@ def load_run(source: str | os.PathLike) -> RunResult:
             name: _bounded(agg[name], "aggregates", name, 1.0)
             for name in ("map", "precision", "recall", "f1")
         }
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"malformed run file: {exc}") from None
     aggregates = run.aggregates
     for name, value in stored.items():

@@ -363,6 +363,13 @@ MUTANTS = (
         ("tests/test_metamorphic.py::test_reordered_repeated_query_docs_give_the_same_output",),
         "CHANGES.md line 46",
     ),
+    Mutant(
+        "ngrams-builds-n-slices", "evaluation.py",
+        "for i in range(min(n, len(tokens) + 1))]",
+        "for i in range(n)]",
+        ("tests/test_evaluation.py::test_judging_memory_does_not_grow_with_the_threshold",),
+        "CHANGES.md line 60",
+    ),
 )
 
 # A failing case in pytest's short summary: "FAILED <node id>" or "ERROR ...".

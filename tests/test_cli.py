@@ -1216,6 +1216,26 @@ class TestLoaderRefusals:
         assert main([command, *map(str, argv)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {flag} {bad}: ")
 
+    @pytest.mark.parametrize(
+        ("command", "flag", "kind"),
+        [("eval", "--questions", "question set"), ("compare", "--run-a", "run file")],
+    )
+    def test_json_nested_too_deep_exits_2(self, workspace, capsys, command, flag, kind):
+        # Deeper than the JSON parser can recurse.
+        deep = workspace["run"].parent / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        argv = {
+            "eval": ["--index", workspace["index"], "--method", "rnd", "--questions", deep,
+                     "--out", workspace["run"]],
+            "compare": ["--run-a", deep, "--run-b", deep],
+        }[command]
+        capsys.readouterr()
+        assert main([command, *map(str, argv)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {deep}: malformed {kind}: "), err
+        assert "recursion" in err
+        assert not workspace["run"].exists()
+
 
     @pytest.mark.parametrize(
         ("command", "out", "error"),
@@ -1321,6 +1341,28 @@ class TestOverflow:
         assert code == 2
         assert capsys.readouterr().err == (
             "error: question 'huge alpha': centroid norm inf is not finite\n"
+        )
+
+    @pytest.mark.parametrize("flag", ["--doc-idf", "--question-idf"])
+    def test_a_document_count_beyond_the_float_range_exits_2(self, workspace, capsys, flag):
+        # 401 digits: under int's parse limit, but n_docs + 1 has no float value.
+        _build_artifacts(workspace)
+        big = workspace["doc_idf"].parent / "big.tsv"
+        big.write_text(f"#n_docs {10**400} docs\nalpha\t1\n", encoding="utf-8")
+        argv = {
+            "--doc-idf": [
+                "index-build", "--docs", workspace["docs"], "--doc-idf", big,
+                "--embeddings", workspace["embeddings"], "--out", workspace["index"],
+            ],
+            "--question-idf": [
+                "query", "--index", workspace["index"], "--embeddings", workspace["embeddings"],
+                "--method", "cd-q", "--question-idf", big, "--question", "alpha",
+            ],
+        }[flag]
+        capsys.readouterr()
+        assert main(list(map(str, argv))) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} {big}: line 1: document count N + 1 has no float value\n"
         )
 
 

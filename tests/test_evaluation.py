@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import asdict
@@ -162,13 +163,31 @@ def test_judge_relevance_with_several_snippets_matches_oracle_property(
     assert judge_relevance(passage, prepared, threshold) == got
 
 
-def test_prepared_snippets_for_another_threshold_refused():
-    prepared = evaluation._PreparedSnippets([_tokens("alpha beta gamma")], 3)
-    assert judge_relevance(_tokens("alpha beta gamma"), prepared, 3)
-    with pytest.raises(
-        ValueError, match="snippets prepared for overlap threshold 3, judged at 2"
-    ):
-        judge_relevance(_tokens("alpha beta gamma"), prepared, 2)
+def test_judging_memory_does_not_grow_with_the_threshold():
+    # The texts have 2 and 3 tokens. Building t slices and their zip
+    # iterators for each text peaked at 72 MB here; now under 1 KB.
+    tracemalloc.start()
+    try:
+        got = judge_relevance(("a", "b"), [("a", "b", "c")], 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is True
+    assert peak < 2**20
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    passage=st.lists(st.sampled_from("abc"), min_size=1, max_size=12).map(tuple),
+    snippet=st.lists(st.sampled_from("abc"), min_size=1, max_size=12).map(tuple),
+)
+def test_a_threshold_past_every_text_judges_as_the_oracle(passage, snippet):
+    # Only containment can match; at t = 10**9 this also checks that
+    # judging costs nothing in t.
+    t = 10**9
+    expected = oracle_judge(passage, snippet, t)
+    assert judge_relevance(passage, [snippet], t) == expected
+    assert judge_relevance(passage, evaluation._PreparedSnippets([snippet], t), t) == expected
 
 
 def _random_gold(rng, instance):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -98,6 +99,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="n_docs"):
             IdfTable(n_docs=0, df={})
 
+    # n_docs + 1 = 2**1024 - 2**970, half-way between the largest float and
+    # 2**1024, is the first sum that rounds past the float range.
+    @pytest.mark.parametrize(
+        "n_docs", [2**1024 - 2**970 - 1, 10**400], ids=["first-overflowing", "401-digits"]
+    )
+    def test_n_docs_whose_successor_has_no_float_rejected(self, n_docs):
+        with pytest.raises(ValueError) as excinfo:
+            IdfTable(n_docs=n_docs, df={"a": 1})
+        assert str(excinfo.value) == "n_docs + 1 has no float value"
+
+    def test_largest_n_docs_keeps_its_weights(self):
+        n_docs = 2**1024 - 2**970 - 2
+        table = IdfTable(n_docs=n_docs, df={"a": 1})
+        assert table.weight("unseen") == math.log(sys.float_info.max)
+        assert table.weight("a") == math.log((n_docs + 1) / 2)
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
@@ -141,6 +158,11 @@ class TestSerialization:
         with pytest.raises(ValueError) as excinfo:
             from_text(load_idf, text)
         assert str(excinfo.value) == message
+
+    def test_document_count_beyond_the_float_range_names_line_1(self):
+        with pytest.raises(ValueError) as excinfo:
+            from_text(load_idf, f"#n_docs {10**400} docs\na\t1\n")
+        assert str(excinfo.value) == "line 1: document count N + 1 has no float value"
 
     def test_malformed_row_names_line(self):
         with pytest.raises(ValueError, match="line 3"):
