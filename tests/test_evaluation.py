@@ -164,8 +164,8 @@ def test_judge_relevance_with_several_snippets_matches_oracle_property(
 
 
 def test_judging_memory_does_not_grow_with_the_threshold():
-    # The texts have 2 and 3 tokens. Building t slices and their zip
-    # iterators for each text peaked at 72 MB here; now under 1 KB.
+    # The texts have 2 and 3 tokens, so no gram needs more than 4 slices;
+    # the peak must not grow with t.
     tracemalloc.start()
     try:
         got = judge_relevance(("a", "b"), [("a", "b", "c")], 10**6)
