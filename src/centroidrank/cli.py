@@ -47,10 +47,9 @@ def _load(flag: str, path: str, loader: Callable[[str], _T]) -> _T:
 def _load_artifacts(
     args: argparse.Namespace, tokens: Iterable[str]
 ) -> tuple[PassageIndex, EmbeddingTable | None, IdfTable | None]:
-    """Load the artifacts the query/eval flags name. The embedding table
-    holds at least the rows of ``tokens``, and only them when it is the file
-    the index was built from; the doc-idf table is the index's, and
-    ``--doc-idf`` must equal it."""
+    """Load the artifacts the query/eval flags name. An index that records
+    its embedding file's fingerprint takes only that file, and parses only
+    the rows of ``tokens``; ``--doc-idf`` must equal the index's table."""
     from .embeddings import load_embeddings
     from .idf import load_idf
     from .retrieval import _DOC_IDF, _check_dim, load_index

@@ -16,21 +16,20 @@ only the row of its last line.
 
 A table read in full records the fingerprint of the file it was read
 from, ``"sha256:"`` and the hex SHA-256 of the bytes parsed, hashed in the
-same read. Given that fingerprint, a later load of the same file parses
-only the lines of the tokens it is asked for: the file has been checked
-in full once, under exactly those bytes. One reader serves both loads,
-so they split lines alike and a repeated token keeps its last row in
-either.
+same read. Given that fingerprint, a later load parses only the lines of
+the tokens it is asked for, and refuses a file with other bytes: the file
+has been checked in full once, under exactly those bytes. One reader
+serves both loads, so they split lines alike and a repeated token keeps
+its last row in either.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import io
 import os
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -90,25 +89,24 @@ def load_embeddings(
     inconsistent dimensions, and ValueError for a file without vectors.
     The table records the file's fingerprint.
 
-    Given ``tokens`` and ``fingerprint``, the same reader first parses only
-    the lines of ``tokens``, with the same checks, and still splits and
-    hashes every line. When the file's fingerprint is ``fingerprint``, the
-    table holds those of ``tokens`` the file has, a repeated one its last
-    line's row, and no fingerprint. Any other file, or one that this read
-    refuses, is read again and parsed and checked in full, so the error
-    names its first fault.
+    Given ``tokens`` and ``fingerprint``, the one read parses only the
+    lines of ``tokens``, with the same checks, and splits and hashes every
+    line. The table holds those of ``tokens`` the file has, a repeated one
+    its last line's row, and no fingerprint. A file with other bytes is
+    refused by the first fault this read meets, or else as a mismatch
+    naming both fingerprints.
 
     Finite values can still overflow later: a vector whose norm passes
     about 1.3e154 (the square root of the largest float64), or values near
     1e308 that a centroid sums, give centroids whose norm is not finite.
     ``build_index`` refuses such a passage and ``rank`` such a question.
     """
-    if tokens is not None and fingerprint is not None:
-        with contextlib.suppress(ValueError):  # UnicodeDecodeError too
-            part = _read(source, set(tokens))
-            if part.fingerprint == fingerprint:
-                return EmbeddingTable(part.vocab, part.matrix)
-    return _read(source, None)
+    if tokens is None or fingerprint is None:
+        return _read(source, None)
+    part = _read(source, set(tokens))
+    if part.fingerprint != fingerprint:
+        raise ValueError(f"fingerprint {part.fingerprint}, but the index records {fingerprint}")
+    return EmbeddingTable(part.vocab, part.matrix)
 
 
 def _read(source: str | os.PathLike, keep: set[str] | None) -> EmbeddingTable:
@@ -146,7 +144,7 @@ def _read(source: str | os.PathLike, keep: set[str] | None) -> EmbeddingTable:
         matrix = matrix[list(vocab.values())]
         vocab = dict(zip(vocab, range(len(vocab))))
     matrix.flags.writeable = False
-    return EmbeddingTable(vocab, matrix, reader.fingerprint)
+    return EmbeddingTable(vocab, matrix, "sha256:" + reader.sha256.hexdigest())
 
 
 class _HashingReader(io.RawIOBase):
@@ -167,12 +165,6 @@ class _HashingReader(io.RawIOBase):
     def close(self) -> None:
         super().close()
         self.file.close()
-
-    @property
-    def fingerprint(self) -> str:
-        """The fingerprint of the bytes read so far: all of them, once the
-        text reader over this one has reached the end of the file."""
-        return "sha256:" + self.sha256.hexdigest()
 
 
 def _chunks(
@@ -205,7 +197,7 @@ def _chunks(
             raise ValueError(f"line {line_no}: expected '<token> <v1> ...', got {got!r}")
         if dim is None:
             fields = parts[1].split()
-            if header_dim is None and len(fields) == 1 and _is_int(parts[0]) and _is_int(fields[0]):
+            if header_dim is None and len(fields) == 1 and _parses(int, parts[0], fields[0]):
                 count, header_dim = int(parts[0]), int(fields[0])
                 if header_dim < 1:
                     raise ValueError(f"line {line_no}: header dimension must be >= 1, got {header_dim}")
@@ -224,17 +216,11 @@ def _chunks(
     yield count, dim, line_nos, tokens, values
 
 
-def _is_int(text: str) -> bool:
+def _parses(parse: Callable, *values: object) -> bool:
+    """Whether ``parse`` takes each of ``values`` without a ValueError."""
     try:
-        int(text)
-    except ValueError:
-        return False
-    return True
-
-
-def _is_float(text: str) -> bool:
-    try:
-        _parse([text])
+        for value in values:
+            parse(value)
     except ValueError:
         return False
     return True
@@ -272,7 +258,7 @@ def _parse_line(line_no: int, text: str, dim: int) -> np.ndarray:
     try:
         vector = _parse([text])[0]
     except ValueError:
-        bad = next(value for value in fields if not _is_float(value))
+        bad = next(value for value in fields if not _parses(_parse, [value]))
         raise ValueError(
             f"line {line_no}: malformed float (could not convert string to float: {bad!r})"
         ) from None

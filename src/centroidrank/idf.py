@@ -82,6 +82,16 @@ def save_idf(table: IdfTable, sink: str | os.PathLike) -> None:
             handle.write(f"{token}\t{table.df[token]}\n")
 
 
+def _count(text: str) -> int:
+    """``int(text)``; ASCII digits are read past their leading zeros, and 400
+    or more of them (``int`` parses at most 4 300) raise OverflowError."""
+    if text.isascii() and text.isdigit():
+        text = text.lstrip("0") or "0"
+        if len(text) >= 400:
+            raise OverflowError
+    return int(text)
+
+
 def load_idf(source: str | os.PathLike) -> IdfTable:
     """Parse the table file at ``source``, as :func:`save_idf` writes it.
 
@@ -98,7 +108,7 @@ def load_idf(source: str | os.PathLike) -> IdfTable:
         if len(parts) < 2 or parts[0] != "#n_docs":
             raise ValueError(f"line 1: expected '#n_docs <N> <label>', got {header!r}")
         try:
-            n_docs = int(parts[1])
+            n_docs = _count(parts[1])
             float(n_docs + 1)  # the numerator of every weight
         except ValueError:
             raise ValueError(f"line 1: malformed document count {parts[1]!r}") from None
@@ -115,9 +125,14 @@ def load_idf(source: str | os.PathLike) -> IdfTable:
             if not sep or not token:
                 raise ValueError(f"line {line_no}: expected '<token>\\t<df>', got {line!r}")
             try:
-                count = int(count_text)
+                count = _count(count_text)
             except ValueError:
                 raise ValueError(f"line {line_no}: malformed df {count_text!r}") from None
+            except OverflowError:  # N has fewer digits, since N + 1 is a float
+                raise ValueError(
+                    f"line {line_no}: df of {len(count_text)} digits outside [1, {n_docs}] "
+                    f"for {token!r}"
+                ) from None
             if not 1 <= count <= n_docs:
                 raise ValueError(
                     f"line {line_no}: df {count} outside [1, {n_docs}] for {token!r}"

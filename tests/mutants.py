@@ -232,15 +232,25 @@ MUTANTS = (
     ),
     Mutant(
         "fast-path-ignores-the-fingerprint", "embeddings.py",
-        "            if part.fingerprint == fingerprint:\n",
-        "            if True:\n",
+        "    if part.fingerprint != fingerprint:\n",
+        "    if False:\n",
         (
             "tests/test_embeddings.py::TestFingerprint::"
-            "test_another_fingerprint_parses_and_checks_every_line",
+            "test_another_fingerprint_is_refused_naming_both",
             "tests/test_cli.py::TestEmbeddingsFingerprint::"
             "test_an_unused_line_of_another_file_is_still_checked",
+            "tests/test_cli.py::TestEmbeddingsFingerprint::"
+            "test_another_file_exits_2_naming_both_fingerprints",
         ),
-        "CHANGES.md line 55, restated for the one reader in line 57",
+        "CHANGES.md line 55, restated for the one reader in line 57 and as a mismatch"
+        " accepted in line 63",
+    ),
+    Mutant(
+        "mismatch-read-again-in-full", "embeddings.py",
+        "    if part.fingerprint != fingerprint:\n",
+        "    if part.fingerprint != fingerprint:\n        _read(source, None)\n",
+        ("tests/test_embeddings.py::TestFingerprint::test_a_file_with_other_bytes_is_read_once",),
+        "CHANGES.md line 63",
     ),
     Mutant(
         "fast-path-keeps-the-first-duplicate", "embeddings.py",
@@ -369,6 +379,26 @@ MUTANTS = (
         "for i in range(n)]",
         ("tests/test_evaluation.py::test_judging_memory_does_not_grow_with_the_threshold",),
         "CHANGES.md line 60",
+    ),
+    Mutant(
+        "df-past-the-parse-limit-called-malformed", "idf.py",
+        "                count = _count(count_text)\n",
+        "                count = int(count_text)\n",
+        (
+            "tests/test_idf.py::TestSerialization::"
+            "test_a_df_past_ints_parse_limit_is_outside_its_range",
+        ),
+        "CHANGES.md line 63",
+    ),
+    Mutant(
+        "count-digits-include-leading-zeros", "idf.py",
+        '        text = text.lstrip("0") or "0"\n',
+        "",
+        (
+            "tests/test_idf.py::TestSerialization::"
+            "test_leading_zeros_do_not_count_against_ints_parse_limit",
+        ),
+        "CHANGES.md line 63",
     ),
 )
 

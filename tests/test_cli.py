@@ -509,7 +509,9 @@ class TestQuery:
         assert "question-idf" in capsys.readouterr().err
 
     def test_dimension_mismatch_exits_2(self, workspace, capsys):
+        # Without its fingerprint the index takes any file, of any width.
         _build_artifacts(workspace)
+        (workspace["index"] / "header.json").unlink()
         other = workspace["embeddings"].parent / "other.txt"
         other.write_text("a 1.0 2.0 3.0\n", encoding="utf-8")
         capsys.readouterr()
@@ -668,11 +670,16 @@ class TestIndexDocIdf:
         )
 
 
+def _sha256(path):
+    """The fingerprint of the file at ``path``."""
+    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 class TestEmbeddingsFingerprint:
     """``index-build`` records the fingerprint of its embedding file in the
-    index's ``header.json``; given that file again, ``query`` and ``eval``
-    parse only the rows of their questions' tokens, and any other file in
-    full."""
+    index's ``header.json``; ``query`` and ``eval`` parse only the rows of
+    their questions' tokens of that file and refuse any other. Without a
+    fingerprint they parse the file in full."""
 
     @staticmethod
     def _argv(command, workspace):
@@ -724,23 +731,48 @@ class TestEmbeddingsFingerprint:
     def test_an_unused_line_of_another_file_is_still_checked(
         self, workspace, capsys, monkeypatch, command
     ):
-        # No question uses delta: a bad delta line is refused, naming it,
-        # and a good one changes nothing.
+        # No question uses delta. Under the index's fingerprint another file
+        # is refused, whether its delta line is bad or good; an index
+        # without header.json refuses the bad line, naming it.
         _build_artifacts(workspace)
         argv = self._argv(command, workspace)
-        code, want, _err, _read = self._run(argv, capsys, monkeypatch)
-        assert code == 0
         path = workspace["embeddings"]
+        recorded = _sha256(path)
+        for delta in ("delta -1.0 x", "delta -1.5 0.25"):
+            path.write_text(EMBEDDINGS.replace("delta -1.0 0.0", delta), encoding="utf-8")
+            assert self._run(argv, capsys, monkeypatch) == (2, "", (
+                f"error: --embeddings {path}: "
+                f"fingerprint {_sha256(path)}, but the index records {recorded}\n"
+            ), [])
+            assert not workspace["run"].exists()
         path.write_text(EMBEDDINGS.replace("delta -1.0 0.0", "delta -1.0 x"), encoding="utf-8")
-        workspace["run"].unlink(missing_ok=True)
+        (workspace["index"] / "header.json").unlink()
         assert self._run(argv, capsys, monkeypatch)[:3] == (2, "", (
             f"error: --embeddings {path}: "
             "line 5: malformed float (could not convert string to float: 'x')\n"
         ))
         assert not workspace["run"].exists()
-        path.write_text(EMBEDDINGS.replace("delta -1.0 0.0", "delta -1.5 0.25"), encoding="utf-8")
-        code, out, _err, read = self._run(argv, capsys, monkeypatch)
-        assert (code, out, len(read[0])) == (0, want, 5)
+
+    @pytest.mark.parametrize(
+        "other",
+        [EMBEDDINGS.replace("5 2\n", ""), EMBEDDINGS.replace("alpha 1.0", "alpha 0.9")],
+        ids=["same-rows-without-the-header", "another-alpha"],
+    )
+    @pytest.mark.parametrize("command", ["query", "eval"])
+    def test_another_file_exits_2_naming_both_fingerprints(
+        self, workspace, capsys, monkeypatch, command, other
+    ):
+        _build_artifacts(workspace)
+        path = workspace["embeddings"]
+        recorded = _sha256(path)
+        path.write_text(other, encoding="utf-8")
+        code, out, err, read = self._run(self._argv(command, workspace), capsys, monkeypatch)
+        assert (code, out, read) == (2, "", [])
+        assert err == (
+            f"error: --embeddings {path}: "
+            f"fingerprint {_sha256(path)}, but the index records {recorded}\n"
+        )
+        assert not workspace["run"].exists()
 
     @pytest.mark.parametrize("text", ["", "5 2\n"], ids=["empty", "header-only"])
     @pytest.mark.parametrize("command", ["query", "eval"])
@@ -1330,8 +1362,9 @@ class TestOverflow:
         )
 
     def test_query_refuses_an_overflowing_question(self, workspace, capsys):
-        _build_artifacts(workspace)
+        # No passage holds "huge", so the index builds from the big table.
         workspace["embeddings"].write_text(self.BIG, encoding="utf-8")
+        _build_artifacts(workspace)
         capsys.readouterr()
         with pytest.warns(RuntimeWarning, match="overflow"):
             code = main([

@@ -5,10 +5,13 @@ docs TSV, an ``idf-build`` corpus, the question set, a run file, and an
 index's ``passages.json``, ``doc_idf.tsv`` and ``header.json``) is damaged a few hundred
 times from one fixed seed and given to the command that reads it, through
 ``main()``. Every run must exit 0 or 2, never 1, and every exit 2 must
-begin its message with the flag and the path of the damaged input.
+begin its message with the flag and the path of the damaged input, or, for
+a header that names another fingerprint, name that fingerprint as the one
+the index records.
 """
 
 import io
+import json
 import random
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -122,6 +125,11 @@ def test_damaged_inputs_exit_0_or_2_naming_the_input(tmp_path):
             exits[name, code] = exits.get((name, code), 0) + 1
             message = stderr.getvalue()
             named = message.startswith(f"error: {flag} {path}: ")
+            if name == "index header" and code == 2 and not named:
+                # A header naming another fingerprint binds the index to
+                # other bytes, so the embedding file given is refused.
+                recorded = json.loads(damaged)["embeddings_fingerprint"]
+                named = message.endswith(f", but the index records {recorded}\n")
             if code not in (0, 2) or (code == 2 and not named):
                 faults.append((name, code, damaged, message))
     assert not faults, faults[:5]

@@ -407,15 +407,33 @@ class TestFingerprint:
         assert part.lookup("a").tolist() == full.lookup("a").tolist() == [2.0, 0.5]
         assert list(part.vocab) == ["a"]
 
-    def test_another_fingerprint_parses_and_checks_every_line(self):
-        text = "a 1.0 0.0\nb 0.0 x\n"
-        with pytest.raises(ValueError, match="^line 2: malformed float"):
-            _partial(text, ["a"], fingerprint="sha256:" + "0" * 64)
-        good = "a 1.0 0.0\nb 0.0 1.0\n"
-        full = from_text(load_embeddings, good)
-        other = from_text(lambda p: load_embeddings(p, ["a"], "sha256:" + "0" * 64), good)
-        assert other.fingerprint == full.fingerprint
-        assert other.vocab == full.vocab
+    def test_another_fingerprint_is_refused_naming_both(self):
+        # No line of b is parsed, whether it is bad or good.
+        recorded = "sha256:" + "0" * 64
+        for text in ("a 1.0 0.0\nb 0.0 x\n", "a 1.0 0.0\nb 0.0 1.0\n"):
+            own = "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+            with pytest.raises(ValueError) as refused:
+                from_text(lambda p: load_embeddings(p, ["a"], recorded), text)
+            assert str(refused.value) == (
+                f"fingerprint {own}, but the index records {recorded}"
+            )
+
+    def test_a_file_with_other_bytes_is_read_once(self, monkeypatch):
+        keeps = []
+        read = embeddings._read
+
+        def recording(source, keep):
+            keeps.append(keep)
+            return read(source, keep)
+
+        monkeypatch.setattr(embeddings, "_read", recording)
+        refusal = "^fingerprint sha256:[0-9a-f]{64}, but the index records sha256:0{64}$"
+        with pytest.raises(ValueError, match=refusal):
+            from_text(
+                lambda p: load_embeddings(p, ["b", "a"], "sha256:" + "0" * 64),
+                "2 2\na 1.0 0.0\nb 0.0 1.0\n",
+            )
+        assert keeps == [{"a", "b"}]
 
     def test_a_filtered_load_holds_no_full_matrix(self, tmp_path):
         # The header counts every row; the rows of two tokens are parsed.
@@ -434,16 +452,16 @@ class TestFingerprint:
         assert list(part.vocab) == ["w7", "w19999"]
         assert peak < 0.05 * rows * dim * 8
 
-    def test_an_undecodable_file_names_its_first_fault_as_a_full_load_does(self, tmp_path):
+    def test_an_undecodable_file_is_refused_by_the_one_read(self, tmp_path):
+        # A full load names the bad float on line 2; the filtered read skips
+        # that line and stops at the byte that is never UTF-8.
         path = tmp_path / "table.txt"
         path.write_bytes(b"a 1.0 0.0\nb 0.0 x\n" + b"c 1.0 1.0\n" * 2000 + b"\xff 1.0 1.0\n")
         with pytest.raises(ValueError) as full:
             load_embeddings(path)
-        with pytest.raises(ValueError) as part:
+        assert str(full.value) == "line 2: malformed float (could not convert string to float: 'x')"
+        with pytest.raises(UnicodeDecodeError, match="can't decode byte 0xff"):
             load_embeddings(path, ["a"], "sha256:" + "0" * 64)
-        assert str(part.value) == str(full.value) == (
-            "line 2: malformed float (could not convert string to float: 'x')"
-        )
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)

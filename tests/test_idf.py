@@ -164,6 +164,23 @@ class TestSerialization:
             from_text(load_idf, f"#n_docs {10**400} docs\na\t1\n")
         assert str(excinfo.value) == "line 1: document count N + 1 has no float value"
 
+    @pytest.mark.parametrize("digits", [400, 5_001])
+    def test_a_document_count_past_ints_parse_limit_has_no_float_value(self, digits):
+        # int() refuses more than 4 300 digits; 400 or more pass every bound.
+        with pytest.raises(ValueError) as excinfo:
+            from_text(load_idf, f"#n_docs {'9' * digits} docs\na\t1\n")
+        assert str(excinfo.value) == "line 1: document count N + 1 has no float value"
+
+    @pytest.mark.parametrize("digits", [400, 5_001])
+    def test_a_df_past_ints_parse_limit_is_outside_its_range(self, digits):
+        with pytest.raises(ValueError) as excinfo:
+            from_text(load_idf, f"#n_docs 3 docs\na\t1\nb\t{'9' * digits}\n")
+        assert str(excinfo.value) == f"line 3: df of {digits} digits outside [1, 3] for 'b'"
+
+    def test_leading_zeros_do_not_count_against_ints_parse_limit(self):
+        table = from_text(load_idf, f"#n_docs {'0' * 5_000}3 docs\na\t{'0' * 5_000}2\n")
+        assert (table.n_docs, table.df) == (3, {"a": 2})
+
     def test_malformed_row_names_line(self):
         with pytest.raises(ValueError, match="line 3"):
             from_text(load_idf, "#n_docs 2 docs\na\t1\nb 2\n")
