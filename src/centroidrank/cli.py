@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from bisect import bisect_left
 from operator import attrgetter
@@ -49,10 +50,11 @@ def _load_artifacts(
 ) -> tuple[PassageIndex, EmbeddingTable | None, IdfTable | None]:
     """Load the artifacts the query/eval flags name. An index that records
     its embedding file's fingerprint takes only that file, and parses only
-    the rows of ``tokens``; ``--doc-idf`` must equal the index's table."""
+    the rows of ``tokens``; ``--doc-idf`` must equal the index's table, and
+    is parsed only when its bytes differ from the copy ``load_index`` read."""
     from .embeddings import load_embeddings
     from .idf import load_idf
-    from .retrieval import _DOC_IDF, _check_dim, load_index
+    from .retrieval import _DOC_IDF, _check_dim, _has_doc_idf_bytes, load_index
 
     index = _load("--index", args.index, load_index)
     embeddings = (
@@ -66,7 +68,9 @@ def _load_artifacts(
         if args.embeddings
         else None
     )
-    if args.doc_idf:
+    if args.doc_idf and not _load(
+        "--doc-idf", args.doc_idf, lambda p: _has_doc_idf_bytes(args.index, p)
+    ):
         given = _load("--doc-idf", args.doc_idf, load_idf)
         if (given.n_docs, given.df) != (index.doc_idf.n_docs, index.doc_idf.df):
             field = "n_docs" if given.n_docs != index.doc_idf.n_docs else "df"
@@ -277,6 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # No command makes a threaded BLAS call, so numpy, when a command imports
+    # it, need not start OpenBLAS's worker pool; a caller's own value stands.
+    cap = "OPENBLAS_NUM_THREADS" not in os.environ
+    if cap:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         args.func(args)
     except (ValueError, OSError) as exc:
@@ -285,6 +294,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # unexpected: computational failure
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if cap:
+            del os.environ["OPENBLAS_NUM_THREADS"]
     return 0
 
 

@@ -89,24 +89,24 @@ def load_embeddings(
     inconsistent dimensions, and ValueError for a file without vectors.
     The table records the file's fingerprint.
 
-    Given ``tokens`` and ``fingerprint``, the one read parses only the
-    lines of ``tokens``, with the same checks, and splits and hashes every
-    line. The table holds those of ``tokens`` the file has, a repeated one
-    its last line's row, and no fingerprint. A file with other bytes is
-    refused by the first fault this read meets, or else as a mismatch
-    naming both fingerprints.
+    Given ``fingerprint``, a file with other bytes is refused by the first
+    fault the read meets, or else as a mismatch naming both fingerprints.
+    Given ``tokens`` too, the one read parses only the lines of ``tokens``,
+    with the same checks, and splits and hashes every line. The table holds
+    those of ``tokens`` the file has, a repeated one its last line's row,
+    and no fingerprint.
 
     Finite values can still overflow later: a vector whose norm passes
     about 1.3e154 (the square root of the largest float64), or values near
     1e308 that a centroid sums, give centroids whose norm is not finite.
     ``build_index`` refuses such a passage and ``rank`` such a question.
     """
-    if tokens is None or fingerprint is None:
+    if fingerprint is None:
         return _read(source, None)
-    part = _read(source, set(tokens))
-    if part.fingerprint != fingerprint:
-        raise ValueError(f"fingerprint {part.fingerprint}, but the index records {fingerprint}")
-    return EmbeddingTable(part.vocab, part.matrix)
+    table = _read(source, None if tokens is None else set(tokens))
+    if table.fingerprint != fingerprint:
+        raise ValueError(f"fingerprint {table.fingerprint}, but the index records {fingerprint}")
+    return table if tokens is None else EmbeddingTable(table.vocab, table.matrix)
 
 
 def _read(source: str | os.PathLike, keep: set[str] | None) -> EmbeddingTable:

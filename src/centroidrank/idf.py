@@ -83,12 +83,17 @@ def save_idf(table: IdfTable, sink: str | os.PathLike) -> None:
 
 
 def _count(text: str) -> int:
-    """``int(text)``; ASCII digits are read past their leading zeros, and 400
-    or more of them (``int`` parses at most 4 300) raise OverflowError."""
-    if text.isascii() and text.isdigit():
-        text = text.lstrip("0") or "0"
-        if len(text) >= 400:
+    """``int(text)``; in a field of 400 or more characters, ASCII digits after
+    an optional sign are read past their leading zeros, and 400 or more of
+    them (``int`` parses at most 4 300) raise OverflowError."""
+    if len(text) < 400:
+        return int(text)
+    sign, digits = (text[0], text[1:]) if text[0] in "+-" else ("", text)
+    if digits.isascii() and digits.isdigit():
+        digits = digits.lstrip("0") or "0"
+        if len(digits) >= 400:
             raise OverflowError
+        text = sign + digits
     return int(text)
 
 
@@ -130,8 +135,8 @@ def load_idf(source: str | os.PathLike) -> IdfTable:
                 raise ValueError(f"line {line_no}: malformed df {count_text!r}") from None
             except OverflowError:  # N has fewer digits, since N + 1 is a float
                 raise ValueError(
-                    f"line {line_no}: df of {len(count_text)} digits outside [1, {n_docs}] "
-                    f"for {token!r}"
+                    f"line {line_no}: df of {len(count_text.lstrip('+-'))} digits "
+                    f"outside [1, {n_docs}] for {token!r}"
                 ) from None
             if not 1 <= count <= n_docs:
                 raise ValueError(

@@ -439,6 +439,12 @@ def load_index(directory: str | os.PathLike) -> PassageIndex:
     return PassageIndex(entries, uniform, idf, doc_idf, _load_fingerprint(directory))
 
 
+def _has_doc_idf_bytes(directory: str | os.PathLike, path: str | os.PathLike) -> bool:
+    """Whether the file at ``path`` holds the bytes of the index's ``doc_idf.tsv``."""
+    with open(path, "rb") as given, open(os.path.join(directory, _DOC_IDF), "rb") as stored:
+        return given.read() == stored.read()
+
+
 def _load_fingerprint(directory: str | os.PathLike) -> str | None:
     """The embeddings fingerprint of ``header.json``; None without the file."""
     try:

@@ -46,13 +46,30 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant(
         "doc-idf-flag-not-compared", "cli.py",
-        "    if args.doc_idf:\n        given = ",
-        "    if False:\n        given = ",
+        "    if args.doc_idf and not _load(\n",
+        "    if False and not _load(\n",
         (
             "tests/test_cli.py::TestIndexDocIdf::"
             "test_another_doc_idf_exits_2_naming_it_and_the_index",
         ),
-        "CHANGES.md line 50",
+        "CHANGES.md line 50, restated for the byte check in line 67",
+    ),
+    Mutant(
+        "doc-idf-bytes-always-equal", "retrieval.py",
+        "        return given.read() == stored.read()\n",
+        "        return True\n",
+        (
+            "tests/test_cli.py::TestIndexDocIdf::"
+            "test_another_doc_idf_exits_2_naming_it_and_the_index",
+        ),
+        "CHANGES.md line 67",
+    ),
+    Mutant(
+        "blas-pool-not-capped", "cli.py",
+        'cap = "OPENBLAS_NUM_THREADS" not in os.environ',
+        "cap = False",
+        ("tests/test_cli.py::TestBlasThreads::test_a_command_starts_no_blas_pool",),
+        "CHANGES.md line 67",
     ),
     Mutant(
         "doc-idf-flag-compares-n-docs-only", "cli.py",
@@ -95,12 +112,12 @@ MUTANTS = (
         "return PassageIndex(entries, uniform, idf, doc_idf, _load_fingerprint(directory))",
         "return PassageIndex(entries, uniform, idf, None, _load_fingerprint(directory))",
         (
-            "tests/test_metamorphic.py::"
-            "test_doc_idf_flag_left_out_gives_the_same_runs_and_queries",
+            "tests/test_cli.py::TestCheckedInFixturePipeline::test_run_file_bytes_pinned[cd-idf]",
             "tests/test_retrieval.py::TestIndexSerialization::"
             "test_bundle_is_two_matrices_passages_and_doc_idf",
         ),
-        "CHANGES.md line 50, there as the CLI's `doc_idf = given if args.doc_idf else None`",
+        "CHANGES.md line 50, there as the CLI's `doc_idf = given if args.doc_idf else None`;"
+        " restated to a pin in line 67",
     ),
     Mutant(
         "doc-idf-read-error-unprefixed", "retrieval.py",
@@ -232,7 +249,7 @@ MUTANTS = (
     ),
     Mutant(
         "fast-path-ignores-the-fingerprint", "embeddings.py",
-        "    if part.fingerprint != fingerprint:\n",
+        "    if table.fingerprint != fingerprint:\n",
         "    if False:\n",
         (
             "tests/test_embeddings.py::TestFingerprint::"
@@ -246,9 +263,16 @@ MUTANTS = (
         " accepted in line 63",
     ),
     Mutant(
+        "full-read-ignores-the-fingerprint", "embeddings.py",
+        "    if fingerprint is None:\n",
+        "    if tokens is None or fingerprint is None:\n",
+        ("tests/test_embeddings.py::TestFingerprint::test_the_full_read_refuses_another_fingerprint",),
+        "CHANGES.md line 67",
+    ),
+    Mutant(
         "mismatch-read-again-in-full", "embeddings.py",
-        "    if part.fingerprint != fingerprint:\n",
-        "    if part.fingerprint != fingerprint:\n        _read(source, None)\n",
+        "    if table.fingerprint != fingerprint:\n",
+        "    if table.fingerprint != fingerprint:\n        _read(source, None)\n",
         ("tests/test_embeddings.py::TestFingerprint::test_a_file_with_other_bytes_is_read_once",),
         "CHANGES.md line 63",
     ),
@@ -392,13 +416,20 @@ MUTANTS = (
     ),
     Mutant(
         "count-digits-include-leading-zeros", "idf.py",
-        '        text = text.lstrip("0") or "0"\n',
+        '        digits = digits.lstrip("0") or "0"\n',
         "",
         (
             "tests/test_idf.py::TestSerialization::"
             "test_leading_zeros_do_not_count_against_ints_parse_limit",
         ),
-        "CHANGES.md line 63",
+        "CHANGES.md line 63, restated for the signed count in line 67",
+    ),
+    Mutant(
+        "signed-count-read-as-malformed", "idf.py",
+        '(text[0], text[1:]) if text[0] in "+-" else ("", text)',
+        '("", text)',
+        ("tests/test_idf.py::TestSerialization::test_a_long_signed_count_is_not_echoed",),
+        "CHANGES.md line 67",
     ),
 )
 

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -644,6 +645,23 @@ class TestIndexDocIdf:
             f"--index {workspace['index']} (doc_idf.tsv)\n"
         )
         assert not workspace["run"].exists()
+
+    @pytest.mark.parametrize("command", ["query", "eval"])
+    @pytest.mark.parametrize("label", [None, "another label"], ids=["byte-copy", "relabelled"])
+    def test_only_other_bytes_are_parsed(self, workspace, monkeypatch, command, label):
+        # load_index has read the index's copy; a byte copy is not read as a table.
+        _build_artifacts(workspace)
+        given = workspace["doc_idf"]
+        if label is not None:
+            table = idf.load_idf(given)
+            table.corpus_label = label
+            given = given.parent / "other_idf.tsv"
+            idf.save_idf(table, given)
+        parsed = []
+        load_idf = idf.load_idf
+        monkeypatch.setattr(idf, "load_idf", lambda path: parsed.append(path) or load_idf(path))
+        assert main(self._argv(command, workspace, "cd-idf", "--doc-idf", given)) == 0
+        assert parsed == ([] if label is None else [str(given)])
 
     @pytest.mark.parametrize("command", ["query", "eval"])
     def test_index_without_its_doc_idf_exits_2_naming_it(self, workspace, capsys, command):
@@ -1451,6 +1469,66 @@ _NUMPY_PROBE = (
     "print('numpy loaded' if 'numpy' in sys.modules else 'numpy absent')\n"
     "sys.exit(code)\n"
 )
+
+
+# Runs the CLI, or without arguments only imports numpy, in a fresh
+# interpreter and reports the process's thread count and
+# OPENBLAS_NUM_THREADS after it.
+_THREADS_PROBE = (
+    "import os, sys\n"
+    "if sys.argv[1:]:\n"
+    "    from centroidrank.cli import main\n"
+    "    assert main(sys.argv[1:]) == 0\n"
+    "else:\n"
+    "    import numpy\n"
+    "threads = open('/proc/self/status').read().split('Threads:')[1].split()[0]\n"
+    "print(threads, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+)
+
+
+def _threads_probe(caller_value, *argv):
+    """(threads, OPENBLAS_NUM_THREADS) after the probe, run with the
+    caller's OPENBLAS_NUM_THREADS ``caller_value`` (None: unset)."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if caller_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller_value
+    result = subprocess.run(
+        [sys.executable, "-c", _THREADS_PROBE, *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    threads, value = result.stdout.splitlines()[-1].split()
+    return int(threads), None if value == "None" else value
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+class TestBlasThreads:
+    """No command makes a threaded BLAS call, so ``main`` has numpy start
+    OpenBLAS on one thread, unless the caller set OPENBLAS_NUM_THREADS."""
+
+    @staticmethod
+    def _query(workspace):
+        _build_artifacts(workspace)
+        return ("query", "--index", workspace["index"], "--embeddings", workspace["embeddings"],
+                "--question", "alpha", "--k", "1")
+
+    def test_a_command_starts_no_blas_pool(self, workspace):
+        assert _threads_probe(None, *self._query(workspace)) == (1, None)
+
+    def test_the_callers_count_stands(self, workspace):
+        bare = _threads_probe("2")
+        assert _threads_probe("2", *self._query(workspace)) == bare
+        assert bare[1] == "2"
+
+    def test_main_leaves_the_environment_as_it_was(self, workspace, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        argv = [str(arg) for arg in self._query(workspace)]
+        before = dict(os.environ)
+        assert main(argv) == 0
+        assert main([*argv, "--k", "0"]) == 2
+        assert dict(os.environ) == before
 
 
 def _numpy_probe(*argv):

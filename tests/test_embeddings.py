@@ -418,6 +418,17 @@ class TestFingerprint:
                 f"fingerprint {own}, but the index records {recorded}"
             )
 
+    def test_the_full_read_refuses_another_fingerprint(self):
+        # Without tokens the whole file is parsed, and still bound.
+        text = "a 1.0 0.0\nb 0.0 1.0\n"
+        own = "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+        table = from_text(lambda p: load_embeddings(p, None, own), text)
+        assert (list(table.vocab), table.fingerprint) == (["a", "b"], own)
+        recorded = "sha256:" + "0" * 64
+        with pytest.raises(ValueError) as refused:
+            from_text(lambda p: load_embeddings(p, None, recorded), text)
+        assert str(refused.value) == f"fingerprint {own}, but the index records {recorded}"
+
     def test_a_file_with_other_bytes_is_read_once(self, monkeypatch):
         keeps = []
         read = embeddings._read

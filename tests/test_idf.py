@@ -177,6 +177,17 @@ class TestSerialization:
             from_text(load_idf, f"#n_docs 3 docs\na\t1\nb\t{'9' * digits}\n")
         assert str(excinfo.value) == f"line 3: df of {digits} digits outside [1, 3] for 'b'"
 
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_a_long_signed_count_is_not_echoed(self, sign):
+        # int() refuses it by its digit limit, as it does the unsigned one.
+        count = sign + "9" * 5_000
+        with pytest.raises(ValueError) as header:
+            from_text(load_idf, f"#n_docs {count} docs\na\t1\n")
+        with pytest.raises(ValueError) as row:
+            from_text(load_idf, f"#n_docs 3 docs\na\t1\nb\t{count}\n")
+        assert str(header.value) == "line 1: document count N + 1 has no float value"
+        assert str(row.value) == "line 3: df of 5000 digits outside [1, 3] for 'b'"
+
     def test_leading_zeros_do_not_count_against_ints_parse_limit(self):
         table = from_text(load_idf, f"#n_docs {'0' * 5_000}3 docs\na\t{'0' * 5_000}2\n")
         assert (table.n_docs, table.df) == (3, {"a": 2})
