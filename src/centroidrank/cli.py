@@ -32,6 +32,7 @@ if TYPE_CHECKING:
     from .retrieval import PassageIndex
 
 _UNIT_LABELS = {"doc": "documents", "question": "questions"}
+_MESSAGE_LIMIT = 1000  # characters of a message that ``main`` prints whole
 
 _T = TypeVar("_T")
 
@@ -50,8 +51,8 @@ def _load_artifacts(
 ) -> tuple[PassageIndex, EmbeddingTable | None, IdfTable | None]:
     """Load the artifacts the query/eval flags name. An index that records
     its embedding file's fingerprint takes only that file, and parses only
-    the rows of ``tokens``; ``--doc-idf`` must equal the index's table, and
-    is parsed only when its bytes differ from the copy ``load_index`` read."""
+    the rows of ``tokens``; ``--doc-idf`` must hold the bytes of the index's
+    table, and is never parsed."""
     from .embeddings import load_embeddings
     from .idf import load_idf
     from .retrieval import _DOC_IDF, _check_dim, _has_doc_idf_bytes, load_index
@@ -71,13 +72,10 @@ def _load_artifacts(
     if args.doc_idf and not _load(
         "--doc-idf", args.doc_idf, lambda p: _has_doc_idf_bytes(args.index, p)
     ):
-        given = _load("--doc-idf", args.doc_idf, load_idf)
-        if (given.n_docs, given.df) != (index.doc_idf.n_docs, index.doc_idf.df):
-            field = "n_docs" if given.n_docs != index.doc_idf.n_docs else "df"
-            raise ValueError(
-                f"--doc-idf {args.doc_idf}: {field} differs from the table of "
-                f"--index {args.index} ({_DOC_IDF})"
-            )
+        raise ValueError(
+            f"--doc-idf {args.doc_idf}: other bytes than the table of "
+            f"--index {args.index} ({_DOC_IDF})"
+        )
     question_idf = (
         _load("--question-idf", args.question_idf, load_idf) if args.question_idf else None
     )
@@ -278,6 +276,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _capped(message: str) -> str:
+    """``message``, or past ``_MESSAGE_LIMIT`` characters its two ends (the
+    flag, path and line or entry; the reason) around its length."""
+    if len(message) <= _MESSAGE_LIMIT:
+        return message
+    end = _MESSAGE_LIMIT // 2
+    return f"{message[:end]} [...{len(message)} characters...] {message[-end:]}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -289,10 +296,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_capped(f"error: {exc}"), file=sys.stderr)
         return 2
     except Exception as exc:  # unexpected: computational failure
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(_capped(f"internal error: {exc}"), file=sys.stderr)
         return 1
     finally:
         if cap:

@@ -82,27 +82,13 @@ def save_idf(table: IdfTable, sink: str | os.PathLike) -> None:
             handle.write(f"{token}\t{table.df[token]}\n")
 
 
-def _count(text: str) -> int:
-    """``int(text)``; in a field of 400 or more characters, ASCII digits after
-    an optional sign are read past their leading zeros, and 400 or more of
-    them (``int`` parses at most 4 300) raise OverflowError."""
-    if len(text) < 400:
-        return int(text)
-    sign, digits = (text[0], text[1:]) if text[0] in "+-" else ("", text)
-    if digits.isascii() and digits.isdigit():
-        digits = digits.lstrip("0") or "0"
-        if len(digits) >= 400:
-            raise OverflowError
-        text = sign + digits
-    return int(text)
-
-
 def load_idf(source: str | os.PathLike) -> IdfTable:
     """Parse the table file at ``source``, as :func:`save_idf` writes it.
 
     Raises ValueError naming the line for malformed rows, a document count
     N for which N + 1 has no float value, counts that violate
-    1 <= df <= n_docs, or a token listed on an earlier line.
+    1 <= df <= n_docs, or a token listed on an earlier line. Counts are read
+    by ``int()``, so one of more than 4 300 digits is malformed.
     """
     with open(source, encoding="utf-8") as handle:
         header = handle.readline()
@@ -113,7 +99,7 @@ def load_idf(source: str | os.PathLike) -> IdfTable:
         if len(parts) < 2 or parts[0] != "#n_docs":
             raise ValueError(f"line 1: expected '#n_docs <N> <label>', got {header!r}")
         try:
-            n_docs = _count(parts[1])
+            n_docs = int(parts[1])
             float(n_docs + 1)  # the numerator of every weight
         except ValueError:
             raise ValueError(f"line 1: malformed document count {parts[1]!r}") from None
@@ -130,14 +116,9 @@ def load_idf(source: str | os.PathLike) -> IdfTable:
             if not sep or not token:
                 raise ValueError(f"line {line_no}: expected '<token>\\t<df>', got {line!r}")
             try:
-                count = _count(count_text)
+                count = int(count_text)
             except ValueError:
                 raise ValueError(f"line {line_no}: malformed df {count_text!r}") from None
-            except OverflowError:  # N has fewer digits, since N + 1 is a float
-                raise ValueError(
-                    f"line {line_no}: df of {len(count_text.lstrip('+-'))} digits "
-                    f"outside [1, {n_docs}] for {token!r}"
-                ) from None
             if not 1 <= count <= n_docs:
                 raise ValueError(
                     f"line {line_no}: df {count} outside [1, {n_docs}] for {token!r}"

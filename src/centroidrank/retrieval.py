@@ -440,9 +440,11 @@ def load_index(directory: str | os.PathLike) -> PassageIndex:
 
 
 def _has_doc_idf_bytes(directory: str | os.PathLike, path: str | os.PathLike) -> bool:
-    """Whether the file at ``path`` holds the bytes of the index's ``doc_idf.tsv``."""
+    """Whether the file at ``path`` holds the bytes of the index's ``doc_idf.tsv``;
+    of a longer file only one byte past the table's length is read."""
     with open(path, "rb") as given, open(os.path.join(directory, _DOC_IDF), "rb") as stored:
-        return given.read() == stored.read()
+        table = stored.read()
+        return given.read(len(table) + 1) == table
 
 
 def _load_fingerprint(directory: str | os.PathLike) -> str | None:

@@ -56,13 +56,31 @@ MUTANTS = (
     ),
     Mutant(
         "doc-idf-bytes-always-equal", "retrieval.py",
-        "        return given.read() == stored.read()\n",
+        "        return given.read(len(table) + 1) == table\n",
         "        return True\n",
         (
             "tests/test_cli.py::TestIndexDocIdf::"
             "test_another_doc_idf_exits_2_naming_it_and_the_index",
         ),
-        "CHANGES.md line 67",
+        "CHANGES.md line 67, restated for the bounded read in line 70",
+    ),
+    Mutant(
+        "doc-idf-size-not-compared", "retrieval.py",
+        "given.read(len(table) + 1)",
+        "given.read()",
+        ("tests/test_cli.py::TestIndexDocIdf::test_a_doc_idf_of_another_size_is_not_read",),
+        "CHANGES.md line 70",
+    ),
+    Mutant(
+        "refusal-printed-whole", "cli.py",
+        "    if len(message) <= _MESSAGE_LIMIT:\n",
+        "    if True:\n",
+        (
+            "tests/test_cli.py::TestLongRefusals::test_a_1_mb_field_is_capped",
+            "tests/test_cli.py::TestLongRefusals::test_a_4000_digit_df_is_capped",
+            "tests/test_cli.py::TestLongRefusals::test_a_long_signed_count_is_capped",
+        ),
+        "CHANGES.md line 70",
     ),
     Mutant(
         "blas-pool-not-capped", "cli.py",
@@ -70,18 +88,6 @@ MUTANTS = (
         "cap = False",
         ("tests/test_cli.py::TestBlasThreads::test_a_command_starts_no_blas_pool",),
         "CHANGES.md line 67",
-    ),
-    Mutant(
-        "doc-idf-flag-compares-n-docs-only", "cli.py",
-        "(given.n_docs, given.df) != (index.doc_idf.n_docs, index.doc_idf.df)",
-        "given.n_docs != index.doc_idf.n_docs",
-        (
-            "tests/test_cli.py::TestIndexDocIdf::"
-            "test_another_doc_idf_exits_2_naming_it_and_the_index[df-query]",
-            "tests/test_cli.py::TestIndexDocIdf::"
-            "test_another_doc_idf_exits_2_naming_it_and_the_index[df-eval]",
-        ),
-        "CHANGES.md line 50",
     ),
     Mutant(
         "doc-idf-not-saved", "retrieval.py",
@@ -403,33 +409,6 @@ MUTANTS = (
         "for i in range(n)]",
         ("tests/test_evaluation.py::test_judging_memory_does_not_grow_with_the_threshold",),
         "CHANGES.md line 60",
-    ),
-    Mutant(
-        "df-past-the-parse-limit-called-malformed", "idf.py",
-        "                count = _count(count_text)\n",
-        "                count = int(count_text)\n",
-        (
-            "tests/test_idf.py::TestSerialization::"
-            "test_a_df_past_ints_parse_limit_is_outside_its_range",
-        ),
-        "CHANGES.md line 63",
-    ),
-    Mutant(
-        "count-digits-include-leading-zeros", "idf.py",
-        '        digits = digits.lstrip("0") or "0"\n',
-        "",
-        (
-            "tests/test_idf.py::TestSerialization::"
-            "test_leading_zeros_do_not_count_against_ints_parse_limit",
-        ),
-        "CHANGES.md line 63, restated for the signed count in line 67",
-    ),
-    Mutant(
-        "signed-count-read-as-malformed", "idf.py",
-        '(text[0], text[1:]) if text[0] in "+-" else ("", text)',
-        '("", text)',
-        ("tests/test_idf.py::TestSerialization::test_a_long_signed_count_is_not_echoed",),
-        "CHANGES.md line 67",
     ),
 )
 

@@ -3,8 +3,10 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -625,43 +627,60 @@ class TestIndexDocIdf:
         assert stored.corpus_label == "docu\tments"
 
     @pytest.mark.parametrize("command", ["query", "eval"])
-    @pytest.mark.parametrize("field", ["df", "n_docs"])
+    @pytest.mark.parametrize("change", ["df", "n_docs", "relabelled", "re-sorted"])
     def test_another_doc_idf_exits_2_naming_it_and_the_index(
-        self, workspace, capsys, command, field
+        self, workspace, capsys, monkeypatch, command, change
     ):
+        # Equal counts under another label or row order are other bytes too.
         _build_artifacts(workspace)
         table = idf.load_idf(workspace["doc_idf"])
-        if field == "df":
+        other = workspace["doc_idf"].parent / "other_idf.tsv"
+        if change == "df":
             token = next(t for t, count in table.df.items() if count < table.n_docs)
             table.df[token] += 1
-        else:
+        elif change == "n_docs":
             table.n_docs += 1
-        other = workspace["doc_idf"].parent / "other_idf.tsv"
+        elif change == "relabelled":
+            table.corpus_label = "another label"
         idf.save_idf(table, other)
+        if change == "re-sorted":
+            header, *rows = other.read_text(encoding="utf-8").splitlines(keepends=True)
+            other.write_text(header + "".join(reversed(rows)), encoding="utf-8")
+        parsed = []
+        monkeypatch.setattr(idf, "load_idf", parsed.append)
         capsys.readouterr()
         assert main(self._argv(command, workspace, "cd-idf", "--doc-idf", other)) == 2
         assert capsys.readouterr().err == (
-            f"error: --doc-idf {other}: {field} differs from the table of "
+            f"error: --doc-idf {other}: other bytes than the table of "
             f"--index {workspace['index']} (doc_idf.tsv)\n"
         )
         assert not workspace["run"].exists()
+        assert parsed == []
 
     @pytest.mark.parametrize("command", ["query", "eval"])
-    @pytest.mark.parametrize("label", [None, "another label"], ids=["byte-copy", "relabelled"])
-    def test_only_other_bytes_are_parsed(self, workspace, monkeypatch, command, label):
-        # load_index has read the index's copy; a byte copy is not read as a table.
+    def test_a_byte_copy_is_taken_unparsed(self, workspace, monkeypatch, command):
+        # load_index has read the index's copy; the flag's file is only compared.
         _build_artifacts(workspace)
-        given = workspace["doc_idf"]
-        if label is not None:
-            table = idf.load_idf(given)
-            table.corpus_label = label
-            given = given.parent / "other_idf.tsv"
-            idf.save_idf(table, given)
         parsed = []
-        load_idf = idf.load_idf
-        monkeypatch.setattr(idf, "load_idf", lambda path: parsed.append(path) or load_idf(path))
+        monkeypatch.setattr(idf, "load_idf", parsed.append)
+        given = workspace["doc_idf"]
         assert main(self._argv(command, workspace, "cd-idf", "--doc-idf", given)) == 0
-        assert parsed == ([] if label is None else [str(given)])
+        assert parsed == []
+
+    def test_a_doc_idf_of_another_size_is_not_read(self, workspace, capsys):
+        _build_artifacts(workspace)
+        sparse = workspace["doc_idf"].parent / "sparse.tsv"
+        with open(sparse, "wb") as handle:
+            handle.truncate(64 << 20)  # 64 MB of zeros
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main(self._argv("query", workspace, "cd-idf", "--doc-idf", sparse)) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err.startswith(f"error: --doc-idf {sparse}: other bytes ")
+        assert peak < 8 << 20
 
     @pytest.mark.parametrize("command", ["query", "eval"])
     def test_index_without_its_doc_idf_exits_2_naming_it(self, workspace, capsys, command):
@@ -1315,6 +1334,93 @@ class TestLoaderRefusals:
         assert workspace["docs"].read_text(encoding="utf-8") == DOCS_TSV
 
 
+class TestLongRefusals:
+    """``main`` prints a refusal of more than ``cli._MESSAGE_LIMIT``
+    characters as its head, a marker with its length, and its tail."""
+
+    @staticmethod
+    def _refused(capsys, argv, flag, path, where, reason):
+        """``argv`` exits 2 with a capped message that names ``flag``,
+        ``path`` and ``where`` and ends with ``reason``."""
+        capsys.readouterr()
+        assert main(list(map(str, argv))) == 2
+        err = capsys.readouterr().err
+        assert len(err) < 1_100
+        assert err.startswith(f"error: {flag} {path}: {where}"), err[:300]
+        assert err.endswith(f"{reason}\n"), err[-300:]
+        assert re.search(r" \[\.\.\.\d{4,} characters\.\.\.\] ", err)
+
+    def test_a_message_prints_whole_up_to_the_limit(self):
+        limit = cli._MESSAGE_LIMIT
+        assert cli._capped("x" * limit) == "x" * limit
+        capped = cli._capped("h" + "x" * limit + "t")
+        marker = f" [...{limit + 2} characters...] "
+        assert capped.startswith("hx") and capped.endswith("xt") and marker in capped
+        assert len(capped) == limit + len(marker)
+
+    @pytest.mark.parametrize("flag", ["--docs", "--embeddings", "--doc-idf", "--questions",
+                                      "--run-a"])
+    def test_a_1_mb_field_is_capped(self, workspace, capsys, flag):
+        _build_artifacts(workspace)
+        field = "x" * 1_000_000
+        run = workspace["run"].parent / "good.json"
+        _write_run(run, "cd", {"q1": 0.5})
+        damaged_run = json.loads(run.read_text(encoding="utf-8"))
+        damaged_run["questions"][0]["ap"] = field
+        index_build = ["index-build", "--docs", workspace["docs"],
+                       "--embeddings", workspace["embeddings"], "--doc-idf", workspace["doc_idf"],
+                       "--out", workspace["index"]]
+        command, text, where, reason = {
+            "--docs": (index_build, f"{field}\n", "line 1: expected '<doc_id>\\t<text>', got 'x",
+                       "x'"),
+            "--embeddings": (index_build, f"{field}\n",
+                             "line 1: expected '<token> <v1> ...', got 'x", "x'"),
+            "--doc-idf": (index_build, f"#n_docs 2 docs\nalpha\t{field}\n",
+                          "line 2: malformed df 'x", "x'"),
+            "--questions": (
+                ["eval", "--index", workspace["index"], "--method", "rnd",
+                 "--questions", workspace["questions"], "--out", workspace["run"]],
+                json.dumps({"questions": [{"id": field, "body": 1}]}),
+                "questions[0] (id 'x", "'): missing 'body'",
+            ),
+            "--run-a": (["compare", "--run-a", run, "--run-b", run], json.dumps(damaged_run),
+                        "question 'q1': ap 'x", "' is not a number"),
+        }[flag]
+        bad = workspace["run"].parent / "bad.txt"
+        bad.write_text(text, encoding="utf-8")
+        argv = list(command)
+        argv[argv.index(flag) + 1] = bad
+        self._refused(capsys, argv, flag, bad, where, reason)
+        assert not workspace["run"].exists()
+
+    def test_a_4000_digit_df_is_capped(self, workspace, capsys):
+        _build_artifacts(workspace)
+        bad = workspace["doc_idf"].parent / "bad.tsv"
+        bad.write_text(f"#n_docs 2 docs\nalpha\t{'9' * 4_000}\n", encoding="utf-8")
+        argv = ["index-build", "--docs", workspace["docs"], "--embeddings", workspace["embeddings"],
+                "--doc-idf", bad, "--out", workspace["index"]]
+        self._refused(capsys, argv, "--doc-idf", bad, "line 2: df 999",
+                      "999 outside [1, 2] for 'alpha'")
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_a_long_signed_count_is_capped(self, workspace, capsys, sign):
+        # int() refuses it by its digit limit; the library's message stays whole.
+        _build_artifacts(workspace)
+        count = sign + "9" * 5_000
+        bad = workspace["doc_idf"].parent / "bad.tsv"
+        argv = ["index-build", "--docs", workspace["docs"], "--embeddings", workspace["embeddings"],
+                "--doc-idf", bad, "--out", workspace["index"]]
+        for text, where in [
+            (f"#n_docs {count} docs\na\t1\n", f"line 1: malformed document count '{sign}9"),
+            (f"#n_docs 3 docs\na\t1\nb\t{count}\n", f"line 3: malformed df '{sign}9"),
+        ]:
+            bad.write_text(text, encoding="utf-8")
+            with pytest.raises(ValueError) as excinfo:
+                idf.load_idf(bad)
+            assert str(excinfo.value).endswith(f"{count!r}")
+            self._refused(capsys, argv, "--doc-idf", bad, where, "9'")
+
+
 class TestCarriageReturns:
     """A file is read in text mode, where a lone "\\r" ends a line: the
     library and the CLI read the same bytes the same way."""
@@ -1353,11 +1459,17 @@ class TestCarriageReturns:
             capsys.readouterr()
             assert main([
                 "query", "--index", str(index), "--embeddings", str(workspace["embeddings"]),
-                "--doc-idf", str(path), "--method", "cd-idf", "--question", "alpha beta",
+                "--method", "cd-idf", "--question", "alpha beta",
             ]) == 0
             files = sorted(index.iterdir())
             outputs.append(([f.read_bytes() for f in files], capsys.readouterr().out))
         assert outputs[0] == outputs[1]
+        # The index keeps the table as save_idf writes it: only lf.tsv has its bytes.
+        for path, code in ((cr, 2), (lf, 0)):
+            assert main([
+                "query", "--index", str(index), "--embeddings", str(workspace["embeddings"]),
+                "--doc-idf", str(path), "--method", "cd-idf", "--question", "alpha beta",
+            ]) == code
 
 
 class TestOverflow:
